@@ -1,24 +1,25 @@
-(* bench/main.exe — regenerates every table and figure of the paper and
-   (optionally) times the pipeline stages with Bechamel.
+(* bench/main.exe — wall-clock and micro benchmarks of the pipeline
+   stages. (The paper's tables and figures are regenerated by
+   `tsms experiments`.)
 
    Usage:
-     bench/main.exe                      reproduce everything (full suite)
-     bench/main.exe table2 fig4          specific experiments
-     bench/main.exe --limit 8 all        cap loops per benchmark
      bench/main.exe micro                Bechamel micro-benchmarks
                                          (one Test.make per table/figure)
      bench/main.exe --jobs 4 search      TMS grid-search wall-clock bench;
                                          writes BENCH_search.json
      bench/main.exe sim                  simulator fast-path + result-cache
                                          wall-clock bench; writes
-                                         BENCH_sim.json *)
+                                         BENCH_sim.json
+     bench/main.exe pool                 resident pool vs spawn-per-call;
+                                         writes BENCH_pool.json
+     bench/main.exe --check DIR          run search, sim and pool and compare
+                                         them against the baselines in DIR *)
 
 let usage () =
   prerr_endline
     "usage: main.exe [--limit N] [--jobs N] [--repeat N] [--out FILE] \
-     [--keep-going] [--max-retries N] [--task-timeout MS] [--fault-plan S] \
-     [--check DIR] [--check-tolerance F] [--progress] [--metrics-out FILE] \
-     [all|table1|fig2|table2|fig4|table3|fig5|fig6|ablation|micro|search|sim|pool]...";
+     [--fault-plan S] [--check DIR] [--check-tolerance F] [--metrics-out FILE] \
+     [micro|search|sim|pool]...";
   exit 2
 
 (* ------------------------------------------------------------------ *)
@@ -515,34 +516,6 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Write the recorded sweep failures next to the numbers, so a CI archive
-   of a --keep-going run says exactly which loops are missing and why. *)
-let write_failures_json path failures =
-  let open Ts_obs.Json in
-  let json =
-    Obj
-      [
-        ("bench", Str "failures");
-        ( "failures",
-          List
-            (List.map
-               (fun (f : Ts_resil.Supervise.failure) ->
-                 Obj
-                   [
-                     ("index", Int f.index);
-                     ("label", Str f.label);
-                     ("attempts", Int f.attempts);
-                     ("error", Str f.error);
-                   ])
-               failures) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "  wrote %s\n%!" path
-
 let () =
   (* Surface a malformed TSMS_JOBS or TSMS_FAULT_PLAN now, as a startup
      error, rather than as an uncaught exception mid-sweep. *)
@@ -560,8 +533,6 @@ let () =
   let repeat = ref 3 in
   let out = ref None in
   let names = ref [] in
-  let max_retries = ref 0 in
-  let task_timeout = ref None in
   let check_dir = ref None in
   let check_tolerance = ref 1.5 in
   let metrics_out = ref None in
@@ -585,19 +556,6 @@ let () =
     | "--out" :: path :: rest ->
         out := Some path;
         parse rest
-    | "--keep-going" :: rest ->
-        Ts_resil.Supervise.set_keep_going true;
-        parse rest
-    | "--max-retries" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v >= 0 -> max_retries := v
-        | _ -> usage ());
-        parse rest
-    | "--task-timeout" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v > 0 -> task_timeout := Some v
-        | _ -> usage ());
-        parse rest
     | "--fault-plan" :: s :: rest ->
         (match Ts_resil.Fault.parse s with
         | Ok plan -> Ts_resil.Fault.arm plan
@@ -613,9 +571,6 @@ let () =
         | Some v when v >= 1.0 -> check_tolerance := v
         | _ -> usage ());
         parse rest
-    | "--progress" :: rest ->
-        Ts_obs.Progress.set_enabled true;
-        parse rest
     | "--metrics-out" :: path :: rest ->
         metrics_out := Some path;
         parse rest
@@ -625,56 +580,47 @@ let () =
         parse rest
   in
   parse args;
-  Ts_resil.Supervise.set_policy
-    {
-      Ts_resil.Supervise.default_policy with
-      max_retries = !max_retries;
-      deadline_ms = !task_timeout;
-    };
+  (* The groups that write a BENCH_<group>.json result file. *)
+  let json_groups =
+    [
+      ("search", fun out -> search ~repeat:!repeat ~out ());
+      ("sim", fun out -> sim_bench ~limit:!limit ~repeat:!repeat ~out ());
+      ("pool", fun out -> pool_bench ~repeat:!repeat ~out ());
+    ]
+  in
   let names =
     match List.rev !names with
-    | [] -> if !check_dir <> None then [ "search"; "sim"; "pool" ] else [ "all" ]
+    | [] when !check_dir <> None -> List.map fst json_groups
+    | [] -> usage ()
     | ns -> ns
   in
+  if not (List.for_all (fun n -> n = "micro" || List.mem_assoc n json_groups) names)
+  then usage ();
+  (* One --out path cannot hold two groups' results: the second would
+     overwrite the first and --check would then miss its leaves. *)
+  if
+    !out <> None
+    && List.length (List.filter (fun n -> List.mem_assoc n json_groups) names) > 1
+  then begin
+    prerr_endline "bench: --out names one file; give it with a single group";
+    exit 2
+  end;
   (* Fresh result files produced this run, by group — the check step
      below compares each against the committed baseline of the same
      name. *)
-  let written = ref [] in
-  List.iter
-    (fun name ->
-      if name = "micro" then micro ()
-      else if name = "search" then begin
-        let out = Option.value !out ~default:"BENCH_search.json" in
-        search ~repeat:!repeat ~out ();
-        written := ("search", out) :: !written
-      end
-      else if name = "sim" then begin
-        let out = Option.value !out ~default:"BENCH_sim.json" in
-        sim_bench ~limit:!limit ~repeat:!repeat ~out ();
-        written := ("sim", out) :: !written
-      end
-      else if name = "pool" then begin
-        let out = Option.value !out ~default:"BENCH_pool.json" in
-        pool_bench ~repeat:!repeat ~out ();
-        written := ("pool", out) :: !written
-      end
-      else
-        try
-          Ts_harness.Experiments.run ?limit:!limit ~names:[ name ] (fun block ->
-              print_string block;
-              print_newline ())
-        with
-        | Invalid_argument msg ->
-            prerr_endline ("bench: " ^ msg);
-            usage ()
-        | e when Ts_resil.Supervise.failures_of_exn e <> None ->
-            (* Without --keep-going a sweep failure aborts the run; report
-               the aggregated per-task failures and stop here. *)
-            let fs = Option.get (Ts_resil.Supervise.failures_of_exn e) in
-            prerr_string (Ts_resil.Supervise.render_failures fs);
-            write_failures_json "BENCH_failures.json" fs;
-            exit 1)
-    names;
+  let written =
+    List.filter_map
+      (fun name ->
+        match List.assoc_opt name json_groups with
+        | None ->
+            micro ();
+            None
+        | Some run ->
+            let out = Option.value !out ~default:("BENCH_" ^ name ^ ".json") in
+            run out;
+            Some (name, out))
+      names
+  in
   (match !metrics_out with
   | None -> ()
   | Some path ->
@@ -707,7 +653,7 @@ let () =
             exit 1
       in
       let outcomes =
-        List.rev_map
+        List.map
           (fun (group, fresh_path) ->
             let base_path =
               Filename.concat dir ("BENCH_" ^ group ^ ".json")
@@ -721,7 +667,7 @@ let () =
             print_string (Ts_harness.Regress.render outcome);
             print_newline ();
             outcome)
-          !written
+          written
       in
       if outcomes = [] then begin
         Printf.eprintf
@@ -753,10 +699,4 @@ let () =
         exit 1
       end;
       Printf.printf "bench --check: PASS (tolerance %.2fx, baseline %s)\n%!"
-        !check_tolerance dir);
-  match Ts_resil.Supervise.failures () with
-  | [] -> ()
-  | fs ->
-      prerr_string (Ts_resil.Supervise.render_failures fs);
-      write_failures_json "BENCH_failures.json" fs;
-      exit 1
+        !check_tolerance dir)

@@ -128,21 +128,14 @@ let cache_dir_arg =
     "Root of the persistent result cache (schedules and steady-state \
      simulations, keyed by loop + configuration content). Defaults to \
      $(b,TSMS_CACHE_DIR), else $(b,XDG_CACHE_HOME)/tsms, else \
-     ~/.cache/tsms."
+     ~/.cache/tsms. A killed sweep resumes by rerunning it on the same \
+     store: only the results it had not finished are recomputed."
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
 let no_cache_arg =
   let doc = "Disable the persistent result cache (recompute everything)." in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let resume_arg =
-  let doc =
-    "Resume an interrupted sweep from its journal: loops the killed run \
-     completed are replayed from disk, the rest are recomputed. Requires \
-     the cache (incompatible with $(b,--no-cache))."
-  in
-  Arg.(value & flag & info [ "resume" ] ~doc)
 
 let no_warm_start_arg =
   let doc =
@@ -155,32 +148,23 @@ let no_warm_start_arg =
 let apply_warm_start ~no_warm_start =
   Ts_harness.Cached.set_warm_start (not no_warm_start)
 
-let apply_cache ~no_cache ~dir ~resume =
-  if no_cache then begin
-    if resume then begin
-      prerr_endline "tsms: --resume needs the cache (drop --no-cache)";
-      exit 1
-    end;
-    Ts_harness.Cached.set_store None
-  end
+let apply_cache ~no_cache ~dir =
+  if no_cache then Ts_harness.Cached.set_store None
   else begin
     let dir =
       match dir with Some d -> d | None -> Ts_persist.default_dir ()
     in
     match Ts_persist.open_store ~dir with
-    | s ->
-        Ts_harness.Cached.set_store (Some s);
-        Ts_harness.Cached.set_resume resume
+    | s -> Ts_harness.Cached.set_store (Some s)
     | exception e ->
-        (* An unopenable cache costs speed (and resumability), never the
-           run: degrade to uncached with one warning. *)
+        (* An unopenable cache costs speed, never the run: degrade to
+           uncached with one warning. *)
         Ts_obs.Metrics.incr
           (Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.degraded");
         Ts_resil.Warn.once ~key:"cli.cache"
           (Printf.sprintf
-             "cannot open cache directory %s (%s); continuing uncached%s" dir
-             (Printexc.to_string e)
-             (if resume then " — the sweep will not resume or journal" else ""));
+             "cannot open cache directory %s (%s); continuing uncached" dir
+             (Printexc.to_string e));
         Ts_harness.Cached.set_store None
   end
 
@@ -560,7 +544,7 @@ let suite_cmd =
       max_retries task_timeout fault_plan obs =
     apply_jobs jobs;
     apply_obs obs;
-    apply_cache ~no_cache ~dir:cache_dir ~resume:false;
+    apply_cache ~no_cache ~dir:cache_dir;
     apply_warm_start ~no_warm_start;
     apply_resil ~keep_going ~max_retries ~task_timeout ~fault_plan;
     let params = Ts_isa.Spmt_params.default in
@@ -738,11 +722,11 @@ let experiments_cmd =
   let limit_arg =
     Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Loops per benchmark for table2/fig4.")
   in
-  let run jobs names limit cache_dir no_cache no_warm_start resume keep_going
+  let run jobs names limit cache_dir no_cache no_warm_start keep_going
       max_retries task_timeout fault_plan obs =
     apply_jobs jobs;
     apply_obs obs;
-    apply_cache ~no_cache ~dir:cache_dir ~resume;
+    apply_cache ~no_cache ~dir:cache_dir;
     apply_warm_start ~no_warm_start;
     apply_resil ~keep_going ~max_retries ~task_timeout ~fault_plan;
     supervised ~obs (fun () ->
@@ -758,7 +742,7 @@ let experiments_cmd =
   Cmd.v (Cmd.info "experiments" ~doc)
     Term.(
       const run $ jobs_arg $ names_arg $ limit_arg $ cache_dir_arg
-      $ no_cache_arg $ no_warm_start_arg $ resume_arg $ keep_going_arg
+      $ no_cache_arg $ no_warm_start_arg $ keep_going_arg
       $ max_retries_arg $ task_timeout_arg $ fault_plan_arg $ obs_term)
 
 (* --- serve / client ------------------------------------------------- *)
@@ -807,7 +791,7 @@ let serve_cmd =
       no_warm_start keep_going max_retries task_timeout fault_plan obs =
     apply_jobs jobs;
     apply_obs obs;
-    apply_cache ~no_cache ~dir:cache_dir ~resume:false;
+    apply_cache ~no_cache ~dir:cache_dir;
     apply_warm_start ~no_warm_start;
     apply_resil ~keep_going ~max_retries ~task_timeout ~fault_plan;
     Ts_harness.Cached.set_lru (if lru_entries > 0 then Some lru_entries else None);

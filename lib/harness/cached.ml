@@ -2,11 +2,8 @@ module K = Ts_modsched.Kernel
 
 let code_version = 1
 let store : Ts_persist.t option ref = ref None
-let resume = ref false
 let set_store s = store := s
 let get_store () = !store
-let set_resume b = resume := b
-let get_resume () = !resume
 
 (* ---- in-memory LRU front ----
 
@@ -400,8 +397,8 @@ let lru_memo ~key:k f =
    wants the warmed measurement, and a caller that forgets the argument
    must not silently publish cold-cache numbers (a fig2 run did exactly
    that before the default was routed through the shared constant). *)
-let sim ?(sync_mem = false) ?seed ?(warmup = Defaults.warmup) ?(fast = true)
-    cfg (k : K.t) ~trip =
+let sim ?(sync_mem = false) ?seed ?(warmup = Defaults.warmup) cfg (k : K.t)
+    ~trip =
   let g = k.K.g in
   let seed = match seed with Some s -> s | None -> g.Ts_ddg.Ddg.name in
   let k' =
@@ -419,7 +416,7 @@ let sim ?(sync_mem = false) ?seed ?(warmup = Defaults.warmup) ?(fast = true)
   Ts_obs.Prof.span "cached.sim" @@ fun () ->
   lru_memo ~key:k' (fun () ->
       Ts_persist.memo !store ~key:k' (fun () ->
-          Ts_spmt.Sim.run ~seed ~sync_mem ~warmup ~fast cfg k ~trip))
+          Ts_spmt.Sim.run ~seed ~sync_mem ~warmup ~fast:true cfg k ~trip))
 
 let sim_single ?seed ?(warmup = Defaults.warmup) cfg g ~trip =
   let seed = match seed with Some s -> s | None -> g.Ts_ddg.Ddg.name in
@@ -431,43 +428,3 @@ let sim_single ?seed ?(warmup = Defaults.warmup) cfg g ~trip =
   lru_memo ~key:k' (fun () ->
       Ts_persist.memo !store ~key:k' (fun () ->
           Ts_spmt.Single.run ~seed ~warmup cfg g ~trip))
-
-(* ---- journals ---- *)
-
-(* A journal that cannot even be opened (read-only store, injected
-   journal.open fault) costs resumability, not correctness: degrade to
-   journal-less with a warning. *)
-let journal ~name ~fingerprint =
-  match !store with
-  | None -> None
-  | Some s -> (
-      match
-        Ts_persist.Journal.load s ~name
-          ~fingerprint:(fingerprint ^ "\x00" ^ string_of_int code_version)
-          ~resume:!resume
-      with
-      | j -> Some j
-      | exception e ->
-          Ts_obs.Metrics.incr
-            (Ts_obs.Metrics.counter Ts_obs.Metrics.default
-               "persist.journal.degraded");
-          Ts_resil.Warn.once
-            ~key:("cached.journal:" ^ name)
-            (Printf.sprintf
-               "cannot open the %s sweep journal (%s); continuing without one \
-                (the sweep will not be resumable)"
-               name (Printexc.to_string e));
-          None)
-
-let j_item j ~id f =
-  match j with
-  | None -> f ()
-  | Some j -> (
-      match Ts_persist.Journal.find j ~id with
-      | Some v -> v
-      | None ->
-          let v = f () in
-          Ts_persist.Journal.record j ~id v;
-          v)
-
-let j_finish = function None -> () | Some j -> Ts_persist.Journal.finish j

@@ -30,12 +30,6 @@ val set_store : Ts_persist.t option -> unit
 
 val get_store : unit -> Ts_persist.t option
 
-val set_resume : bool -> unit
-(** When [true], {!journal} resumes from an interrupted sweep's journal
-    instead of starting fresh (the CLI's [--resume]). Default [false]. *)
-
-val get_resume : unit -> bool
-
 val set_lru : int option -> unit
 (** Install an in-memory LRU front of the given capacity (entries) ahead
     of the store — a repeat lookup is answered without touching the
@@ -46,14 +40,6 @@ val set_lru : int option -> unit
 
 val get_lru : unit -> int option
 (** The installed LRU's capacity, if one is installed. *)
-
-(** {2 Fingerprints and keys} *)
-
-val ddg_fp : Ts_ddg.Ddg.t -> string
-(** Canonical serialisation of a loop: name, machine scalars, nodes and
-    edges (everything except the machine's closures). *)
-
-val cfg_fp : Ts_spmt.Config.t -> string
 
 (** {2 Warm-started searches}
 
@@ -108,9 +94,7 @@ val tms_ims : params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> Ts_tms.Tms.result
     everywhere else) rather than taking one, so the plan identity is part
     of the key by construction. The SpMT simulation runs with the
     steady-state fast path on — proven (and regression-tested) to return
-    stats identical to exact execution; pass [fast:false] to force the
-    exact path (the simulator benchmark measures one against the
-    other).
+    stats identical to exact execution.
 
     [warmup] defaults to {!Defaults.warmup} (512), the same warm-up every
     harness driver and the CLI use — omitting the argument must never
@@ -121,7 +105,6 @@ val sim :
   ?sync_mem:bool ->
   ?seed:string ->
   ?warmup:int ->
-  ?fast:bool ->
   Ts_spmt.Config.t ->
   Ts_modsched.Kernel.t ->
   trip:int ->
@@ -134,36 +117,3 @@ val sim_single :
   Ts_ddg.Ddg.t ->
   trip:int ->
   Ts_spmt.Single.stats
-
-(** {2 Plain schedule projections}
-
-    Marshal-safe images of scheduler results (DDGs and kernels carry
-    machine closures, so the results themselves cannot be persisted).
-    Reconstruction takes the DDG the schedule was built from; it raises
-    if the stored times do not form a valid schedule for that DDG. *)
-
-type sms_plain
-type tms_plain
-
-val sms_to_plain : Ts_sms.Sms.result -> sms_plain
-val sms_of_plain : Ts_ddg.Ddg.t -> sms_plain -> Ts_sms.Sms.result
-val tms_to_plain : Ts_tms.Tms.result -> tms_plain
-val tms_of_plain : Ts_ddg.Ddg.t -> tms_plain -> Ts_tms.Tms.result
-
-(** {2 Sweep journals}
-
-    Thin wrappers over {!Ts_persist.Journal} that no-op without a store.
-    A driver opens a journal named after itself, records each loop's row
-    as it completes, and {!j_finish}es on success; a run killed mid-sweep
-    leaves the journal behind, and the next [--resume] run replays the
-    completed rows. *)
-
-val journal : name:string -> fingerprint:string -> Ts_persist.Journal.j option
-(** [None] when no store is configured. The fingerprint (any string
-    identifying the sweep's inputs; {!code_version} is appended) guards
-    against resuming a sweep whose configuration changed. *)
-
-val j_item : Ts_persist.Journal.j option -> id:string -> (unit -> 'a) -> 'a
-(** Replay item [id] from the journal, or compute and record it. *)
-
-val j_finish : Ts_persist.Journal.j option -> unit

@@ -25,42 +25,6 @@ let compute_loop ~cfg ~params ~trip g =
     sim_single = Cached.sim_single ~warmup cfg g ~trip;
   }
 
-(* The journal stores a loop's row as plain data (schedules as (II, time)
-   projections); the DDG and address plan are regenerated — they are
-   deterministic functions of the workload seed. A row that fails to
-   reconstruct (stale generator output) is recomputed. *)
-let loop_via_journal j ~cfg ~params ~trip ~id g =
-  let compute () = compute_loop ~cfg ~params ~trip g in
-  match j with
-  | None -> compute ()
-  | Some j -> (
-      let rebuild (sp, tp, ss, st, sg) =
-        Ts_resil.Fault.guard "cached.reconstruct";
-        {
-          g;
-          plan = Ts_spmt.Address_plan.create g;
-          sms = Cached.sms_of_plain g sp;
-          tms = Cached.tms_of_plain g tp;
-          sim_sms = ss;
-          sim_tms = st;
-          sim_single = sg;
-        }
-      in
-      match Ts_persist.Journal.find j ~id with
-      | Some row -> (
-          match rebuild row with
-          | ld -> ld
-          | exception _ -> compute ())
-      | None ->
-          let ld = compute () in
-          Ts_persist.Journal.record j ~id
-            ( Cached.sms_to_plain ld.sms,
-              Cached.tms_to_plain ld.tms,
-              ld.sim_sms,
-              ld.sim_tms,
-              ld.sim_single );
-          ld)
-
 let compute ~cfg =
   let params = cfg.Ts_spmt.Config.params in
   (* Flatten to one pool task per loop (art alone holds four of the seven),
@@ -71,7 +35,6 @@ let compute ~cfg =
         List.map (fun g -> (sel, g)) sel.loops)
       Ts_workload.Doacross.all
   in
-  let j = Cached.journal ~name:"doacross" ~fingerprint:(Cached.cfg_fp cfg) in
   (* Supervised like the other sweeps: with --keep-going a failed loop is
      reported and its benchmark aggregates the survivors. *)
   let datas =
@@ -79,12 +42,9 @@ let compute ~cfg =
       ~label:(fun _ ((sel : Ts_workload.Doacross.selected), (g : Ts_ddg.Ddg.t)) ->
         sel.bench ^ "/" ^ g.name)
       (fun ((sel : Ts_workload.Doacross.selected), (g : Ts_ddg.Ddg.t)) ->
-        loop_via_journal j ~cfg ~params ~trip:sel.trip
-          ~id:(sel.bench ^ "/" ^ g.name)
-          g)
+        compute_loop ~cfg ~params ~trip:sel.trip g)
       tasks
   in
-  if List.for_all Option.is_some datas then Cached.j_finish j;
   let rec regroup sels datas =
     match sels with
     | [] -> []

@@ -16,8 +16,7 @@ type t = { sel : Ts_workload.Doacross.selected; loops : loop_data list }
 val compute : cfg:Ts_spmt.Config.t -> t list
 (** Schedule and simulate all seven loops (SMS, TMS, single-threaded, one
     shared address plan per loop, {!Defaults.warmup} warm-up iterations).
-    Results go through {!Cached} and a ["doacross"] sweep journal, so an
-    interrupted run resumes per loop. The sweep is supervised: under
-    {!Ts_resil.Supervise.keep_going} a failed loop is recorded and its
-    benchmark aggregates the survivors (the journal is kept so a
-    [--resume] can fill the gap). *)
+    Results go through {!Cached}, so rerunning an interrupted sweep on
+    the same store recomputes only the loops it lost. The sweep is
+    supervised: under {!Ts_resil.Supervise.keep_going} a failed loop is
+    recorded and its benchmark aggregates the survivors. *)

@@ -18,8 +18,9 @@ let compute ?limit ~cfg () =
     | Some k -> List.filteri (fun i _ -> i < k) l
   in
   (* One pool task per loop (flattened across benchmarks, so the pool
-     stays busy through the tail of the big suites), each journalled: a
-     killed run resumes from its last completed loop. *)
+     stays busy through the tail of the big suites). Every schedule and
+     simulation behind a loop goes through {!Cached}, so rerunning a
+     killed sweep on the same store recomputes only the loops it lost. *)
   let tasks =
     List.concat_map
       (fun (bench : Ts_workload.Spec_suite.bench) ->
@@ -27,12 +28,6 @@ let compute ?limit ~cfg () =
           (fun g -> (bench, g))
           (take (Ts_workload.Spec_suite.loops bench)))
       Ts_workload.Spec_suite.benchmarks
-  in
-  let j =
-    Cached.journal ~name:"fig4"
-      ~fingerprint:
-        (Cached.cfg_fp cfg
-        ^ match limit with None -> "" | Some k -> string_of_int k)
   in
   (* Supervised: a failing loop is retried under the run policy; with
      --keep-going it is reported and excluded (its bench aggregates the
@@ -42,17 +37,13 @@ let compute ?limit ~cfg () =
       ~label:(fun _ ((bench : Ts_workload.Spec_suite.bench), (g : Ts_ddg.Ddg.t)) ->
         bench.name ^ "/" ^ g.name)
       (fun ((bench : Ts_workload.Spec_suite.bench), (g : Ts_ddg.Ddg.t)) ->
-        Cached.j_item j ~id:(bench.name ^ "/" ^ g.name) (fun () ->
-            let r = Suite.schedule_loop ~params g in
-            let trip = bench.trip and warmup = Defaults.warmup in
-            let sms = Cached.sim ~warmup cfg r.Suite.sms.Ts_sms.Sms.kernel ~trip in
-            let tms = Cached.sim ~warmup cfg r.Suite.tms.Ts_tms.Tms.kernel ~trip in
-            (sms.Ts_spmt.Sim.cycles, tms.Ts_spmt.Sim.cycles)))
+        let r = Suite.schedule_loop ~params g in
+        let trip = bench.trip and warmup = Defaults.warmup in
+        let sms = Cached.sim ~warmup cfg r.Suite.sms.Ts_sms.Sms.kernel ~trip in
+        let tms = Cached.sim ~warmup cfg r.Suite.tms.Ts_tms.Tms.kernel ~trip in
+        (sms.Ts_spmt.Sim.cycles, tms.Ts_spmt.Sim.cycles))
       tasks
   in
-  (* A partial sweep keeps its journal: the failed loops are exactly what
-     a --resume run still needs to compute. *)
-  if List.for_all Option.is_some totals then Cached.j_finish j;
   List.map
     (fun (bench : Ts_workload.Spec_suite.bench) ->
       let mine =

@@ -2,19 +2,15 @@
 
      <dir>/version        human-readable store format stamp
      <dir>/objects/<k0k1>/<key>.bin
-     <dir>/journals/<name>.j
 
    Entry format ("tsp1" magic):
 
      tsp1 <payload-digest-hex>\n<marshalled payload>
 
-   Journal format ("tsj1" magic):
-
-     tsj1 <fingerprint-hex>\n
-     r <id-length> <payload-length>\n<id><marshalled payload>\n  (repeated)
-
-   The magics double as the format version: bumping them makes every old
-   entry unreadable, which the readers below treat as a miss. *)
+   The magic doubles as the format version: bumping it makes every old
+   entry unreadable, which [find] treats as a miss. Any other file under
+   <dir> (such as a [journals/] directory left by older binaries) is
+   ignored. *)
 
 module Lru = Lru
 
@@ -22,17 +18,8 @@ let m_hits = Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.hits"
 let m_misses = Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.misses"
 let m_stores = Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.stores"
 
-let m_replayed =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.journal.replayed"
-
 let m_degraded =
   Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.degraded"
-
-let m_j_degraded =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.journal.degraded"
-
-let m_j_discarded =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.journal.discarded"
 
 (* [tmp_seq] must be atomic, not a plain field: under the resident
    domain pool every worker shares one pid, so the pid alone cannot
@@ -50,24 +37,22 @@ let rec mkdir_p path =
   end
 
 let entry_magic = "tsp1"
-let journal_magic = "tsj1"
 
 let open_store ~dir =
   Ts_resil.Fault.guard "persist.open";
   mkdir_p (Filename.concat dir "objects");
-  mkdir_p (Filename.concat dir "journals");
   let vfile = Filename.concat dir "version" in
   if not (Sys.file_exists vfile) then begin
     let oc = open_out vfile in
-    output_string oc "tsms result store, entry format tsp1, journal tsj1\n";
+    output_string oc "tsms result store, entry format tsp1\n";
     close_out oc
   end;
   { root = dir; tmp_seq = Atomic.make 0 }
 
 let dir t = t.root
 
-(* Always absolute: a --resume run started from a different cwd must find
-   the same cache and journal the killed run wrote. *)
+(* Always absolute: rerunning a killed sweep from a different cwd must
+   find the same store the killed run wrote. *)
 let absolutize d =
   if Filename.is_relative d then Filename.concat (Sys.getcwd ()) d else d
 
@@ -105,9 +90,6 @@ let m_read_ms =
 
 let m_write_ms =
   Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.write_ms"
-
-let m_j_write_ms =
-  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.journal.write_ms"
 
 let read_file path =
   Ts_resil.Fault.guard "persist.read";
@@ -213,141 +195,3 @@ let memo t ~key f =
           let v = f () in
           store t ~key v;
           v)
-
-module Journal = struct
-  type j = {
-    path : string;
-    done_ : (string, string) Hashtbl.t; (* id -> marshalled payload *)
-    mutable oc : out_channel option;
-    jlock : Mutex.t;
-  }
-
-  let journal_path t name = Filename.concat (Filename.concat t.root "journals") (name ^ ".j")
-
-  (* Parse as much of the log as is well formed — whatever fingerprint it
-     was written under, so a mismatch can still report what it is
-     discarding. A crash mid-append leaves a truncated tail, which just
-     ends the replay early. *)
-  let parse s =
-    let mlen = String.length journal_magic in
-    let hlen = mlen + 1 + 32 + 1 in
-    (* "tsj1 " ^ 32 hex ^ "\n" *)
-    if
-      String.length s < hlen
-      || String.sub s 0 mlen <> journal_magic
-      || s.[mlen] <> ' '
-      || s.[hlen - 1] <> '\n'
-    then None
-    else begin
-      let disk_fp = String.sub s (mlen + 1) 32 in
-      let tbl = Hashtbl.create 64 in
-      let pos = ref hlen and ok = ref true in
-      while !ok do
-        match String.index_from_opt s !pos '\n' with
-        | None -> ok := false
-        | Some nl -> (
-            let line = String.sub s !pos (nl - !pos) in
-            match Scanf.sscanf_opt line "r %d %d" (fun a b -> (a, b)) with
-            | Some (idl, pl)
-              when idl >= 0 && pl >= 0 && nl + 1 + idl + pl + 1 <= String.length s
-                   && s.[nl + 1 + idl + pl] = '\n' ->
-                let id = String.sub s (nl + 1) idl in
-                Hashtbl.replace tbl id (String.sub s (nl + 1 + idl) pl);
-                pos := nl + 1 + idl + pl + 1
-            | _ -> ok := false)
-      done;
-      Some (disk_fp, tbl)
-    end
-
-  let load t ~name ~fingerprint ~resume =
-    Ts_obs.Prof.span "persist.journal.load" @@ fun () ->
-    Ts_resil.Fault.guard "journal.open";
-    let path = journal_path t name in
-    let fingerprint = digest_hex fingerprint in
-    let fresh () =
-      let oc = open_out_bin path in
-      output_string oc (journal_magic ^ " " ^ fingerprint ^ "\n");
-      flush oc;
-      { path; done_ = Hashtbl.create 64; oc = Some oc; jlock = Mutex.create () }
-    in
-    if not (resume && Sys.file_exists path) then fresh ()
-    else
-      match (try parse (read_file path) with _ -> None) with
-      | Some (disk_fp, done_) when disk_fp = fingerprint ->
-          Ts_obs.Metrics.incr ~by:(Hashtbl.length done_) m_replayed;
-          (* Keep appending to the same log: ids recorded twice are fine,
-             the last record wins at the next replay. *)
-          let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-          { path; done_; oc = Some oc; jlock = Mutex.create () }
-      | Some (disk_fp, stale) ->
-          (* The journal is real but was written by a run with different
-             inputs (configuration, limit or code version): its items
-             would be stale. Say what is being thrown away — a silent
-             discard looks exactly like a lost journal. *)
-          Ts_obs.Metrics.incr m_j_discarded;
-          Ts_resil.Warn.once
-            ~key:("persist.journal.fingerprint:" ^ name)
-            (Printf.sprintf
-               "discarding journal %s: its fingerprint %s… does not match \
-                this run's %s… — %d completed item(s) were recorded under a \
-                different configuration or code version and will be recomputed"
-               path (String.sub disk_fp 0 8)
-               (String.sub fingerprint 0 8)
-               (Hashtbl.length stale));
-          fresh ()
-      | None ->
-          Ts_obs.Metrics.incr m_j_discarded;
-          Ts_resil.Warn.once
-            ~key:("persist.journal.corrupt:" ^ name)
-            (Printf.sprintf
-               "discarding journal %s: unreadable or corrupt header; the \
-                sweep restarts from scratch"
-               path);
-          fresh ()
-
-  let find (type a) j ~id : a option =
-    match Hashtbl.find_opt j.done_ id with
-    | None -> None
-    | Some payload -> ( try Some (Marshal.from_string payload 0 : a) with _ -> None)
-
-  (* A journal write failure (disk full, injected fault) degrades the
-     sweep to journal-less: the computation continues, later records are
-     dropped, and a --resume recomputes whatever went unrecorded. *)
-  let record j ~id v =
-    Ts_obs.Prof.span "persist.journal.write" @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let payload = Marshal.to_string v [] in
-    Fun.protect ~finally:(fun () ->
-        Ts_obs.Metrics.observe m_j_write_ms
-          ((Unix.gettimeofday () -. t0) *. 1000.0))
-    @@ fun () ->
-    Mutex.lock j.jlock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock j.jlock)
-      (fun () ->
-        match j.oc with
-        | None -> ()
-        | Some oc -> (
-            try
-              Ts_resil.Fault.guard "journal.write";
-              Printf.fprintf oc "r %d %d\n" (String.length id)
-                (String.length payload);
-              output_string oc id;
-              output_string oc payload;
-              output_char oc '\n';
-              flush oc
-            with e ->
-              close_out_noerr oc;
-              j.oc <- None;
-              Ts_obs.Metrics.incr m_j_degraded;
-              Ts_resil.Warn.once ~key:"persist.journal.write"
-                (Printf.sprintf
-                   "journal write failed (%s); the sweep continues without a \
-                    journal (a --resume will recompute unrecorded items)"
-                   (Printexc.to_string e))))
-
-  let finish j =
-    (match j.oc with Some oc -> close_out_noerr oc | None -> ());
-    j.oc <- None;
-    try Sys.remove j.path with Sys_error _ -> ()
-end

@@ -1,5 +1,4 @@
-(** Persistent, content-addressed result store with resumable sweep
-    journals.
+(** Persistent, content-addressed result store.
 
     Scheduling a loop and simulating it to steady state is deterministic:
     the result is a pure function of the loop's DDG, the machine
@@ -7,7 +6,8 @@
     store memoises those results on disk so regenerating an experiment
     table is a cache lookup per loop instead of a schedule search plus a
     few hundred thousand simulated cycles, and so a killed sweep resumes
-    from its last completed loop instead of from scratch.
+    by rerunning it on the same store: every result the killed run
+    finished is a hit, and only the rest is recomputed.
 
     Keys are caller-supplied digests (see {!digest_hex}); the store never
     interprets them. Values go through [Marshal], so they must be plain
@@ -25,19 +25,14 @@
       wrong-binary-version entry reads as [None] (and is deleted best
       effort) — the caller recomputes; nothing ever escalates to an
       exception.
-    - {b Crash-safe journals}: sweep journals are append-only and flushed
-      per record; a journal with a truncated tail replays every record
-      before the truncation point.
     - {b Write degradation}: a failed entry write (disk full, unwritable
       store) never aborts the computation — {!store} warns once, counts
-      [persist.degraded], and the run continues uncached. A failed
-      journal append likewise degrades the sweep to journal-less
-      ([persist.journal.degraded]).
+      [persist.degraded], and the run continues uncached.
 
     Every I/O path is instrumented with {!Ts_resil.Fault} counter points
     ([persist.open], [persist.read], [persist.write] — kind [torn]
-    supported — [persist.rename], [journal.open], [journal.write]), so
-    each degradation above is exercisable deterministically in tests.
+    supported — [persist.rename]), so each degradation above is
+    exercisable deterministically in tests.
 
     Hit/miss/store counters land on {!Ts_obs.Metrics.default} under
     [persist.*]. All operations are domain-safe. *)
@@ -59,9 +54,9 @@ val default_dir : unit -> string
 (** Where the CLI puts the store unless told otherwise:
     [$TSMS_CACHE_DIR], else [$XDG_CACHE_HOME/tsms], else
     [$HOME/.cache/tsms], else [_tsms_cache] in the working directory
-    (warned once — resumes started elsewhere would miss it). The result
-    is always an absolute path, so a [--resume] run finds the same cache
-    and journal whatever directory it starts from. *)
+    (warned once — reruns started elsewhere would miss it). The result
+    is always an absolute path, so rerunning a killed sweep finds the
+    same store whatever directory it starts from. *)
 
 val digest_hex : string -> string
 (** Hex digest of an arbitrary (binary) string — the key constructor.
@@ -85,40 +80,3 @@ val memo : t option -> key:string -> (unit -> 'a) -> 'a
 (** [memo (Some s) ~key f] is [find]-else-[f ()]-and-[store]; [memo None]
     is just [f ()] — callers thread an optional store through without
     branching. *)
-
-(** {2 Sweep journals}
-
-    A journal is an append-only log of per-item results for one sweep
-    (one experiment driver run). Drivers record each item as it
-    completes; a resumed run replays completed items and recomputes only
-    the rest. The journal is deleted when the sweep {!Journal.finish}es,
-    so a journal file on disk means an interrupted run. *)
-
-module Journal : sig
-  type j
-
-  val load : t -> name:string -> fingerprint:string -> resume:bool -> j
-  (** Open the journal [name]. With [resume:false], or when the on-disk
-      journal was written with a different [fingerprint] (different
-      config, limit or code version — its items would be stale), any
-      existing log is discarded and the journal starts empty. A
-      [resume:true] discard is never silent: the warning names the
-      journal, both fingerprints and how many completed items are being
-      thrown away, and [persist.journal.discarded] counts it. With
-      [resume:true] and a matching fingerprint, previously recorded items
-      become available to {!find}. *)
-
-  val find : j -> id:string -> 'a option
-  (** The recorded result of item [id], if the (possibly resumed) sweep
-      already completed it. [None] on absence or a corrupt record. *)
-
-  val record : j -> id:string -> 'a -> unit
-  (** Append item [id]'s result and flush, so it survives a kill at any
-      later point. Domain-safe. A write failure degrades the journal to
-      journal-less (warned once, [persist.journal.degraded]); the sweep
-      itself continues. *)
-
-  val finish : j -> unit
-  (** Close and delete the journal: the sweep completed, there is nothing
-      to resume. *)
-end

@@ -1,7 +1,7 @@
 (** Deterministic, plan-driven fault injection.
 
     Every recovery path in the system — cache write failures, torn
-    entries, worker exceptions, slow tasks, journal I/O errors — is
+    entries, unreadable entries, worker exceptions, slow tasks — is
     reachable on demand through a {e fault plan}: a list of (point, key)
     pairs naming exactly which occurrences of which instrumented points
     must fail. Plans are explicit data (armed once, process-wide), so an
@@ -13,7 +13,7 @@
     - {b counter points} ({!check}, {!guard}): each call consumes one
       occurrence of the point, numbered from 1 in call order. Used by the
       persist layer ([persist.write], [persist.read], [persist.rename],
-      [persist.open], [journal.open], [journal.write]) and the cached
+      [persist.open]) and the cached
       reconstruction path ([cached.reconstruct]). Occurrence numbering is
       deterministic for sequential callers (tests run with [--jobs 1]);
       under a domain pool only [*]-keyed entries are order-independent.

@@ -1,7 +1,8 @@
 (** Process-wide warn-once.
 
     Infrastructure degradations (a cache write failing on a full disk, a
-    discarded journal) should tell the user what happened exactly once
+    cache directory that cannot be opened) should tell the user what
+    happened exactly once
     and then stay quiet: the event is still counted by its metric, but a
     778-loop sweep must not print 778 copies of the same warning.
 

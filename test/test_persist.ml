@@ -1,6 +1,6 @@
-(* Ts_persist (the on-disk result store + sweep journals) and the Cached
-   layer over it: roundtrips, corruption tolerance, key versioning,
-   journal resume, and the end-to-end guarantee that caching never
+(* Ts_persist (the on-disk result store) and the Cached layer over it:
+   roundtrips, corruption tolerance, key versioning, stores left by older
+   binaries, and the end-to-end guarantee that caching never
    changes results (cold = warm = uncached), with the simulator fast path
    agreeing with exact execution on fuzzed loops. *)
 
@@ -96,48 +96,26 @@ let test_memo_computes_once () =
       check_int "second memo replays" 20 (P.memo (Some s) ~key:"k" f);
       check_int "f ran twice in total" 2 !calls)
 
-let test_journal_resume () =
+(* A store written by an older binary may hold a journals/ directory next
+   to its entries: reopening it must ignore that and keep every entry
+   warm. *)
+let test_old_store_still_hits () =
   with_store (fun s ->
-      let fp = "sweep-config-v1" in
-      let j = P.Journal.load s ~name:"sweep" ~fingerprint:fp ~resume:false in
-      P.Journal.record j ~id:"loop-a" (1, "a");
-      P.Journal.record j ~id:"loop-b" (2, "b");
-      (* Simulated kill: no [finish]; the log stays on disk. *)
-      let j2 = P.Journal.load s ~name:"sweep" ~fingerprint:fp ~resume:true in
-      check_bool "loop-a replayed" true (P.Journal.find j2 ~id:"loop-a" = Some (1, "a"));
-      check_bool "loop-b replayed" true (P.Journal.find j2 ~id:"loop-b" = Some (2, "b"));
-      check_bool "unknown id misses" true
-        ((P.Journal.find j2 ~id:"loop-c" : (int * string) option) = None);
-      P.Journal.record j2 ~id:"loop-c" (3, "c");
-      P.Journal.finish j2;
-      (* A finished sweep leaves nothing to resume. *)
-      let j3 = P.Journal.load s ~name:"sweep" ~fingerprint:fp ~resume:true in
-      check_bool "finish removes the log" true
-        ((P.Journal.find j3 ~id:"loop-a" : (int * string) option) = None))
-
-let test_journal_fingerprint_guard () =
-  with_store (fun s ->
-      let j = P.Journal.load s ~name:"g" ~fingerprint:"cfg-1" ~resume:false in
-      P.Journal.record j ~id:"x" 7;
-      (* Config changed between runs: the old log must not replay. *)
-      let j2 = P.Journal.load s ~name:"g" ~fingerprint:"cfg-2" ~resume:true in
-      check_bool "stale journal discarded" true
-        ((P.Journal.find j2 ~id:"x" : int option) = None))
-
-let test_journal_truncated_tail () =
-  with_store (fun s ->
-      let j = P.Journal.load s ~name:"t" ~fingerprint:"fp" ~resume:false in
-      P.Journal.record j ~id:"first" 100;
-      P.Journal.record j ~id:"second" 200;
-      let path =
-        Filename.concat (Filename.concat (P.dir s) "journals") "t.j"
+      let key = P.digest_hex "old-store" in
+      P.store s ~key "entry";
+      let jdir = Filename.concat (P.dir s) "journals" in
+      Sys.mkdir jdir 0o755;
+      let oc = open_out_bin (Filename.concat jdir "fig4.j") in
+      output_string oc "tsj1 stray journal left by an older binary\n";
+      close_out oc;
+      let hits () =
+        Ts_obs.Metrics.counter_value
+          (Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.hits")
       in
-      (* A crash mid-append leaves a ragged tail; replay keeps the prefix. *)
-      clobber path (fun body -> String.sub body 0 (String.length body - 5));
-      let j2 = P.Journal.load s ~name:"t" ~fingerprint:"fp" ~resume:true in
-      check_bool "intact prefix replays" true (P.Journal.find j2 ~id:"first" = Some 100);
-      check_bool "torn record dropped" true
-        ((P.Journal.find j2 ~id:"second" : int option) = None))
+      let h0 = hits () in
+      let reopened = P.open_store ~dir:(P.dir s) in
+      check_bool "entry still found" true (P.find reopened ~key = Some "entry");
+      check_int "counted as a hit" 1 (hits () - h0))
 
 (* --- the Cached layer: caching must never change results --- *)
 
@@ -580,9 +558,8 @@ let suite =
     Alcotest.test_case "corruption is a miss" `Quick test_corruption_is_a_miss;
     Alcotest.test_case "version bump invalidates" `Quick test_version_in_key_invalidates;
     Alcotest.test_case "memo computes once" `Quick test_memo_computes_once;
-    Alcotest.test_case "journal resume replay" `Quick test_journal_resume;
-    Alcotest.test_case "journal fingerprint guard" `Quick test_journal_fingerprint_guard;
-    Alcotest.test_case "journal truncated tail" `Quick test_journal_truncated_tail;
+    Alcotest.test_case "old store with stray journals still hits" `Quick
+      test_old_store_still_hits;
     Alcotest.test_case "cached: cold = warm = uncached" `Quick
       test_cached_cold_warm_uncached_equal;
     Alcotest.test_case "cached: bad entry recomputed" `Quick

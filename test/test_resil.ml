@@ -2,9 +2,9 @@
    degradation paths it drives through Ts_persist, Cached and the
    harness: plan parsing, occurrence counters, retry/backoff determinism,
    full failure aggregation, keep-going sweeps, every persist degradation
-   (write, torn, read, rename, journal write, fingerprint discard), and
-   the property that an injected-fault run whose retries succeed is
-   bit-identical to a fault-free run. *)
+   (write, torn, read, rename), resuming a partial sweep by rerunning it
+   on the same store, and the property that an injected-fault run whose
+   retries succeed is bit-identical to a fault-free run. *)
 
 module F = Ts_resil.Fault
 module S = Ts_resil.Supervise
@@ -357,49 +357,6 @@ let test_open_fault_raises () =
     | _ -> false
     | exception F.Injected "persist.open" -> true)
 
-let test_journal_write_degrades () =
-  with_store (fun s ->
-      let got = capture_warnings () in
-      let j = P.Journal.load s ~name:"sw" ~fingerprint:"fp" ~resume:false in
-      P.Journal.record j ~id:"a" 1;
-      arm_ok "journal.write@1";
-      let d0 = cval "persist.journal.degraded" in
-      P.Journal.record j ~id:"b" 2;
-      check_int "journal degraded" 1 (cval "persist.journal.degraded" - d0);
-      check_int "warned once" 1 (List.length (got ()));
-      (* Degraded means journal-less, not dead: later records are dropped
-         silently and the sweep itself goes on. *)
-      P.Journal.record j ~id:"c" 3;
-      check_int "no second warning" 1 (List.length (got ()));
-      (* Only the record before the failure survives for a resume. *)
-      let j2 = P.Journal.load s ~name:"sw" ~fingerprint:"fp" ~resume:true in
-      check_bool "pre-failure record replays" true (P.Journal.find j2 ~id:"a" = Some 1);
-      check_bool "post-failure records lost" true
-        ((P.Journal.find j2 ~id:"b" : int option) = None
-        && (P.Journal.find j2 ~id:"c" : int option) = None);
-      P.Journal.finish j2)
-
-let test_journal_fingerprint_discard () =
-  with_store (fun s ->
-      let j = P.Journal.load s ~name:"sw" ~fingerprint:"config-A" ~resume:false in
-      P.Journal.record j ~id:"loop1" 11;
-      P.Journal.record j ~id:"loop2" 22;
-      (* Simulate the interrupted run ending without finish. *)
-      let got = capture_warnings () in
-      let d0 = cval "persist.journal.discarded" in
-      let j2 = P.Journal.load s ~name:"sw" ~fingerprint:"config-B" ~resume:true in
-      check_bool "stale items are not replayed" true
-        ((P.Journal.find j2 ~id:"loop1" : int option) = None);
-      check_int "discard counted" 1 (cval "persist.journal.discarded" - d0);
-      (match got () with
-      | [ msg ] ->
-          let has sub = has_sub ~sub msg in
-          check_bool "warning names the journal file" true (has "sw.j");
-          check_bool "warning counts the stale items" true
-            (has "2 completed item(s)")
-      | msgs -> Alcotest.failf "expected 1 warning, got %d" (List.length msgs));
-      P.Journal.finish j2)
-
 let test_default_dir_absolute () =
   let saved =
     List.map
@@ -449,6 +406,31 @@ let test_cached_reconstruct_fault () =
       check_bool "cache healed" true
         (third.Ts_sms.Sms.kernel.Ts_modsched.Kernel.time
         = first.Ts_sms.Sms.kernel.Ts_modsched.Kernel.time))
+
+(* ---- resuming a partial sweep ---- *)
+
+(* A keep-going fig4 sweep loses two loops to injected worker faults; a
+   plain rerun on the same store then recomputes exactly those two loops
+   (one TMS search per swept P_max each) and reports the rows an uncached
+   run reports. *)
+let test_rerun_resumes_partial_sweep () =
+  with_store (fun s ->
+      let cfg = Ts_spmt.Config.default and limit = 2 in
+      Ts_harness.Cached.set_store (Some s);
+      arm_ok "worker@3,worker@7";
+      S.set_keep_going true;
+      let partial = Ts_harness.Fig4.compute ~limit ~cfg () in
+      check_int "two loops lost" 2 (List.length (S.failures ()));
+      F.disarm ();
+      S.set_keep_going false;
+      let t0 = cval "tms.schedules" in
+      let resumed = Ts_harness.Fig4.compute ~limit ~cfg () in
+      check_int "only the lost loops are searched" (2 * 3)
+        (cval "tms.schedules" - t0);
+      Ts_harness.Cached.set_store None;
+      let uncached = Ts_harness.Fig4.compute ~limit ~cfg () in
+      check_bool "partial rows differ" true (partial <> uncached);
+      check_bool "rerun rows = uncached rows" true (resumed = uncached))
 
 (* ---- deadlines (report-only) ---- *)
 
@@ -646,14 +628,12 @@ let suite =
       (scrub test_rename_fault_degrades);
     Alcotest.test_case "persist: open fault raises" `Quick
       (scrub test_open_fault_raises);
-    Alcotest.test_case "journal: write fault degrades" `Quick
-      (scrub test_journal_write_degrades);
-    Alcotest.test_case "journal: fingerprint mismatch discards loudly" `Quick
-      (scrub test_journal_fingerprint_discard);
     Alcotest.test_case "persist: default_dir absolute" `Quick
       (scrub test_default_dir_absolute);
     Alcotest.test_case "cached: reconstruct fault recomputes" `Quick
       (scrub test_cached_reconstruct_fault);
+    Alcotest.test_case "persist: rerun on the store resumes a sweep" `Slow
+      (scrub test_rerun_resumes_partial_sweep);
     Alcotest.test_case "supervise: deadline is report-only" `Quick
       (scrub test_deadline_report_only);
     Alcotest.test_case "property: retries converge to fault-free" `Quick
