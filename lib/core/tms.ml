@@ -73,6 +73,67 @@ let rec take_drop k = function
 
 type slot_verdict = Admit | Reject_resource | Reject_c1 | Reject_c2
 
+(* The helpers of [admit] below are top-level functions with explicit
+   arguments: local closures over the slot's state would each be a heap
+   allocation per slot check. *)
+
+(* Issue cycle of [u] under the hypothesis "v issues at [cycle]"; only
+   valid for [v] and placed nodes. *)
+let time_hyp s ~v ~cycle u =
+  if u = v then cycle
+  else match S.time s u with Some t -> t | None -> assert false
+
+(* Inter-iteration status of partition edge [i] under the hypothesis:
+   edges not touching [v] keep their incrementally-maintained flag. *)
+let hyp_active s ~v ~cycle mask i (e : Ts_ddg.Ddg.edge) =
+  if e.src <> v && e.dst <> v then mask.(i)
+  else
+    (e.src = v || S.is_scheduled s e.src)
+    && (e.dst = v || S.is_scheduled s e.dst)
+    &&
+    let ii = S.ii s in
+    e.distance
+    + Ts_base.Intmath.div_floor (time_hyp s ~v ~cycle e.dst) ii
+    - Ts_base.Intmath.div_floor (time_hyp s ~v ~cycle e.src) ii
+    >= 1
+
+(* Definition 2 for an active register dependence. *)
+let sync_hyp s ~v ~cycle ~c_reg_com (e : Ts_ddg.Ddg.edge) =
+  let ii = S.ii s in
+  Ts_base.Intmath.modulo (time_hyp s ~v ~cycle e.src) ii
+  - Ts_base.Intmath.modulo (time_hyp s ~v ~cycle e.dst) ii
+  + Ts_ddg.Ddg.latency (S.ddg s) e.src + c_reg_com
+
+(* A speculated dependence is preserved when some synchronised register
+   dependence already orders the store before the load strongly enough
+   (Section 4.2). *)
+let preserved s ~v ~cycle ~c_reg_com (e : Ts_ddg.Ddg.edge) =
+  let ii = S.ii s in
+  let ts = time_hyp s ~v ~cycle e.src and td = time_hyp s ~v ~cycle e.dst in
+  let dk =
+    e.distance + Ts_base.Intmath.div_floor td ii - Ts_base.Intmath.div_floor ts ii
+  in
+  let need =
+    float_of_int
+      (Ts_base.Intmath.modulo ts ii + Ts_ddg.Ddg.latency (S.ddg s) e.src
+      - Ts_base.Intmath.modulo td ii)
+    /. float_of_int dk
+  in
+  let reg_arr = Ts_ddg.Ddg.reg_edge_array (S.ddg s) in
+  let reg_mask = S.reg_active_mask s in
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < Array.length reg_arr do
+    let r = reg_arr.(!i) in
+    if
+      hyp_active s ~v ~cycle reg_mask !i r
+      && Ts_base.Intmath.modulo (time_hyp s ~v ~cycle r.src) ii
+         < Ts_base.Intmath.modulo ts ii
+      && float_of_int (sync_hyp s ~v ~cycle ~c_reg_com r) >= need
+    then found := true;
+    incr i
+  done;
+  !found
+
 (* ISSUE_SLOT_SELECTION (Figure 3, lines 18-28) for node [v] at cycle [c]:
    resource fit, C1 on the new register dependences, C2 on the
    misspeculation frequency when new memory dependences appear.
@@ -82,97 +143,50 @@ type slot_verdict = Admit | Reject_resource | Reject_c1 | Reject_c2
    incrementally as nodes are placed/evicted, and this predicate only
    overlays the hypothesis "v issues at [cycle]" on the edges incident to
    [v] (found through the DDG's kind-partitioned incident indexes). All
-   scans run over preallocated arrays — no lists are built. Rows/stages
-   are computed from raw issue cycles; the kernel normalises by a multiple
-   of II, so these values equal the final kernel's. *)
+   scans are loops over preallocated arrays, so a slot that C2 does not
+   reach allocates nothing. Rows/stages are computed from raw issue
+   cycles; the kernel normalises by a multiple of II, so these values
+   equal the final kernel's. *)
 let admit ?c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com =
-  let g = S.ddg s in
-  let ii = S.ii s in
   if not (S.fits s v ~cycle) then Reject_resource
   else begin
-    let row t = Ts_base.Intmath.modulo t ii in
-    let stage t = Ts_base.Intmath.div_floor t ii in
+    let g = S.ddg s in
     let reg_arr = Ts_ddg.Ddg.reg_edge_array g in
-    let mem_arr = Ts_ddg.Ddg.mem_edge_array g in
     let reg_mask = S.reg_active_mask s in
-    let mem_mask = S.mem_active_mask s in
-    (* Issue cycle under the hypothesis; only valid for placed nodes. *)
-    let time_exn u =
-      if u = v then cycle
-      else match S.time s u with Some t -> t | None -> assert false
-    in
-    (* Inter-iteration status of partition edge [i] under the hypothesis:
-       edges not touching [v] keep their incrementally-maintained flag. *)
-    let hyp_active mask i (e : Ts_ddg.Ddg.edge) =
-      if e.src <> v && e.dst <> v then mask.(i)
-      else
-        let placed u = u = v || S.time s u <> None in
-        placed e.src && placed e.dst
-        && e.distance + stage (time_exn e.dst) - stage (time_exn e.src) >= 1
-    in
-    (* Definition 2 for an active register dependence. *)
-    let sync_of (e : Ts_ddg.Ddg.edge) =
-      row (time_exn e.src) - row (time_exn e.dst)
-      + Ts_ddg.Ddg.latency g e.src + c_reg_com
-    in
-    let c1_ok =
-      let idxs = Ts_ddg.Ddg.incident_reg g v in
-      let rec check k =
-        if k >= Array.length idxs then true
-        else
-          let i = idxs.(k) in
-          let e = reg_arr.(i) in
-          if hyp_active reg_mask i e && sync_of e > c_delay then false
-          else check (k + 1)
-      in
-      check 0
-    in
-    if not c1_ok then Reject_c1
+    let c1_ok = ref true and k = ref 0 in
+    let idxs = Ts_ddg.Ddg.incident_reg g v in
+    while !c1_ok && !k < Array.length idxs do
+      let i = idxs.(!k) in
+      let e = reg_arr.(i) in
+      if
+        hyp_active s ~v ~cycle reg_mask i e
+        && sync_hyp s ~v ~cycle ~c_reg_com e > c_delay
+      then c1_ok := false;
+      incr k
+    done;
+    if not !c1_ok then Reject_c1
     else begin
-      let new_mem =
-        let idxs = Ts_ddg.Ddg.incident_mem g v in
-        let rec check k =
-          if k >= Array.length idxs then false
-          else
-            let i = idxs.(k) in
-            if hyp_active mem_mask i mem_arr.(i) then true else check (k + 1)
-        in
-        check 0
-      in
-      if not new_mem then Admit
+      let mem_arr = Ts_ddg.Ddg.mem_edge_array g in
+      let mem_mask = S.mem_active_mask s in
+      let new_mem = ref false and k = ref 0 in
+      let idxs = Ts_ddg.Ddg.incident_mem g v in
+      while (not !new_mem) && !k < Array.length idxs do
+        let i = idxs.(!k) in
+        if hyp_active s ~v ~cycle mem_mask i mem_arr.(i) then new_mem := true;
+        incr k
+      done;
+      if not !new_mem then Admit
       else begin
-        (* A speculated dependence is preserved when some synchronised
-           register dependence already orders the store before the load
-           strongly enough (Section 4.2). *)
-        let preserved (e : Ts_ddg.Ddg.edge) =
-          let ts = time_exn e.src and td = time_exn e.dst in
-          let dk = e.distance + stage td - stage ts in
-          let need =
-            float_of_int (row ts + Ts_ddg.Ddg.latency g e.src - row td)
-            /. float_of_int dk
-          in
-          let nr = Array.length reg_arr in
-          let rec go i =
-            if i >= nr then false
-            else
-              let r = reg_arr.(i) in
-              if
-                hyp_active reg_mask i r
-                && row (time_exn r.src) < row ts
-                && float_of_int (sync_of r) >= need
-              then true
-              else go (i + 1)
-          in
-          go 0
-        in
         (* P_M over the non-preserved speculated dependences, multiplied in
            edge order (bit-identical to the list-based seed computation). *)
         let acc = ref 1.0 in
-        Array.iteri
-          (fun i e ->
-            if hyp_active mem_mask i e && not (preserved e) then
-              acc := !acc *. (1.0 -. e.Ts_ddg.Ddg.prob))
-          mem_arr;
+        for i = 0 to Array.length mem_arr - 1 do
+          let e = mem_arr.(i) in
+          if
+            hyp_active s ~v ~cycle mem_mask i e
+            && not (preserved s ~v ~cycle ~c_reg_com e)
+          then acc := !acc *. (1.0 -. e.Ts_ddg.Ddg.prob)
+        done;
         let freq = 1.0 -. !acc in
         let ok = freq <= p_max +. 1e-12 in
         (match c2obs with Some f -> f freq ok | None -> ());
@@ -235,30 +249,27 @@ let try_schedule_tallied tally ?c2obs ?asap g ~order ~ii ~c_delay ~p_max
               { node = v; window_empty = true; resource_rejects = 0;
                 c1_rejects = 0; c2_rejects = 0 }
         | Some (lo, hi, dir) ->
+            (* Walk the window in trial order without materialising it. *)
+            let up = dir = S.Up in
+            let last = if up then hi else lo and step = if up then 1 else -1 in
             let resource = ref 0 and c1 = ref 0 and c2 = ref 0 in
-            let try_cycle c =
-              match admit ?c2obs s v ~cycle:c ~c_delay ~p_max ~c_reg_com with
+            let c = ref (if up then lo else hi) and placed = ref false in
+            let scanning = ref true in
+            while !scanning do
+              (match admit ?c2obs s v ~cycle:!c ~c_delay ~p_max ~c_reg_com with
               | Admit ->
                   tally.t_admit <- tally.t_admit + 1;
-                  S.place s v ~cycle:c;
-                  true
-              | Reject_resource -> incr resource; false
-              | Reject_c1 -> incr c1; false
-              | Reject_c2 -> incr c2; false
-            in
-            (* Walk the window in trial order without materialising it. *)
-            let rec scan c step last =
-              if try_cycle c then true
-              else if c = last then false
-              else scan (c + step) step last
-            in
-            let placed =
-              match dir with S.Up -> scan lo 1 hi | S.Down -> scan hi (-1) lo
-            in
+                  S.place s v ~cycle:!c;
+                  placed := true
+              | Reject_resource -> incr resource
+              | Reject_c1 -> incr c1
+              | Reject_c2 -> incr c2);
+              if !placed || !c = last then scanning := false else c := !c + step
+            done;
             tally.t_resource <- tally.t_resource + !resource;
             tally.t_c1 <- tally.t_c1 + !c1;
             tally.t_c2 <- tally.t_c2 + !c2;
-            if placed then place_all rest
+            if !placed then place_all rest
             else
               Error
                 { node = v; window_empty = false; resource_rejects = !resource;

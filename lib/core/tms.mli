@@ -187,9 +187,10 @@ val admit :
 (** The bare [ISSUE_SLOT_SELECTION] predicate (Figure 3 lines 18-28) with
     the rejecting condition: resource fit, C1 on the new inter-iteration
     register dependences, C2 on the resulting misspeculation frequency.
-    Allocation-free: it reads the partial schedule's incrementally
-    maintained dependence masks ({!Ts_modsched.Sched.reg_active_mask})
-    and only examines the edges incident to the candidate node.
+    Allocation-free up to the C2 comparison: it reads the partial
+    schedule's incrementally maintained dependence masks
+    ({!Ts_modsched.Sched.reg_active_mask}) and only examines the edges
+    incident to the candidate node.
 
     [c2obs] observes every C2 comparison as [(frequency, admitted)] — the
     hook the warm-start envelope ({!point_outcome}) is built from. *)

@@ -60,45 +60,43 @@ let asap t v = t.asap_tbl.(v)
 let reg_active_mask t = t.reg_active
 let mem_active_mask t = t.mem_active
 
-let window ?(prefer = Up) t v =
-  let lat u = Ts_ddg.Ddg.latency t.g u in
-  let early =
-    List.fold_left
-      (fun acc (e : Ts_ddg.Ddg.edge) ->
-        match t.time.(e.src) with
-        | None -> acc
-        | Some tu ->
-            let bound = tu + lat e.src - (t.ii * e.distance) in
-            Some (match acc with None -> bound | Some a -> max a bound))
-      None t.g.preds.(v)
-  in
-  let late =
-    List.fold_left
-      (fun acc (e : Ts_ddg.Ddg.edge) ->
-        match t.time.(e.dst) with
-        | None -> acc
-        | Some ts ->
-            let bound = ts - lat v + (t.ii * e.distance) in
-            Some (match acc with None -> bound | Some a -> min a bound))
-      None t.g.succs.(v)
-  in
-  match (early, late) with
-  | None, None ->
-      (* No scheduled neighbours: start at ASAP, ascending — there is
-         nothing to be close to, and an early start keeps the stage count
-         down. *)
-      let a = t.asap_tbl.(v) in
-      Some (a, a + t.ii - 1, Up)
-  | Some e, None -> Some (e, e + t.ii - 1, Up)
-  | None, Some l -> Some (l - t.ii + 1, l, Down)
-  | Some e, Some l ->
-      let hi = min l (e + t.ii - 1) in
-      if e > hi then None else Some (e, hi, prefer)
+(* Latest of the bounds the scheduled predecessors put on the start of
+   their consumer, [min_int] when none is scheduled. Top-level recursions
+   with explicit arguments, so a window allocates only its result. *)
+let rec early_bound t acc = function
+  | [] -> acc
+  | (e : Ts_ddg.Ddg.edge) :: rest -> (
+      match t.time.(e.src) with
+      | None -> early_bound t acc rest
+      | Some tu ->
+          let b = tu + Ts_ddg.Ddg.latency t.g e.src - (t.ii * e.distance) in
+          early_bound t (if b > acc then b else acc) rest)
 
-let candidate_cycles (lo, hi, dir) =
-  let rec up c = if c > hi then [] else c :: up (c + 1) in
-  let rec down c = if c < lo then [] else c :: down (c - 1) in
-  match dir with Up -> up lo | Down -> down hi
+(* Earliest of the bounds the scheduled successors put on the start of
+   their producer [v], [max_int] when none is scheduled. *)
+let rec late_bound t ~lat_v acc = function
+  | [] -> acc
+  | (e : Ts_ddg.Ddg.edge) :: rest -> (
+      match t.time.(e.dst) with
+      | None -> late_bound t ~lat_v acc rest
+      | Some ts ->
+          let b = ts - lat_v + (t.ii * e.distance) in
+          late_bound t ~lat_v (if b < acc then b else acc) rest)
+
+let window ?(prefer = Up) t v =
+  let early = early_bound t min_int t.g.preds.(v) in
+  let late = late_bound t ~lat_v:(Ts_ddg.Ddg.latency t.g v) max_int t.g.succs.(v) in
+  if early = min_int && late = max_int then
+    (* No scheduled neighbours: start at ASAP, ascending — there is
+       nothing to be close to, and an early start keeps the stage count
+       down. *)
+    let a = t.asap_tbl.(v) in
+    Some (a, a + t.ii - 1, Up)
+  else if late = max_int then Some (early, early + t.ii - 1, Up)
+  else if early = min_int then Some (late - t.ii + 1, late, Down)
+  else
+    let hi = if late < early + t.ii - 1 then late else early + t.ii - 1 in
+    if early > hi then None else Some (early, hi, prefer)
 
 let fits t v ~cycle = Mrt.fits t.mrt (Ts_ddg.Ddg.node t.g v).op ~cycle
 
@@ -115,14 +113,17 @@ let edge_active t (e : Ts_ddg.Ddg.edge) =
       >= 1
   | _ -> false
 
+let refresh_mask t mask arr idxs =
+  for k = 0 to Array.length idxs - 1 do
+    let i = idxs.(k) in
+    mask.(i) <- edge_active t arr.(i)
+  done
+
 (* Re-derive the active flags of the edges incident to [v] after it was
    placed or evicted; only these can have changed. *)
 let refresh_incident t v =
-  let update mask arr idxs =
-    Array.iter (fun i -> mask.(i) <- edge_active t arr.(i)) idxs
-  in
-  update t.reg_active (Ts_ddg.Ddg.reg_edge_array t.g) (Ts_ddg.Ddg.incident_reg t.g v);
-  update t.mem_active (Ts_ddg.Ddg.mem_edge_array t.g) (Ts_ddg.Ddg.incident_mem t.g v)
+  refresh_mask t t.reg_active (Ts_ddg.Ddg.reg_edge_array t.g) (Ts_ddg.Ddg.incident_reg t.g v);
+  refresh_mask t t.mem_active (Ts_ddg.Ddg.mem_edge_array t.g) (Ts_ddg.Ddg.incident_mem t.g v)
 
 let place t v ~cycle =
   if is_scheduled t v then

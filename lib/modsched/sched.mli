@@ -83,9 +83,6 @@ val unplace : t -> int -> unit
     scheduling backtracks this way). Raises [Invalid_argument] if the node
     is not placed. *)
 
-val candidate_cycles : int * int * direction -> int list
-(** The cycles of a window in trial order. *)
-
 val is_complete : t -> bool
 
 val times_exn : t -> int array

@@ -2,25 +2,29 @@ type result = { kernel : Ts_modsched.Kernel.t; mii : int; attempts : int }
 
 exception No_schedule of string
 
+(* Place [v] at the first cycle from [c] to [last] (stepping by [step])
+   where it fits; [false] when none does. *)
+let rec place_first s v c ~step ~last =
+  if Ts_modsched.Sched.fits s v ~cycle:c then begin
+    Ts_modsched.Sched.place s v ~cycle:c;
+    true
+  end
+  else if c = last then false
+  else place_first s v (c + step) ~step ~last
+
 let try_ii g ~ii ~order =
   let s = Ts_modsched.Sched.create g ~ii in
-  let place_one (v, prefer) =
-    match Ts_modsched.Sched.window ~prefer s v with
-    | None -> false
-    | Some w ->
-        let rec try_cycles = function
-          | [] -> false
-          | c :: rest ->
-              if Ts_modsched.Sched.fits s v ~cycle:c then begin
-                Ts_modsched.Sched.place s v ~cycle:c;
-                true
-              end
-              else try_cycles rest
-        in
-        try_cycles (Ts_modsched.Sched.candidate_cycles w)
+  let rec place_all = function
+    | [] -> true
+    | (v, prefer) :: rest -> (
+        match Ts_modsched.Sched.window ~prefer s v with
+        | None -> false
+        | Some (lo, hi, Ts_modsched.Sched.Up) ->
+            place_first s v lo ~step:1 ~last:hi && place_all rest
+        | Some (lo, hi, Ts_modsched.Sched.Down) ->
+            place_first s v hi ~step:(-1) ~last:lo && place_all rest)
   in
-  if List.for_all place_one order then Some (Ts_modsched.Kernel.of_schedule s)
-  else None
+  if place_all order then Some (Ts_modsched.Kernel.of_schedule s) else None
 
 module Trace = Ts_obs.Trace
 

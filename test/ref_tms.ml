@@ -100,6 +100,12 @@ let admissible s v ~cycle ~c_delay ~p_max ~c_reg_com =
     end
   end
 
+(* The cycles of a window in trial order. *)
+let candidate_cycles (lo, hi, dir) =
+  let rec up c = if c > hi then [] else c :: up (c + 1) in
+  let rec down c = if c < lo then [] else c :: down (c - 1) in
+  match dir with S.Up -> up lo | S.Down -> down hi
+
 (* Returns [Ok kernel], or [Error v] naming the first node whose
    placement failed (empty window or every candidate slot rejected) —
    the oracle counterpart of [Tms.try_schedule_explained]'s blame. *)
@@ -118,7 +124,7 @@ let try_schedule g ~order ~ii ~c_delay ~p_max ~c_reg_com =
               end
               else try_cycles rest
         in
-        try_cycles (S.candidate_cycles w)
+        try_cycles (candidate_cycles w)
   in
   let rec go = function
     | [] -> Ok (K.of_schedule s)

@@ -64,6 +64,71 @@ let test_release () =
   Ts_modsched.Mrt.release t Ts_isa.Opcode.Load ~cycle:0;
   check_bool "one slot back" true (Ts_modsched.Mrt.fits t Ts_isa.Opcode.Load ~cycle:0)
 
+(* Every [fits] answer of a table: all opcodes at every modulo row. *)
+let fits_answers t ii =
+  List.concat_map
+    (fun op -> List.init ii (fun c -> Ts_modsched.Mrt.fits t op ~cycle:c))
+    Ts_isa.Opcode.all
+
+let test_failed_release_leaves_table () =
+  (* Row 0's issue slots are full; releasing a load that was never
+     reserved must raise without freeing one of them, and a second release
+     of a released op must fail the same way. *)
+  let t = Ts_modsched.Mrt.create m ~ii:2 in
+  for _ = 1 to 3 do
+    Ts_modsched.Mrt.reserve t Ts_isa.Opcode.Ialu ~cycle:0
+  done;
+  Ts_modsched.Mrt.reserve t Ts_isa.Opcode.Fmul ~cycle:0;
+  let before = fits_answers t 2 in
+  check_bool "row 0 full" false (Ts_modsched.Mrt.fits t Ts_isa.Opcode.Fadd ~cycle:0);
+  let not_reserved = Invalid_argument "Mrt.release: not reserved" in
+  Alcotest.check_raises "never reserved" not_reserved (fun () ->
+      Ts_modsched.Mrt.release t Ts_isa.Opcode.Load ~cycle:0);
+  Alcotest.(check (list bool)) "answers unchanged" before (fits_answers t 2);
+  check_int "issue slots unchanged" 4 (Ts_modsched.Mrt.used_issue_slots t 0);
+  Ts_modsched.Mrt.release t Ts_isa.Opcode.Fmul ~cycle:0;
+  let after_one = fits_answers t 2 in
+  Alcotest.check_raises "released twice" not_reserved (fun () ->
+      Ts_modsched.Mrt.release t Ts_isa.Opcode.Fmul ~cycle:0);
+  Alcotest.(check (list bool)) "answers unchanged" after_one (fits_answers t 2)
+
+(* The toy machine with two multiplier units: an unpipelined op longer
+   than II can then fit, wrapping onto some rows twice. *)
+let toy2 =
+  {
+    Ts_isa.Machine.toy with
+    name = "toy2";
+    fu_counts =
+      List.map
+        (fun (fu, n) ->
+          match fu with
+          | Ts_isa.Machine.Fu_imul | Fu_fmul -> (fu, 2)
+          | _ -> (fu, n))
+        Ts_isa.Machine.toy.fu_counts;
+  }
+
+let test_wrapped_occupancy () =
+  (* busy 8 at ii 5 takes rows 0-2 twice and rows 3-4 once: every 4-cycle
+     multiply window then hits a full row, and releasing frees them all. *)
+  let t = Ts_modsched.Mrt.create toy2 ~ii:5 in
+  let r = Ts_check.Ref_models.Mrt.create toy2 ~ii:5 in
+  check_bool "fdiv wraps and fits" true (Ts_modsched.Mrt.fits t Ts_isa.Opcode.Fdiv ~cycle:10);
+  Ts_modsched.Mrt.reserve t Ts_isa.Opcode.Fdiv ~cycle:10;
+  Ts_check.Ref_models.Mrt.reserve r Ts_isa.Opcode.Fdiv ~cycle:10;
+  List.iter
+    (fun c ->
+      check_bool "no multiply fits" false (Ts_modsched.Mrt.fits t Ts_isa.Opcode.Fmul ~cycle:c);
+      check_bool "reference agrees" false
+        (Ts_check.Ref_models.Mrt.fits r Ts_isa.Opcode.Fmul ~cycle:c))
+    [ 0; 1; 2; 3; 4 ];
+  check_bool "a second fdiv does not fit" false
+    (Ts_modsched.Mrt.fits t Ts_isa.Opcode.Fdiv ~cycle:3);
+  Ts_modsched.Mrt.release t Ts_isa.Opcode.Fdiv ~cycle:10;
+  check_bool "released" true (Ts_modsched.Mrt.fits t Ts_isa.Opcode.Fmul ~cycle:0);
+  Alcotest.check_raises "wrapped release twice"
+    (Invalid_argument "Mrt.release: not reserved") (fun () ->
+      Ts_modsched.Mrt.release t Ts_isa.Opcode.Fdiv ~cycle:10)
+
 let test_reserve_overflow_raises () =
   let t = Ts_modsched.Mrt.create m ~ii:2 in
   Ts_modsched.Mrt.reserve t Ts_isa.Opcode.Imul ~cycle:0;
@@ -93,6 +158,50 @@ let prop_capacity_never_exceeded =
       |> List.for_all (fun c ->
              Ts_modsched.Mrt.used_issue_slots t c <= m.Ts_isa.Machine.issue_width))
 
+(* Differential streams against the reference bag-of-reservations model:
+   every opcode, II 1..24 (below, at and above the busy 4/8/16 unpipelined
+   ops, so occupancies wrap), cycles in [-3 II, 3 II]. After each stream
+   every [fits] answer of the table is compared too. *)
+let prop_matches_reference =
+  let machines = [| m; Ts_isa.Machine.toy; toy2 |] in
+  let opcodes = Array.of_list Ts_isa.Opcode.all in
+  QCheck.Test.make ~count:400 ~name:"fits/reserve/release match Ref_models.Mrt"
+    QCheck.(triple small_nat (int_bound 2) (int_range 1 24))
+    (fun (seed, mi, ii) ->
+      let machine = machines.(mi) in
+      let rng = Ts_base.Rng.create (Int64.of_int seed) in
+      let t = Ts_modsched.Mrt.create machine ~ii in
+      let r = Ts_check.Ref_models.Mrt.create machine ~ii in
+      let reserved = ref [] in
+      let agree = ref true in
+      for _ = 1 to 150 do
+        let op = Ts_base.Rng.pick rng opcodes in
+        let cycle = Ts_base.Rng.int_in rng (-3 * ii) (3 * ii) in
+        let got = Ts_modsched.Mrt.fits t op ~cycle in
+        if got <> Ts_check.Ref_models.Mrt.fits r op ~cycle then agree := false;
+        if got && Ts_base.Rng.bool rng 0.7 then begin
+          Ts_modsched.Mrt.reserve t op ~cycle;
+          Ts_check.Ref_models.Mrt.reserve r op ~cycle;
+          reserved := (op, cycle) :: !reserved
+        end;
+        if !reserved <> [] && Ts_base.Rng.bool rng 0.25 then begin
+          let i = Ts_base.Rng.int rng (List.length !reserved) in
+          let o, c = List.nth !reserved i in
+          reserved := List.filteri (fun j _ -> j <> i) !reserved;
+          Ts_modsched.Mrt.release t o ~cycle:c;
+          Ts_check.Ref_models.Mrt.release r o ~cycle:c
+        end
+      done;
+      !agree
+      && List.for_all
+           (fun op ->
+             List.for_all
+               (fun c ->
+                 Ts_modsched.Mrt.fits t op ~cycle:c
+                 = Ts_check.Ref_models.Mrt.fits r op ~cycle:c)
+               (List.init ii Fun.id))
+           Ts_isa.Opcode.all)
+
 let suite =
   [
     Alcotest.test_case "fits: empty table" `Quick test_fits_empty;
@@ -103,7 +212,11 @@ let suite =
     Alcotest.test_case "fits: busy > capacity" `Quick test_unpipelined_too_big;
     Alcotest.test_case "fits: wrapped multiplicity" `Quick test_wrap_multiplicity;
     Alcotest.test_case "release undoes reserve" `Quick test_release;
+    Alcotest.test_case "release: failure leaves the table" `Quick
+      test_failed_release_leaves_table;
+    Alcotest.test_case "fits: wrapped occupancy, two units" `Quick test_wrapped_occupancy;
     Alcotest.test_case "reserve: overflow raises" `Quick test_reserve_overflow_raises;
     Alcotest.test_case "create: bad ii" `Quick test_create_bad_ii;
     QCheck_alcotest.to_alcotest prop_capacity_never_exceeded;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

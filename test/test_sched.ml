@@ -86,9 +86,11 @@ let test_window_empty () =
   (* n1 needs t >= 1 and t <= -1: impossible *)
   check_bool "dead window" true (S.window s 1 = None)
 
+(* The oracle's window walk ([Ref_tms]); the schedulers scan in place. *)
 let test_candidate_cycles () =
-  Alcotest.(check (list int)) "up" [ 2; 3; 4 ] (S.candidate_cycles (2, 4, S.Up));
-  Alcotest.(check (list int)) "down" [ 4; 3; 2 ] (S.candidate_cycles (2, 4, S.Down))
+  Alcotest.(check (list int)) "up" [ 2; 3; 4 ] (Ref_tms.candidate_cycles (2, 4, S.Up));
+  Alcotest.(check (list int)) "down" [ 4; 3; 2 ]
+    (Ref_tms.candidate_cycles (2, 4, S.Down))
 
 let test_place_reserves_resources () =
   let b = Ts_ddg.Ddg.Builder.create Ts_isa.Machine.spmt_core in

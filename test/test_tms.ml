@@ -171,6 +171,41 @@ let test_doacross_c_delay_regression () =
         sel.loops)
     Ts_workload.Doacross.all
 
+(* The warm-start point memo persists each grid point's slot tallies, so
+   a change that skips or reorders slot checks would replay stale counts
+   from an old store. Pin the sweep's counters over equake's suite loops
+   plus one loop with high dependence probabilities (the only one here
+   where C2 rejects slots); any move must be deliberate. *)
+let high_prob_loop () =
+  let rng = Ts_base.Rng.of_string "pinned-counters/4" in
+  Ts_workload.Gen.generate rng
+    { Ts_workload.Gen.default_profile with
+      n_inst = 20; mem_dep_rate = 1.5; mem_prob = (0.2, 0.3); mem_rec = true }
+
+let test_search_counters_pinned () =
+  let loops =
+    Ts_workload.Spec_suite.loops (Ts_workload.Spec_suite.find "equake")
+    @ [ high_prob_loop () ]
+  in
+  let cval name =
+    Ts_obs.Metrics.counter_value
+      (Ts_obs.Metrics.counter Ts_obs.Metrics.default name)
+  in
+  let pinned =
+    [
+      ("tms.attempts", 2800);
+      ("tms.slots.admitted", 66627);
+      ("tms.slots.resource_reject", 7979);
+      ("tms.slots.c1_reject", 297055);
+      ("tms.slots.c2_reject", 1774);
+    ]
+  in
+  let before = List.map (fun (n, _) -> cval n) pinned in
+  List.iter (fun g -> ignore (Ts_tms.Tms.schedule_sweep ~params g)) loops;
+  List.iter2
+    (fun (name, expect) b -> check_int name expect (cval name - b))
+    pinned before
+
 let suite =
   [
     Alcotest.test_case "motivating: beats SMS (paper Fig 2)" `Quick
@@ -188,4 +223,6 @@ let suite =
       test_ims_eviction_keeps_claims;
     Alcotest.test_case "DOACROSS loops: C_delay regression" `Slow
       test_doacross_c_delay_regression;
+    Alcotest.test_case "sweep: search counters pinned" `Quick
+      test_search_counters_pinned;
   ]
