@@ -137,17 +137,6 @@ let no_cache_arg =
   let doc = "Disable the persistent result cache (recompute everything)." in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
-let no_warm_start_arg =
-  let doc =
-    "Disable warm-started TMS searches (reuse of persisted per-grid-point \
-     attempt outcomes). Purely a performance knob: warm-started searches \
-     return bit-identical schedules."
-  in
-  Arg.(value & flag & info [ "no-warm-start" ] ~doc)
-
-let apply_warm_start ~no_warm_start =
-  Ts_harness.Cached.set_warm_start (not no_warm_start)
-
 let apply_cache ~no_cache ~dir =
   if no_cache then Ts_harness.Cached.set_store None
   else begin
@@ -540,12 +529,11 @@ let suite_cmd =
   let limit_arg =
     Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Loops per benchmark.")
   in
-  let run jobs bench limit cache_dir no_cache no_warm_start keep_going
-      max_retries task_timeout fault_plan obs =
+  let run jobs bench limit cache_dir no_cache keep_going max_retries
+      task_timeout fault_plan obs =
     apply_jobs jobs;
     apply_obs obs;
     apply_cache ~no_cache ~dir:cache_dir;
-    apply_warm_start ~no_warm_start;
     apply_resil ~keep_going ~max_retries ~task_timeout ~fault_plan;
     let params = Ts_isa.Spmt_params.default in
     let benches =
@@ -575,8 +563,8 @@ let suite_cmd =
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(
       const run $ jobs_arg $ bench_arg $ limit_arg $ cache_dir_arg
-      $ no_cache_arg $ no_warm_start_arg $ keep_going_arg $ max_retries_arg
-      $ task_timeout_arg $ fault_plan_arg $ obs_term)
+      $ no_cache_arg $ keep_going_arg $ max_retries_arg $ task_timeout_arg
+      $ fault_plan_arg $ obs_term)
 
 let compare_cmd =
   let run jobs loop mix placement trace_file obs =
@@ -722,12 +710,11 @@ let experiments_cmd =
   let limit_arg =
     Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Loops per benchmark for table2/fig4.")
   in
-  let run jobs names limit cache_dir no_cache no_warm_start keep_going
-      max_retries task_timeout fault_plan obs =
+  let run jobs names limit cache_dir no_cache keep_going max_retries
+      task_timeout fault_plan obs =
     apply_jobs jobs;
     apply_obs obs;
     apply_cache ~no_cache ~dir:cache_dir;
-    apply_warm_start ~no_warm_start;
     apply_resil ~keep_going ~max_retries ~task_timeout ~fault_plan;
     supervised ~obs (fun () ->
         try
@@ -742,8 +729,8 @@ let experiments_cmd =
   Cmd.v (Cmd.info "experiments" ~doc)
     Term.(
       const run $ jobs_arg $ names_arg $ limit_arg $ cache_dir_arg
-      $ no_cache_arg $ no_warm_start_arg $ keep_going_arg
-      $ max_retries_arg $ task_timeout_arg $ fault_plan_arg $ obs_term)
+      $ no_cache_arg $ keep_going_arg $ max_retries_arg $ task_timeout_arg
+      $ fault_plan_arg $ obs_term)
 
 (* --- serve / client ------------------------------------------------- *)
 
@@ -788,11 +775,10 @@ let serve_cmd =
     Arg.(value & opt int 256 & info [ "lru-entries" ] ~docv:"N" ~doc)
   in
   let run jobs listen max_inflight queue_depth lru_entries cache_dir no_cache
-      no_warm_start keep_going max_retries task_timeout fault_plan obs =
+      keep_going max_retries task_timeout fault_plan obs =
     apply_jobs jobs;
     apply_obs obs;
     apply_cache ~no_cache ~dir:cache_dir;
-    apply_warm_start ~no_warm_start;
     apply_resil ~keep_going ~max_retries ~task_timeout ~fault_plan;
     Ts_harness.Cached.set_lru (if lru_entries > 0 then Some lru_entries else None);
     let addr = addr_conv "--listen" listen in
@@ -837,9 +823,8 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ jobs_arg $ listen_arg $ max_inflight_arg $ queue_depth_arg
-      $ lru_entries_arg $ cache_dir_arg $ no_cache_arg $ no_warm_start_arg
-      $ keep_going_arg $ max_retries_arg $ task_timeout_arg $ fault_plan_arg
-      $ obs_term)
+      $ lru_entries_arg $ cache_dir_arg $ no_cache_arg $ keep_going_arg
+      $ max_retries_arg $ task_timeout_arg $ fault_plan_arg $ obs_term)
 
 let client_cmd =
   let connect_arg =

@@ -17,13 +17,14 @@ let m_slot_c1 = Metrics.counter Metrics.default "tms.slots.c1_reject"
 let m_slot_c2 = Metrics.counter Metrics.default "tms.slots.c2_reject"
 let m_slot_admitted = Metrics.counter Metrics.default "tms.slots.admitted"
 
-(* Grid points answered from a warm-start memo instead of a placement
-   run (see [point_memo]). *)
+(* Grid points a sweep answered from another of its searches' recorded
+   outcome instead of a placement run (see [point]). *)
 let m_warm_hits = Metrics.counter Metrics.default "tms.warm.point_hits"
 
-(* Latency distribution of one grid-point attempt (order repair
+(* Latency distribution of one grid-point placement (order repair
    included): the unit of work the sweep repeats thousands of times, so
-   its p50/p90/p99 is what tells a slow search from a wide one. *)
+   its p50/p90/p99 is what tells a slow search from a wide one. Replayed
+   points are not placements and are not observed. *)
 let m_attempt_ms = Metrics.histogram Metrics.default "tms.attempt_ms"
 
 type result = {
@@ -195,8 +196,8 @@ let admit ?c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com =
     end
   end
 
-let admissible ?c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com =
-  admit ?c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com = Admit
+let admissible s v ~cycle ~c_delay ~p_max ~c_reg_com =
+  admit s v ~cycle ~c_delay ~p_max ~c_reg_com = Admit
 
 type reject = {
   node : int;
@@ -288,45 +289,49 @@ let try_schedule ?asap g ~order ~ii ~c_delay ~p_max ~c_reg_com =
   | Ok k -> Some k
   | Error _ -> None
 
-(* ---- warm-start point memo ----
+(* ---- point sharing within a sweep ----
 
    A grid-point attempt is a pure function of (DDG, II, C_delay,
    c_reg_com, P_max): the swing order, the ASAP table and every placement
    decision are deterministic. [P_max] enters only through C2's
-   [freq <= p_max + 1e-12] comparisons (including {!Tms_ims}'s post-pass
-   misspeculation check, which has the same shape), so an attempt's
-   outcome recorded at one P_max is valid verbatim at another P_max'
-   whenever every comparison it made keeps its verdict: the first
-   comparison then takes the same branch, which makes the second
-   comparison identical, and so on. The envelope below captures exactly
-   that condition — [po_c2_admit_max] is the largest frequency a
-   comparison admitted and [po_c2_reject_min] the smallest it rejected,
-   so the outcome transfers to P_max' iff
+   [freq <= p_max + 1e-12] comparisons, so an attempt's outcome recorded
+   at one P_max is valid verbatim at another P_max' whenever every
+   comparison it made keeps its verdict: the first comparison then takes
+   the same branch, which makes the second comparison identical, and so
+   on. The envelope captures exactly that condition — [p_admit_max] is
+   the largest frequency a comparison admitted and [p_reject_min] the
+   smallest it rejected, so the outcome transfers to P_max' iff
 
-     po_c2_admit_max <= p_max' + 1e-12  &&  po_c2_reject_min > p_max' + 1e-12.
+     p_admit_max <= p_max' + 1e-12  &&  p_reject_min > p_max' + 1e-12.
 
-   A provider ({!Ts_harness.Cached}) persists outcomes keyed by
-   (DDG, c_reg_com, II, C_delay) and answers [pm_find] only when the
-   envelope covers the requested P_max, which makes a warm-started search
-   bit-identical to a cold one by construction: the F-plateau walk, the
-   attempt counters and the slot tallies replay the recorded values, and
-   the kernels rebuild from the recorded issue times. *)
+   [schedule_sweep]'s per-P_max searches walk the same grid, so the sweep
+   keeps one table of recorded points for its lifetime and each search
+   replays a point whose envelope covers its own P_max. The walk, the
+   attempt counter and the slot tallies then see exactly what a placement
+   run would have produced, which makes sharing bit-identical to
+   searching each P_max alone. *)
 
-type point_outcome = {
-  po_times : int array option; (* issue times of the scheduled kernel *)
-  po_reject : reject option; (* the diagnosis when placement failed *)
-  po_tally : int * int * int * int; (* resource / C1 / C2 / admitted *)
-  po_c2_admit_max : float;
-  po_c2_reject_min : float;
+type point = {
+  p_res : (K.t, reject) Stdlib.result;
+  p_tally : slot_tally;
+  p_admit_max : float;
+  p_reject_min : float;
 }
 
-type point_memo = {
-  pm_find : ii:int -> c_delay:int -> p_max:float -> point_outcome option;
-  pm_store : ii:int -> c_delay:int -> p_max:float -> point_outcome -> unit;
-}
+type memo = { lock : Mutex.t; points : (int * int, point list) Hashtbl.t }
 
-let envelope_covers ~admit_max ~reject_min p_max =
-  admit_max <= p_max +. 1e-12 && reject_min > p_max +. 1e-12
+let covers p p_max =
+  p.p_admit_max <= p_max +. 1e-12 && p.p_reject_min > p_max +. 1e-12
+
+let memo_find m ~ii ~cd ~p_max =
+  Mutex.protect m.lock @@ fun () ->
+  Option.bind (Hashtbl.find_opt m.points (ii, cd))
+    (List.find_opt (fun p -> covers p p_max))
+
+let memo_add m ~ii ~cd p =
+  Mutex.protect m.lock @@ fun () ->
+  let l = Option.value ~default:[] (Hashtbl.find_opt m.points (ii, cd)) in
+  Hashtbl.replace m.points (ii, cd) (p :: l)
 
 let finish ~params ~p_max ~mii ~attempts ~fell_back ~c_delay_threshold ~f_min kernel =
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
@@ -379,7 +384,8 @@ let result_event trace (r : result) =
           ("fell_back", Ts_obs.Json.Bool r.fell_back);
         ]
 
-let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
+(* [memo] is the sweep's shared point table; a lone search has none. *)
+let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
     ?(placement = Ts_isa.Placement.Round_robin) ~params g =
   (* Definition 2 under the placement: the search prices the worst
      distance-1 hop cost and target-core speed of the compiled map
@@ -428,10 +434,11 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
      blocking node to the front (so it gets first pick of the window) and
      re-run the placement from scratch.  Each grid point restarts from
      the pristine swing order. *)
-  let cold_point ~ii ~cd =
+  let place_point ~ii ~cd =
+    let at0 = Unix.gettimeofday () in
     let tally = new_tally () in
-    (* C2 comparison envelope for the warm-start memo (see
-       [point_outcome]); recorded across every order-repair retry. *)
+    (* C2 comparison envelope (see [point]), recorded across every
+       order-repair retry. *)
     let admit_max = ref neg_infinity and reject_min = ref infinity in
     let c2obs freq ok =
       if ok then (if freq > !admit_max then admit_max := freq)
@@ -452,50 +459,20 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
       | Error _ -> res
     in
     let res = go order 0 in
-    (match point_memo with
-    | Some pm ->
-        pm.pm_store ~ii ~c_delay:cd ~p_max
-          {
-            po_times =
-              (match res with
-              | Ok kernel -> Some (Array.copy kernel.K.time)
-              | Error _ -> None);
-            po_reject = (match res with Error r -> Some r | Ok _ -> None);
-            po_tally = (tally.t_resource, tally.t_c1, tally.t_c2, tally.t_admit);
-            po_c2_admit_max = !admit_max;
-            po_c2_reject_min = !reject_min;
-          }
-    | None -> ());
-    (res, tally)
+    let dt = Unix.gettimeofday () -. at0 in
+    let p =
+      { p_res = res; p_tally = tally; p_admit_max = !admit_max;
+        p_reject_min = !reject_min }
+    in
+    Option.iter (fun m -> memo_add m ~ii ~cd p) memo;
+    (p, Some dt)
   in
+  (* A point replayed from the sweep's table comes back without a
+     latency: it was looked up, not placed. *)
   let try_point ~ii ~cd =
-    match point_memo with
-    | None -> cold_point ~ii ~cd
-    | Some pm -> (
-        match pm.pm_find ~ii ~c_delay:cd ~p_max with
-        | None -> cold_point ~ii ~cd
-        | Some po -> (
-            let tally_of (r, c1, c2, ad) =
-              { t_resource = r; t_c1 = c1; t_c2 = c2; t_admit = ad }
-            in
-            match (po.po_times, po.po_reject) with
-            | Some times, _ -> (
-                (* A corrupted entry (times that no longer validate) falls
-                   back to the cold attempt; the provider overwrites it. *)
-                match K.of_times g ~ii times with
-                | kernel ->
-                    Metrics.incr m_warm_hits;
-                    (Ok kernel, tally_of po.po_tally)
-                | exception _ -> cold_point ~ii ~cd)
-            | None, Some rej ->
-                Metrics.incr m_warm_hits;
-                (Error rej, tally_of po.po_tally)
-            | None, None -> cold_point ~ii ~cd))
-  in
-  let timed_point ~ii ~cd =
-    let at0 = Unix.gettimeofday () in
-    let rt = try_point ~ii ~cd in
-    (rt, Unix.gettimeofday () -. at0)
+    match Option.bind memo (memo_find ~ii ~cd ~p_max) with
+    | Some p -> (p, None)
+    | None -> place_point ~ii ~cd
   in
   (* Traced searches stay strictly sequential (the tracer is a single
      shared sink and the "one event per attempt" contract depends on
@@ -543,14 +520,16 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
             if worth then begin
               incr attempts;
               Metrics.incr m_attempts;
-              let (res, tally), dt =
+              let p, dt =
                 match List.assoc_opt (ii, cd) pre with
                 | Some v -> v
-                | None -> timed_point ~ii ~cd
+                | None -> try_point ~ii ~cd
               in
-              flush_tally tally;
-              Metrics.observe m_attempt_ms (dt *. 1000.0);
-              match res with
+              flush_tally p.p_tally;
+              (match dt with
+              | Some dt -> Metrics.observe m_attempt_ms (dt *. 1000.0)
+              | None -> Metrics.incr m_warm_hits);
+              match p.p_res with
               | Ok kernel ->
                   attempt_event trace ~base:"sms" ~ii ~c_delay:cd ~f
                     ~reason:"scheduled" true;
@@ -580,7 +559,7 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
                        out. *)
                     List.iter (fun (ii, _) -> ignore (asap_for ii)) cands;
                     Ts_base.Parallel.map
-                      (fun (ii, cd) -> ((ii, cd), timed_point ~ii ~cd))
+                      (fun (ii, cd) -> ((ii, cd), try_point ~ii ~cd))
                       cands
                   end
                   else []
@@ -619,14 +598,18 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
     Trace.end_span trace ~ts:(Trace.tick trace) "tms.search";
   r
 
+let schedule ?trace ?p_max ?max_ii ?placement ~params g =
+  search ?trace ?p_max ?max_ii ?placement ~params g
+
 let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
-    ?point_memo ?(placement = Ts_isa.Placement.Round_robin) ~params g =
+    ?(placement = Ts_isa.Placement.Round_robin) ~params g =
   let params = Ts_isa.Placement.effective_params placement params in
   let n = 1000 in
-  (* A shared point memo pays off twice here: the per-P_max searches walk
-     the same (II, C_delay) grid, and most attempts' C2 envelopes cover
-     several of the swept P_max values. *)
-  let run p_max = schedule ~trace ~p_max ?point_memo ~params g in
+  (* The per-P_max searches walk the same (II, C_delay) grid, and most
+     points' C2 envelopes cover several of the swept values: one table,
+     shared by the searches and dropped with the sweep. *)
+  let memo = { lock = Mutex.create (); points = Hashtbl.create 256 } in
+  let run p_max = search ~memo ~trace ~p_max ~params g in
   (* One worker domain per P_max. An enabled tracer is a single shared
      sink, so traced sweeps stay sequential (and their event order
      deterministic); results are identical either way. *)

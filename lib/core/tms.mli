@@ -71,46 +71,10 @@ type reject = {
     window at all, or every candidate slot was rejected (with the
     per-condition counts). *)
 
-type point_outcome = {
-  po_times : int array option;
-      (** issue times of the scheduled kernel; [None] = placement failed *)
-  po_reject : reject option;  (** the diagnosis when placement failed *)
-  po_tally : int * int * int * int;
-      (** slot verdicts (resource, C1, C2, admitted) to replay into the
-          [tms.slots.*] counters *)
-  po_c2_admit_max : float;
-      (** largest misspeculation frequency a C2 comparison admitted
-          ([neg_infinity] when none did) *)
-  po_c2_reject_min : float;
-      (** smallest frequency C2 rejected ([infinity] when none) *)
-}
-(** The complete recorded outcome of one grid-point attempt. An attempt
-    is deterministic given (DDG, II, C_delay, c_reg_com) except for its
-    C2 comparisons against [P_max]; the admit/reject envelope captures
-    the set of [P_max] values at which the recorded run would have made
-    identical decisions, so one entry serves a whole [P_max] sweep. *)
-
-type point_memo = {
-  pm_find : ii:int -> c_delay:int -> p_max:float -> point_outcome option;
-  pm_store : ii:int -> c_delay:int -> p_max:float -> point_outcome -> unit;
-}
-(** Warm-start provider ({!Ts_harness.Cached} backs one with the persist
-    store). [pm_find] must answer only outcomes whose envelope covers the
-    requested [p_max] (see {!envelope_covers}) and that were recorded by
-    the same scheduling engine on the same DDG and [c_reg_com]; under
-    that contract a warm-started search returns bit-identical results to
-    a cold one — the walk merely replays recorded outcomes. Both
-    callbacks may be invoked concurrently from pool worker domains. *)
-
-val envelope_covers : admit_max:float -> reject_min:float -> float -> bool
-(** [envelope_covers ~admit_max ~reject_min p_max]: would every recorded
-    C2 comparison keep its verdict at [p_max]? *)
-
 val schedule :
   ?trace:Ts_obs.Trace.t ->
   ?p_max:float ->
   ?max_ii:int ->
-  ?point_memo:point_memo ->
   ?placement:Ts_isa.Placement.policy ->
   params:Ts_isa.Spmt_params.t ->
   Ts_ddg.Ddg.t ->
@@ -123,13 +87,8 @@ val schedule :
     params are first passed through
     {!Ts_isa.Placement.effective_params}, so C1 admission and the F
     objective see the worst distance-1 ring-hop cost and target-core
-    speed. Round-robin is the identity — results (and warm-start keys)
-    are unchanged. When combining with a caching provider, key on the
-    effective params.
-
-    [point_memo] warm-starts the grid walk from previously recorded
-    attempt outcomes; hits are counted on [tms.warm.point_hits] and the
-    returned result is bit-identical to a cold search.
+    speed. Round-robin is the identity — results are unchanged. When
+    caching results, key on the effective params.
 
     [trace] (default {!Ts_obs.Trace.null}) receives a ["tms.search"] span
     enclosing one ["tms.attempt"] instant event per [(II, C_delay)] point
@@ -140,7 +99,9 @@ val schedule :
     events use the tracer's logical clock ({!Ts_obs.Trace.tick}).
 
     Slot-level admission outcomes (resource/C1/C2 rejections, admissions)
-    are counted on {!Ts_obs.Metrics.default} under [tms.slots.*]. *)
+    are counted on {!Ts_obs.Metrics.default} under [tms.slots.*], and the
+    latency of each placed grid point on the [tms.attempt_ms]
+    histogram. *)
 
 val reject_reason : reject -> string
 (** Compact label for traces: ["window-empty"],
@@ -193,10 +154,9 @@ val admit :
     incident to the candidate node.
 
     [c2obs] observes every C2 comparison as [(frequency, admitted)] — the
-    hook the warm-start envelope ({!point_outcome}) is built from. *)
+    hook the point-sharing envelope of {!schedule_sweep} is built from. *)
 
 val admissible :
-  ?c2obs:(float -> bool -> unit) ->
   Ts_modsched.Sched.t ->
   int ->
   cycle:int ->
@@ -228,7 +188,6 @@ val result_event : Ts_obs.Trace.t -> result -> unit
 val schedule_sweep :
   ?trace:Ts_obs.Trace.t ->
   ?p_maxes:float list ->
-  ?point_memo:point_memo ->
   ?placement:Ts_isa.Placement.policy ->
   params:Ts_isa.Spmt_params.t ->
   Ts_ddg.Ddg.t ->
@@ -236,6 +195,13 @@ val schedule_sweep :
 (** Section 4.3: "several values for [P_max] can be tried so that the best
     schedule for a loop can be picked". Runs {!schedule} for each value
     (default [\[0.01; 0.05; 0.25\]]) and keeps the schedule with the lowest
-    cost-model estimate {!Cost_model.estimate}. A shared [point_memo]
-    also deduplicates attempts {e across} the swept values: most C2
-    envelopes cover several [P_max]es at once. *)
+    cost-model estimate {!Cost_model.estimate}.
+
+    The searches share grid points: each placed [(II, C_delay)] point is
+    recorded with the range of [P_max] values at which every C2
+    comparison it made keeps its verdict, and a search whose [P_max]
+    falls in that range replays the point instead of placing it again.
+    The result, the attempt counts and the [tms.slots.*] totals are
+    bit-identical to running {!schedule} per value; replays are counted
+    on [tms.warm.point_hits] and still on [tms.attempts]. The table lives
+    only as long as the call. *)

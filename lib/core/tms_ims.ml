@@ -17,11 +17,8 @@ type result = Tms.result = {
 let m_attempt_ms =
   Ts_obs.Metrics.histogram Ts_obs.Metrics.default "tms.attempt_ms"
 
-let m_warm_hits =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "tms.warm.point_hits"
-
 let schedule ?(trace = Ts_obs.Trace.null) ?(p_max = Tms.default_p_max) ?max_ii
-    ?point_memo ?(placement = Ts_isa.Placement.Round_robin) ~params g =
+    ?(placement = Ts_isa.Placement.Round_robin) ~params g =
   let params = Ts_isa.Placement.effective_params placement params in
   Ts_obs.Prof.span "tms_ims.search" @@ fun () ->
   let mii = Ts_ddg.Mii.mii g in
@@ -78,19 +75,9 @@ let schedule ?(trace = Ts_obs.Trace.null) ?(p_max = Tms.default_p_max) ?max_ii
      point if eviction broke them.  Pure given the shared read-only DDG
      and per-II caches, so points can be evaluated speculatively on the
      pool. *)
-  let cold_point ~ii ~cd =
-    (* C2 comparison envelope for the warm-start memo (the condition under
-       which this outcome transfers to another P_max; see
-       {!Tms.point_outcome}). The post-pass misspeculation check is a
-       comparison of the same [freq <= p_max + 1e-12] shape, so it joins
-       the envelope. *)
-    let admit_max = ref neg_infinity and reject_min = ref infinity in
-    let c2obs freq ok =
-      if ok then (if freq > !admit_max then admit_max := freq)
-      else if freq < !reject_min then reject_min := freq
-    in
+  let timed_point ~ii ~cd =
     let admissible s v ~cycle =
-      Tms.admissible ~c2obs s v ~cycle ~c_delay:cd ~p_max ~c_reg_com
+      Tms.admissible s v ~cycle ~c_delay:cd ~p_max ~c_reg_com
     in
     let asap, prio = cached ii in
     let at0 = Unix.gettimeofday () in
@@ -98,42 +85,13 @@ let schedule ?(trace = Ts_obs.Trace.null) ?(p_max = Tms.default_p_max) ?max_ii
     let dt = Unix.gettimeofday () -. at0 in
     let res =
       match res with
-      | Some kernel when K.c_delay kernel ~c_reg_com <= cd ->
-          let m = Overheads.misspec_prob kernel ~c_reg_com in
-          let ok = m <= p_max +. 1e-12 in
-          c2obs m ok;
-          if ok then Some kernel else None
+      | Some kernel
+        when K.c_delay kernel ~c_reg_com <= cd
+             && Overheads.misspec_prob kernel ~c_reg_com <= p_max +. 1e-12 ->
+          Some kernel
       | Some _ | None -> None
     in
-    (match point_memo with
-    | Some pm ->
-        pm.Tms.pm_store ~ii ~c_delay:cd ~p_max
-          {
-            Tms.po_times =
-              Option.map (fun (k : K.t) -> Array.copy k.K.time) res;
-            po_reject = None;
-            po_tally = (0, 0, 0, 0);
-            po_c2_admit_max = !admit_max;
-            po_c2_reject_min = !reject_min;
-          }
-    | None -> ());
     (res, dt)
-  in
-  let timed_point ~ii ~cd =
-    match point_memo with
-    | None -> cold_point ~ii ~cd
-    | Some pm -> (
-        match pm.Tms.pm_find ~ii ~c_delay:cd ~p_max with
-        | None -> cold_point ~ii ~cd
-        | Some { Tms.po_times = Some times; _ } -> (
-            match K.of_times g ~ii times with
-            | kernel ->
-                Ts_obs.Metrics.incr m_warm_hits;
-                (Some kernel, 0.0)
-            | exception _ -> cold_point ~ii ~cd)
-        | Some { Tms.po_times = None; _ } ->
-            Ts_obs.Metrics.incr m_warm_hits;
-            (None, 0.0))
   in
   let par =
     (not (Ts_obs.Trace.enabled trace)) && Ts_base.Parallel.get_jobs () > 1

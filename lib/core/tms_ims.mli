@@ -24,14 +24,10 @@ val schedule :
   ?trace:Ts_obs.Trace.t ->
   ?p_max:float ->
   ?max_ii:int ->
-  ?point_memo:Tms.point_memo ->
   ?placement:Ts_isa.Placement.policy ->
   params:Ts_isa.Spmt_params.t ->
   Ts_ddg.Ddg.t ->
   result
 (** TMS-over-IMS. Falls back to plain IMS if the grid is exhausted.
     [trace] receives the same ["tms.attempt"]/["tms.fallback"]/
-    ["tms.result"] events as {!Tms.schedule}, with [base = "ims"].
-    [point_memo] warm-starts the grid walk ({!Tms.point_memo}); providers
-    must key IMS-engine outcomes separately from swing-engine ones — the
-    two engines disagree at the same grid point. *)
+    ["tms.result"] events as {!Tms.schedule}, with [base = "ims"]. *)

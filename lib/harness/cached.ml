@@ -212,148 +212,12 @@ let ims g =
 
 let params_fp (p : Ts_isa.Spmt_params.t) = Marshal.to_string p []
 
-(* ---- warm-start point memo ----
-
-   A search result that misses the result cache (a new [p_max], a
-   changed core count, a widened sweep) still walks an (II, C_delay)
-   grid whose individual attempt outcomes may all be on disk: a grid
-   attempt depends on the DDG and [c_reg_com] only, plus [p_max] through
-   the C2 envelope recorded with each outcome ({!Ts_tms.Tms.point_memo}).
-   The provider below keeps those outcomes in a mutexed in-memory table
-   (shared live across a sweep's parallel per-[p_max] searches), seeded
-   from one persist entry per (engine, DDG, c_reg_com) and flushed back
-   once after the search — not per attempt, so the store sees one read
-   and one write per search instead of one per grid point. Warm-started
-   searches are bit-identical to cold ones (the search replays recorded
-   outcomes; regression-tested across the fuzz corpus). *)
-
-let warm = Atomic.make true
-let set_warm_start b = Atomic.set warm b
-let get_warm_start () = Atomic.get warm
-
-type point_plain = {
-  pp_times : int array option;
-  pp_reject : Ts_tms.Tms.reject option;
-  pp_tally : int * int * int * int;
-  pp_admit_max : float;
-  pp_reject_min : float;
-}
-
-(* Envelopes kept per grid point: each entry answers an interval of
-   P_max values, and sweeps use a handful of values, so a short list
-   scanned under the lock is plenty. Newest first, oldest dropped. *)
-let max_envelopes = 8
-
-let point_memo ~engine ~params g =
-  if not (Atomic.get warm) then None
-  else begin
-    let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
-    let skey =
-      key ~kind:(engine ^ "_points") [ string_of_int c_reg_com; ddg_fp g ]
-    in
-    (* Two-layer encoding, like [cached]'s plain entries: the persist
-       store holds a marshalled *string* whose inner decode re-checks
-       marshal's own magic and size headers. An entry clobbered with a
-       marshalled value of some other type then degrades to a cold table
-       — traversing it directly as this float-bearing record type would
-       be undefined behaviour (the reconstruction-guard test overwrites
-       entries with exactly such values). *)
-    let tbl : (int * int, point_plain list) Hashtbl.t =
-      match
-        match !store with
-        | None -> None
-        | Some s -> Ts_persist.find s ~key:skey
-      with
-      | Some (payload : string) -> (
-          match
-            (Marshal.from_string payload 0
-              : ((int * int) * point_plain list) list)
-          with
-          | entries ->
-              let h = Hashtbl.create (max 64 (2 * List.length entries)) in
-              List.iter (fun (k, v) -> Hashtbl.replace h k v) entries;
-              h
-          | exception _ -> Hashtbl.create 64)
-      | None | (exception _) -> Hashtbl.create 64
-    in
-    let lock = Mutex.create () in
-    let locked f =
-      Mutex.lock lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-    in
-    let dirty = ref false in
-    let pm =
-      {
-        Ts_tms.Tms.pm_find =
-          (fun ~ii ~c_delay ~p_max ->
-            locked @@ fun () ->
-            match Hashtbl.find_opt tbl (ii, c_delay) with
-            | None -> None
-            | Some entries ->
-                List.find_opt
-                  (fun e ->
-                    Ts_tms.Tms.envelope_covers ~admit_max:e.pp_admit_max
-                      ~reject_min:e.pp_reject_min p_max)
-                  entries
-                |> Option.map (fun e ->
-                       {
-                         (* Fresh copies: the search hands these arrays to
-                            [Kernel.of_times], and the table outlives any
-                            one search. *)
-                         Ts_tms.Tms.po_times = Option.map Array.copy e.pp_times;
-                         po_reject = e.pp_reject;
-                         po_tally = e.pp_tally;
-                         po_c2_admit_max = e.pp_admit_max;
-                         po_c2_reject_min = e.pp_reject_min;
-                       }));
-        pm_store =
-          (fun ~ii ~c_delay ~p_max:_ (o : Ts_tms.Tms.point_outcome) ->
-            locked @@ fun () ->
-            let e =
-              {
-                pp_times = Option.map Array.copy o.po_times;
-                pp_reject = o.po_reject;
-                pp_tally = o.po_tally;
-                pp_admit_max = o.po_c2_admit_max;
-                pp_reject_min = o.po_c2_reject_min;
-              }
-            in
-            let cur =
-              Option.value ~default:[] (Hashtbl.find_opt tbl (ii, c_delay))
-            in
-            let rec cap n = function
-              | [] -> []
-              | _ when n <= 0 -> []
-              | x :: tl -> x :: cap (n - 1) tl
-            in
-            Hashtbl.replace tbl (ii, c_delay) (e :: cap (max_envelopes - 1) cur);
-            dirty := true)
-      }
-    in
-    let flush () =
-      if !dirty then
-        match !store with
-        | None -> ()
-        | Some s ->
-            let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-            Ts_persist.store s ~key:skey (Marshal.to_string entries [])
-    in
-    Some (pm, flush)
-  end
-
-let with_point_memo ~engine ~params g f =
-  match point_memo ~engine ~params g with
-  | None -> f None
-  | Some (pm, flush) -> Fun.protect ~finally:flush (fun () -> f (Some pm))
-
 let tms_sweep ~params g =
   cached ~span:"cached.tms_sweep"
     ~key:(key ~kind:"tms_sweep" [ params_fp params; ddg_fp g ])
     ~to_plain:tms_to_plain
     ~of_plain:(tms_of_plain g)
-    (fun () ->
-      with_point_memo ~engine:"tms" ~params g (fun point_memo ->
-          Ts_tms.Tms.schedule_sweep ?point_memo ~params g))
+    (fun () -> Ts_tms.Tms.schedule_sweep ~params g)
 
 let tms ?p_max ~params g =
   let pm =
@@ -363,18 +227,14 @@ let tms ?p_max ~params g =
     ~key:(key ~kind:"tms" [ pm; params_fp params; ddg_fp g ])
     ~to_plain:tms_to_plain
     ~of_plain:(tms_of_plain g)
-    (fun () ->
-      with_point_memo ~engine:"tms" ~params g (fun point_memo ->
-          Ts_tms.Tms.schedule ?p_max ?point_memo ~params g))
+    (fun () -> Ts_tms.Tms.schedule ?p_max ~params g)
 
 let tms_ims ~params g =
   cached ~span:"cached.tms_ims"
     ~key:(key ~kind:"tms_ims" [ params_fp params; ddg_fp g ])
     ~to_plain:tms_to_plain
     ~of_plain:(tms_of_plain g)
-    (fun () ->
-      with_point_memo ~engine:"tms_ims" ~params g (fun point_memo ->
-          Ts_tms.Tms_ims.schedule ?point_memo ~params g))
+    (fun () -> Ts_tms.Tms_ims.schedule ~params g)
 
 (* Simulator stats are plain records: no projection needed, so the LRU
    front wraps the persist memo directly. *)

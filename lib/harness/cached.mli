@@ -41,42 +41,12 @@ val set_lru : int option -> unit
 val get_lru : unit -> int option
 (** The installed LRU's capacity, if one is installed. *)
 
-(** {2 Warm-started searches}
+(** {2 Cached schedulers}
 
-    Even when a search {e result} misses the cache (a new [p_max], a
-    changed core count), its grid walk revisits (II, C_delay) points
-    whose attempt outcomes are already on disk: attempts depend only on
-    the DDG, [c_reg_com] and — through the recorded C2 envelope — the
-    requested [P_max] ({!Ts_tms.Tms.point_memo}). The TMS wrappers below
-    therefore seed each search from one persisted point table per
-    (engine, DDG, [c_reg_com]) and flush the grown table back after the
-    search. Warm-started searches return bit-identical results to cold
-    ones — they replay recorded outcomes, never approximate neighbours —
-    and hits are counted on [tms.warm.point_hits]. *)
-
-val set_warm_start : bool -> unit
-(** Enable/disable warm-started searches (default enabled; the CLI's
-    [--no-warm-start]). Purely a performance knob — results are
-    identical either way. *)
-
-val get_warm_start : unit -> bool
-
-val point_memo :
-  engine:string ->
-  params:Ts_isa.Spmt_params.t ->
-  Ts_ddg.Ddg.t ->
-  (Ts_tms.Tms.point_memo * (unit -> unit)) option
-(** The provider itself: [Some (memo, flush)] when warm-start is
-    enabled, with [flush] persisting the table (call it once after the
-    search; no-op without a store). [engine] keys the table — use
-    ["tms"] for swing-based searches and ["tms_ims"] for IMS-based ones;
-    the two engines disagree at the same grid point and must never share
-    entries. Both callbacks are safe to invoke from pool worker
-    domains. Exposed for the search benchmark and the warm-start
-    regression tests; normal callers just use {!tms} / {!tms_sweep} /
-    {!tms_ims}. *)
-
-(** {2 Cached schedulers} *)
+    Each caches one search {e result}. The grid points a search walks
+    are not persisted: {!Ts_tms.Tms.schedule_sweep} shares them between
+    its own per-[P_max] searches and drops them when it returns, so a
+    result that misses the cache is searched cold. *)
 
 val sms : Ts_ddg.Ddg.t -> Ts_sms.Sms.result
 val ims : Ts_ddg.Ddg.t -> Ts_sms.Ims.result

@@ -76,3 +76,14 @@ let arb_loop =
     QCheck.Gen.(pair (int_bound 500) (int_range 6 40))
 
 let loop_of_arb (seed, n_inst) = generated ~seed ~n_inst ()
+
+(* Generated loops whose cross-iteration memory dependences carry
+   profiled probabilities in 0.02-0.3, the range where the C2 threshold
+   binds for the swept P_max values (0.01, 0.05, 0.25). *)
+let c2_loops () =
+  List.init 8 (fun i ->
+      let rng = Ts_base.Rng.of_string (Printf.sprintf "c2gen/%d" i) in
+      Ts_workload.Gen.generate rng
+        { Ts_workload.Gen.default_profile with
+          n_inst = 10 + (3 * i); mem_dep_rate = 1.0; mem_prob = (0.02, 0.3);
+          mem_rec = i mod 2 = 0 })

@@ -43,12 +43,19 @@ let test_motivating () =
         g ~params:two_core ~p_max)
     p_maxes
 
+(* A sweep shares grid points between its per-P_max searches; the
+   reference sweep runs each search alone, so any replay that differs
+   from a placement shows up here. *)
+let check_sweep ?p_maxes name g ~params =
+  let r = Ts_tms.Tms.schedule_sweep ?p_maxes ~params g in
+  let e = Ref_tms.schedule_sweep ?p_maxes ~params g in
+  check_kernel name e.Ref_tms.kernel r.Ts_tms.Tms.kernel;
+  Alcotest.(check (float 0.0)) (name ^ ": f_min") e.Ref_tms.f_min r.Ts_tms.Tms.f_min;
+  check_int (name ^ ": attempts") e.Ref_tms.attempts r.Ts_tms.Tms.attempts;
+  check_bool (name ^ ": fell_back") e.Ref_tms.fell_back r.Ts_tms.Tms.fell_back
+
 let test_motivating_sweep () =
-  let g = Fixtures.motivating () in
-  let r = Ts_tms.Tms.schedule_sweep ~params g in
-  let e = Ref_tms.schedule_sweep ~params g in
-  check_kernel "sweep pick" e.Ref_tms.kernel r.Ts_tms.Tms.kernel;
-  check_int "sweep attempts" e.Ref_tms.attempts r.Ts_tms.Tms.attempts
+  check_sweep "sweep pick" (Fixtures.motivating ()) ~params
 
 let test_spec_suite () =
   List.iter
@@ -86,6 +93,26 @@ let test_generated () =
       (Printf.sprintf "gen seed=%d n=%d p_max=%g" seed n_inst p_max)
       g ~params:ps ~p_max
   done
+
+(* The same 50 DDGs and machines swept, plus loops where C2 binds, so
+   that points recorded at one P_max are also refused at another. The C2
+   loops are swept in both directions: ascending, a replay can only fail
+   the rejected-frequency half of the envelope, descending only the
+   admitted-frequency half. *)
+let test_generated_sweeps () =
+  for seed = 0 to 49 do
+    let n_inst = 8 + (seed mod 5 * 7) in
+    let g = Fixtures.generated ~seed ~n_inst () in
+    let ps = if seed mod 2 = 0 then params else two_core in
+    check_sweep (Printf.sprintf "gen sweep seed=%d n=%d" seed n_inst) g ~params:ps
+  done;
+  List.iteri
+    (fun i g ->
+      check_sweep (Printf.sprintf "c2 sweep %d" i) g ~params;
+      check_sweep ~p_maxes:[ 0.25; 0.05; 0.01 ]
+        (Printf.sprintf "c2 descending sweep %d" i)
+        g ~params)
+    (Fixtures.c2_loops ())
 
 (* The sweep's tms.* counters must total the same whatever the pool
    size: slot verdicts are flushed per attempt and the grid walk itself
@@ -128,6 +155,8 @@ let suite =
     Alcotest.test_case "spec suite loops = seed algorithm" `Slow test_spec_suite;
     Alcotest.test_case "doacross loops = seed algorithm" `Slow test_doacross;
     Alcotest.test_case "50 generated loops = seed algorithm" `Slow test_generated;
+    Alcotest.test_case "generated + C2 sweeps = seed algorithm" `Slow
+      test_generated_sweeps;
     Alcotest.test_case "metrics totals independent of --jobs" `Quick
       test_counters_jobs_invariant;
   ]

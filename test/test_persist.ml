@@ -307,9 +307,9 @@ let test_cached_hits_share_no_mutable_state () =
           Cached.set_lru (Some 32);
           let pristine = k_plain (Cached.tms_sweep ~params g).Ts_tms.Tms.kernel in
           (* 4 workers hammer the same cache entry and scribble over every
-             kernel they get back: if any tier (LRU front, store, point
-             tables) handed out a shared mutable array, a later fetch
-             would see the scribbles. *)
+             kernel they get back: if either tier (LRU front, store)
+             handed out a shared mutable array, a later fetch would see
+             the scribbles. *)
           let doms =
             List.init 4 (fun d ->
                 Domain.spawn (fun () ->
@@ -331,137 +331,7 @@ let test_cached_hits_share_no_mutable_state () =
           in
           List.iter Domain.join doms;
           check_bool "entry still pristine after the hammer" true
-            (k_plain (Cached.tms_sweep ~params g).Ts_tms.Tms.kernel = pristine);
-          (* The warm-start point table's hits are fresh copies too. *)
-          match Cached.point_memo ~engine:"tms" ~params g with
-          | None -> Alcotest.fail "warm-start unexpectedly disabled"
-          | Some (pm, _flush) -> (
-              pm.Ts_tms.Tms.pm_store ~ii:7 ~c_delay:3 ~p_max:0.05
-                {
-                  Ts_tms.Tms.po_times = Some [| 1; 2; 3 |];
-                  po_reject = None;
-                  po_tally = (0, 0, 0, 0);
-                  po_c2_admit_max = neg_infinity;
-                  po_c2_reject_min = infinity;
-                };
-              match pm.Ts_tms.Tms.pm_find ~ii:7 ~c_delay:3 ~p_max:0.01 with
-              | Some { Ts_tms.Tms.po_times = Some a; _ } -> (
-                  a.(0) <- 999;
-                  match pm.Ts_tms.Tms.pm_find ~ii:7 ~c_delay:3 ~p_max:0.25 with
-                  | Some { Ts_tms.Tms.po_times = Some b; _ } ->
-                      check_int "point-table hit is a fresh copy" 1 b.(0)
-                  | _ -> Alcotest.fail "stored point outcome lost")
-              | _ -> Alcotest.fail "stored point outcome not found")))
-
-(* --- warm-started searches are bit-identical to cold ones --- *)
-
-let tms_proj (r : Ts_tms.Tms.result) =
-  ( k_plain r.kernel,
-    r.mii,
-    r.c_delay_threshold,
-    r.achieved_c_delay,
-    r.p_max,
-    r.misspec,
-    r.f_min,
-    r.attempts,
-    r.fell_back )
-
-let cval name =
-  Ts_obs.Metrics.counter_value
-    (Ts_obs.Metrics.counter Ts_obs.Metrics.default name)
-
-let test_warm_start_bit_identical_on_fuzz_seeds () =
-  let params = Ts_isa.Spmt_params.default in
-  let saved = Cached.get_store () in
-  Fun.protect ~finally:(fun () -> Cached.set_store saved) @@ fun () ->
-  with_store (fun s ->
-      Cached.set_store (Some s);
-      for seed = 0 to 5 do
-        let g = Ts_fuzz.Fuzz.loop_for_seed seed in
-        let cold = Ts_tms.Tms.schedule_sweep ~params g in
-        (match Cached.point_memo ~engine:"tms" ~params g with
-        | None -> Alcotest.fail "warm-start unexpectedly disabled"
-        | Some (pm, flush) ->
-            (* First memoised run populates the point table cold... *)
-            let populate = Ts_tms.Tms.schedule_sweep ~point_memo:pm ~params g in
-            flush ();
-            check_bool (Printf.sprintf "seed %d: populating run = cold" seed)
-              true
-              (tms_proj populate = tms_proj cold);
-            (* ... then a fresh provider reloads it from the store and the
-               whole grid walk replays from recorded outcomes. *)
-            let pm2, flush2 =
-              Option.get (Cached.point_memo ~engine:"tms" ~params g)
-            in
-            let h0 = cval "tms.warm.point_hits" in
-            let warm = Ts_tms.Tms.schedule_sweep ~point_memo:pm2 ~params g in
-            flush2 ();
-            check_bool (Printf.sprintf "seed %d: warm = cold" seed) true
-              (tms_proj warm = tms_proj cold);
-            check_bool (Printf.sprintf "seed %d: warm path actually hit" seed)
-              true
-              (cval "tms.warm.point_hits" > h0));
-        (* The IMS instantiation records a different engine's outcomes
-           under a different key; spot-check the same property. *)
-        if seed < 2 then begin
-          let coldi = Ts_tms.Tms_ims.schedule ~params g in
-          match Cached.point_memo ~engine:"tms_ims" ~params g with
-          | None -> Alcotest.fail "warm-start unexpectedly disabled"
-          | Some (pmi, flushi) ->
-              let popi =
-                Ts_tms.Tms_ims.schedule ~point_memo:pmi ~params g
-              in
-              flushi ();
-              check_bool (Printf.sprintf "seed %d: ims populate = cold" seed)
-                true
-                (tms_proj popi = tms_proj coldi);
-              let pmi2, flushi2 =
-                Option.get (Cached.point_memo ~engine:"tms_ims" ~params g)
-              in
-              let warmi =
-                Ts_tms.Tms_ims.schedule ~point_memo:pmi2 ~params g
-              in
-              flushi2 ();
-              check_bool (Printf.sprintf "seed %d: ims warm = cold" seed) true
-                (tms_proj warmi = tms_proj coldi)
-        end
-      done)
-
-let test_warm_start_corrupt_or_missing_falls_back () =
-  let params = Ts_isa.Spmt_params.default in
-  let g = Ts_workload.Motivating.ddg () in
-  let cold = Ts_tms.Tms.schedule_sweep ~params g in
-  (* A memo claiming every grid point succeeded with unreconstructable
-     times: [Kernel.of_times] rejects them, and every point must fall
-     back to a cold attempt — same result, counters included. *)
-  let poison =
-    {
-      Ts_tms.Tms.pm_find =
-        (fun ~ii:_ ~c_delay:_ ~p_max:_ ->
-          Some
-            {
-              Ts_tms.Tms.po_times = Some [||];
-              po_reject = None;
-              po_tally = (9, 9, 9, 9);
-              po_c2_admit_max = neg_infinity;
-              po_c2_reject_min = infinity;
-            });
-      pm_store = (fun ~ii:_ ~c_delay:_ ~p_max:_ _ -> ());
-    }
-  in
-  let r = Ts_tms.Tms.schedule_sweep ~point_memo:poison ~params g in
-  check_bool "poisoned entries fall back to cold scheduling" true
-    (tms_proj r = tms_proj cold);
-  (* Every neighbour missing (empty table) degrades to a plain cold
-     search. *)
-  let empty =
-    {
-      Ts_tms.Tms.pm_find = (fun ~ii:_ ~c_delay:_ ~p_max:_ -> None);
-      pm_store = (fun ~ii:_ ~c_delay:_ ~p_max:_ _ -> ());
-    }
-  in
-  let r2 = Ts_tms.Tms.schedule_sweep ~point_memo:empty ~params g in
-  check_bool "missing entries = cold search" true (tms_proj r2 = tms_proj cold)
+            (k_plain (Cached.tms_sweep ~params g).Ts_tms.Tms.kernel = pristine)))
 
 (* --- the in-memory LRU front --- *)
 
@@ -568,10 +438,6 @@ let suite =
       test_sim_default_warmup_matches_cli;
     Alcotest.test_case "cached: hits share no mutable state" `Quick
       test_cached_hits_share_no_mutable_state;
-    Alcotest.test_case "warm-start: bit-identical on fuzz seeds" `Slow
-      test_warm_start_bit_identical_on_fuzz_seeds;
-    Alcotest.test_case "warm-start: corrupt/missing entries fall back" `Quick
-      test_warm_start_corrupt_or_missing_falls_back;
     Alcotest.test_case "sim: fast = exact on fuzz seeds" `Slow
       test_fast_path_equals_exact_on_fuzz_seeds;
   ]

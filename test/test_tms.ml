@@ -171,11 +171,11 @@ let test_doacross_c_delay_regression () =
         sel.loops)
     Ts_workload.Doacross.all
 
-(* The warm-start point memo persists each grid point's slot tallies, so
-   a change that skips or reorders slot checks would replay stale counts
-   from an old store. Pin the sweep's counters over equake's suite loops
-   plus one loop with high dependence probabilities (the only one here
-   where C2 rejects slots); any move must be deliberate. *)
+(* Pin the sweep's counters over equake's suite loops plus one loop with
+   high dependence probabilities (the only one here where C2 rejects
+   slots): a change that skips or reorders slot checks, or a replayed
+   point that flushes the wrong tally, moves them, and any move must be
+   deliberate. *)
 let high_prob_loop () =
   let rng = Ts_base.Rng.of_string "pinned-counters/4" in
   Ts_workload.Gen.generate rng
@@ -206,6 +206,51 @@ let test_search_counters_pinned () =
     (fun (name, expect) b -> check_int name expect (cval name - b))
     pinned before
 
+let cval name =
+  Ts_obs.Metrics.counter_value
+    (Ts_obs.Metrics.counter Ts_obs.Metrics.default name)
+
+(* A point one search of a sweep replays from another's recorded outcome
+   counts on [tms.attempts] and [tms.warm.point_hits], but it was looked
+   up, not placed: [tms.attempt_ms] must time placements only. *)
+let test_sweep_attempt_ms_times_placements () =
+  let h = Ts_obs.Metrics.histogram Ts_obs.Metrics.default "tms.attempt_ms" in
+  let a0 = cval "tms.attempts" and h0 = cval "tms.warm.point_hits" in
+  let n0 = Ts_obs.Metrics.histogram_count h in
+  List.iter
+    (fun g -> ignore (Ts_tms.Tms.schedule_sweep ~params g))
+    (Fixtures.motivating ()
+    :: List.init 4 (fun i -> Fixtures.generated ~seed:(200 + i) ()));
+  let attempts = cval "tms.attempts" - a0
+  and hits = cval "tms.warm.point_hits" - h0 in
+  check_bool "the sweeps replayed points" true (hits > 0);
+  check_int "attempt_ms samples = attempts - point_hits" (attempts - hits)
+    (Ts_obs.Metrics.histogram_count h - n0)
+
+(* Where C2 binds, a point recorded at one P_max often does not transfer
+   to another: the sweep must replay some points and place the rest
+   (the exactness of every replay is checked against the reference
+   search in [Test_equiv]). *)
+let test_sweep_sharing_where_c2_binds () =
+  let loops = Fixtures.c2_loops () in
+  let a0 = cval "tms.attempts" and h0 = cval "tms.warm.point_hits" in
+  let c0 = cval "tms.slots.c2_reject" in
+  List.iter (fun g -> ignore (Ts_tms.Tms.schedule_sweep ~params g)) loops;
+  let attempts = cval "tms.attempts" - a0
+  and hits = cval "tms.warm.point_hits" - h0 in
+  check_bool "C2 rejected slots" true (cval "tms.slots.c2_reject" - c0 > 0);
+  check_bool
+    (Printf.sprintf "0 < point_hits (%d) < 2/3 attempts (%d)" hits attempts)
+    true
+    (hits > 0 && 3 * hits < 2 * attempts);
+  let kernel p_max g = (Ts_tms.Tms.schedule ~p_max ~params g).Ts_tms.Tms.kernel in
+  check_bool "P_max 0.01 and 0.25 schedule some loop differently" true
+    (List.exists
+       (fun g ->
+         let a = kernel 0.01 g and b = kernel 0.25 g in
+         (a.K.ii, a.K.time) <> (b.K.ii, b.K.time))
+       loops)
+
 let suite =
   [
     Alcotest.test_case "motivating: beats SMS (paper Fig 2)" `Quick
@@ -225,4 +270,8 @@ let suite =
       test_doacross_c_delay_regression;
     Alcotest.test_case "sweep: search counters pinned" `Quick
       test_search_counters_pinned;
+    Alcotest.test_case "sweep: attempt_ms times placements only" `Quick
+      test_sweep_attempt_ms_times_placements;
+    Alcotest.test_case "sweep: points shared where C2 binds" `Quick
+      test_sweep_sharing_where_c2_binds;
   ]
