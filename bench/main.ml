@@ -34,12 +34,9 @@ let usage () =
 
 let search_workloads () =
   let applu = Ts_workload.Spec_suite.find "applu" in
-  let applu_loops =
-    List.filteri (fun i _ -> i < 8) (Ts_workload.Spec_suite.loops applu)
-  in
   [
     ("equake", Ts_workload.Doacross.equake.Ts_workload.Doacross.loops);
-    ("applu", applu_loops);
+    ("applu", Ts_workload.Spec_suite.loops ~limit:8 applu);
   ]
 
 (* One grid search finishes in milliseconds, so each measurement runs the
@@ -128,15 +125,11 @@ let search ~repeat ~out () =
    their ratio is the simulator speedup alone. Emits BENCH_sim.json. *)
 
 let sim_workloads ~limit () =
-  let take l =
-    match limit with
-    | None -> List.filteri (fun i _ -> i < 3) l
-    | Some k -> List.filteri (fun i _ -> i < k) l
-  in
+  let limit = Option.value limit ~default:3 in
   let fig4 =
     List.concat_map
       (fun (b : Ts_workload.Spec_suite.bench) ->
-        List.map (fun g -> (g, b.trip)) (take (Ts_workload.Spec_suite.loops b)))
+        List.map (fun g -> (g, b.trip)) (Ts_workload.Spec_suite.loops ~limit b))
       Ts_workload.Spec_suite.benchmarks
   in
   let fig5 =

@@ -99,7 +99,7 @@ let or_die = function
 let jobs_arg =
   let doc =
     "Worker domains for the parallel sweeps (per-P_max TMS searches, \
-     per-benchmark and per-loop harness tasks). Defaults to the \
+     per-loop harness tasks). Defaults to the \
      $(b,TSMS_JOBS) environment variable, else to the machine's \
      recommended domain count minus one. Results are identical at every \
      jobs level; $(docv)=1 disables the pool."
@@ -521,13 +521,14 @@ let dot_cmd =
   let doc = "Emit Graphviz DOT for a loop's data dependence graph." in
   Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ loop_arg)
 
+let limit_arg =
+  let doc = "Loops per benchmark in the suite pass (table2/fig4)." in
+  Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc)
+
 let suite_cmd =
   let bench_arg =
     let doc = "Benchmark name (wupwise, swim, ... apsi) or 'all'." in
     Arg.(value & pos 0 string "all" & info [] ~docv:"BENCH" ~doc)
-  in
-  let limit_arg =
-    Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Loops per benchmark.")
   in
   let run jobs bench limit cache_dir no_cache keep_going max_retries
       task_timeout fault_plan obs =
@@ -535,31 +536,22 @@ let suite_cmd =
     apply_obs obs;
     apply_cache ~no_cache ~dir:cache_dir;
     apply_resil ~keep_going ~max_retries ~task_timeout ~fault_plan;
-    let params = Ts_isa.Spmt_params.default in
+    let cfg = Ts_spmt.Config.default in
     let benches =
       if bench = "all" then Ts_workload.Spec_suite.benchmarks
       else
-        match
-          List.find_opt
-            (fun (b : Ts_workload.Spec_suite.bench) -> b.name = bench)
-            Ts_workload.Spec_suite.benchmarks
-        with
-        | Some b -> [ b ]
-        | None ->
+        match Ts_workload.Spec_suite.find bench with
+        | b -> [ b ]
+        | exception Not_found ->
             prerr_endline ("tsms: unknown benchmark " ^ bench);
             exit 1
     in
     supervised ~obs (fun () ->
-        let rows =
-          List.map
-            (fun b ->
-              Ts_harness.Table2.row_of_runs ~params b
-                (Ts_harness.Suite.run_bench ?limit ~params b))
-            benches
-        in
-        print_string (Ts_harness.Table2.render rows))
+        Ts_harness.Suite.compute ?limit ~benches ~cfg ()
+        |> Ts_harness.Table2.compute ~params:cfg.params
+        |> Ts_harness.Table2.render |> print_string)
   in
-  let doc = "Schedule a synthetic benchmark's loops and print Table 2 rows." in
+  let doc = "Schedule and simulate a benchmark's loops and print Table 2 rows." in
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(
       const run $ jobs_arg $ bench_arg $ limit_arg $ cache_dir_arg
@@ -706,9 +698,6 @@ let experiments_cmd =
        unroll schedulers scaling hetero, or 'all'."
     in
     Arg.(value & pos_all string [ "all" ] & info [] ~docv:"NAME" ~doc)
-  in
-  let limit_arg =
-    Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Loops per benchmark for table2/fig4.")
   in
   let run jobs names limit cache_dir no_cache keep_going max_retries
       task_timeout fault_plan obs =

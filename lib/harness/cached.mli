@@ -7,8 +7,8 @@
     DDG (nodes, edges, machine parameters), the SpMT configuration, the
     address-plan seed, trip and warmup counts, and a code-version stamp —
     so regenerating an experiment reuses every loop whose inputs did not
-    change, across runs and across drivers (Fig. 4 and Table 2 share
-    schedule entries, the DOACROSS studies share simulations).
+    change, across runs and across experiments (the extension studies reuse
+    the DOACROSS pass's schedules and simulations).
 
     Cached values store only plain data: kernels are persisted as their
     [(ii, time)] vectors and rebuilt with {!Ts_modsched.Kernel.of_times},

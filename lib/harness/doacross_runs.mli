@@ -3,7 +3,6 @@
 
 type loop_data = {
   g : Ts_ddg.Ddg.t;
-  plan : Ts_spmt.Address_plan.t;
   sms : Ts_sms.Sms.result;
   tms : Ts_tms.Tms.result;
   sim_sms : Ts_spmt.Sim.stats;

@@ -41,22 +41,7 @@ let fig2 () =
        ~improved:(float_of_int s2.Ts_spmt.Sim.cycles));
   Buffer.contents buf
 
-let params = Ts_isa.Spmt_params.default
 let cfg = Ts_spmt.Config.default
-
-let table2 ?limit () = Table2.render (Table2.compute ?limit ~params ())
-let fig4 ?limit () = Fig4.render (Fig4.compute ?limit ~cfg ())
-
-let doacross = lazy (Doacross_runs.compute ~cfg)
-
-let table3 () = Table3.render (Table3.compute (Lazy.force doacross))
-let fig5 () = Fig5.render (Fig5.compute (Lazy.force doacross))
-let fig6 () = Fig6.render (Fig6.compute (Lazy.force doacross))
-let ablation () = Ablation.render (Ablation.compute ~cfg (Lazy.force doacross))
-let unroll () = Unrolling.render (Unrolling.compute ~cfg ())
-let schedulers () = Schedulers.render (Schedulers.compute ~cfg)
-let scaling () = Scaling.render (Scaling.compute ())
-let hetero () = Scaling.render_hetero (Scaling.compute_hetero ())
 
 let all_names =
   [
@@ -66,6 +51,12 @@ let all_names =
 
 let run ?limit ~names print =
   let names = if List.mem "all" names then all_names else names in
+  (match List.find_opt (fun n -> not (List.mem n all_names)) names with
+  | Some n -> invalid_arg (Printf.sprintf "Experiments.run: unknown experiment %S" n)
+  | None -> ());
+  (* The two shared passes, built on first use and dropped with the call. *)
+  let suite = lazy (Suite.compute ?limit ~cfg ()) in
+  let doacross = lazy (Doacross_runs.compute ~cfg) in
   List.iter
     (fun name ->
       let block =
@@ -73,19 +64,17 @@ let run ?limit ~names print =
         match name with
         | "table1" -> table1 ()
         | "fig2" -> fig2 ()
-        | "table2" -> table2 ?limit ()
-        | "fig4" -> fig4 ?limit ()
-        | "table3" -> table3 ()
-        | "fig5" -> fig5 ()
-        | "fig6" -> fig6 ()
-        | "ablation" -> ablation ()
-        | "unroll" -> unroll ()
-        | "schedulers" -> schedulers ()
-        | "scaling" -> scaling ()
-        | "hetero" -> hetero ()
-        | other ->
-            invalid_arg
-              (Printf.sprintf "Experiments.run: unknown experiment %S" other)
+        | "table2" -> Table2.render (Table2.compute ~params:cfg.params (Lazy.force suite))
+        | "fig4" -> Fig4.render (Fig4.compute (Lazy.force suite))
+        | "table3" -> Table3.render (Table3.compute (Lazy.force doacross))
+        | "fig5" -> Fig5.render (Fig5.compute (Lazy.force doacross))
+        | "fig6" -> Fig6.render (Fig6.compute (Lazy.force doacross))
+        | "ablation" -> Ablation.render (Ablation.compute ~cfg (Lazy.force doacross))
+        | "unroll" -> Unrolling.render (Unrolling.compute ~cfg ())
+        | "schedulers" -> Schedulers.render (Schedulers.compute ~cfg)
+        | "scaling" -> Scaling.render (Scaling.compute ())
+        | "hetero" -> Scaling.render_hetero (Scaling.compute_hetero ())
+        | _ -> assert false
       in
       print block)
     names

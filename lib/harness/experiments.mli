@@ -1,45 +1,20 @@
 (** Top-level experiment driver: regenerates every table and figure of the
-    paper's evaluation (plus the Section 5.2 speculation ablation) and
-    prints them in the paper's layout. Used by [bench/main.exe] and the
+    paper's evaluation (plus the Section 5.2 speculation ablation and the
+    extension studies) and prints them in the paper's layout. Used by the
     [tsms experiments] CLI command. *)
-
-val table1 : unit -> string
-(** The simulated architecture (Table 1 / [Ts_spmt.Config.default]). *)
-
-val fig2 : unit -> string
-(** The Figures 1-2 walkthrough: the motivating DDG's MII breakdown, the
-    SMS and TMS kernels, their synchronisation delays, and a two-core
-    simulation of both. *)
-
-val table2 : ?limit:int -> unit -> string
-val fig4 : ?limit:int -> unit -> string
-val table3 : unit -> string
-val fig5 : unit -> string
-val fig6 : unit -> string
-val ablation : unit -> string
-
-val unroll : unit -> string
-(** The Section 6 future-work study: TMS over unrolled bodies
-    ({!Unrolling}). *)
-
-val schedulers : unit -> string
-(** The Section 4.1 generality study: TMS over SMS vs over IMS, plus the
-    C1/C2 condition ablation ({!Schedulers}). *)
-
-val scaling : unit -> string
-(** Core-count scaling and the cost model's serial floor ({!Scaling}). *)
-
-val hetero : unit -> string
-(** Placement policy × core-mix ablation on heterogeneous (big.LITTLE)
-    rings ({!Scaling.compute_hetero}). *)
 
 val run :
   ?limit:int -> names:string list -> (string -> unit) -> unit
 (** Run the named experiments ("table1", "fig2", "table2", "fig4",
     "table3", "fig5", "fig6", "ablation", "unroll", "schedulers",
     "scaling", "hetero" or "all"), feeding each rendered block to the
-    printer. Raises
-    [Invalid_argument] on an unknown name. [limit] caps loops per
-    benchmark in the suite experiments. *)
+    printer. Every name is checked before any experiment runs: an
+    unknown one raises [Invalid_argument] and nothing is printed.
+
+    Table 2 and Figure 4 aggregate one {!Suite.compute} pass, and Table
+    3, Figures 5-6 and the ablation one {!Doacross_runs.compute} pass;
+    each is built at most once per call, when first needed, and dropped
+    when the call returns. [limit] caps loops per benchmark in the suite
+    pass. *)
 
 val all_names : string list

@@ -10,50 +10,12 @@ let program_speedup_of ~coverage ~loop_speedup_pct =
   let s = 1.0 +. (loop_speedup_pct /. 100.0) in
   ((1.0 /. ((coverage /. s) +. (1.0 -. coverage))) -. 1.0) *. 100.0
 
-let compute ?limit ~cfg () =
-  let params = cfg.Ts_spmt.Config.params in
-  let take l =
-    match limit with
-    | None -> l
-    | Some k -> List.filteri (fun i _ -> i < k) l
-  in
-  (* One pool task per loop (flattened across benchmarks, so the pool
-     stays busy through the tail of the big suites). Every schedule and
-     simulation behind a loop goes through {!Cached}, so rerunning a
-     killed sweep on the same store recomputes only the loops it lost. *)
-  let tasks =
-    List.concat_map
-      (fun (bench : Ts_workload.Spec_suite.bench) ->
-        List.map
-          (fun g -> (bench, g))
-          (take (Ts_workload.Spec_suite.loops bench)))
-      Ts_workload.Spec_suite.benchmarks
-  in
-  (* Supervised: a failing loop is retried under the run policy; with
-     --keep-going it is reported and excluded (its bench aggregates the
-     survivors), without it the sweep raises the full failure list. *)
-  let totals =
-    Ts_resil.Supervise.sweep_map ~what:"fig4"
-      ~label:(fun _ ((bench : Ts_workload.Spec_suite.bench), (g : Ts_ddg.Ddg.t)) ->
-        bench.name ^ "/" ^ g.name)
-      (fun ((bench : Ts_workload.Spec_suite.bench), (g : Ts_ddg.Ddg.t)) ->
-        let r = Suite.schedule_loop ~params g in
-        let trip = bench.trip and warmup = Defaults.warmup in
-        let sms = Cached.sim ~warmup cfg r.Suite.sms.Ts_sms.Sms.kernel ~trip in
-        let tms = Cached.sim ~warmup cfg r.Suite.tms.Ts_tms.Tms.kernel ~trip in
-        (sms.Ts_spmt.Sim.cycles, tms.Ts_spmt.Sim.cycles))
-      tasks
-  in
+let compute suite =
+  let sum f = List.fold_left (fun a (l : Suite.loop) -> a + (f l).Ts_spmt.Sim.cycles) 0 in
   List.map
-    (fun (bench : Ts_workload.Spec_suite.bench) ->
-      let mine =
-        List.filter_map
-          (fun ((b : Ts_workload.Spec_suite.bench), t) ->
-            if b.name = bench.name then t else None)
-          (List.combine (List.map fst tasks) totals)
-      in
-      let sms_cycles = List.fold_left (fun a (s, _) -> a + s) 0 mine in
-      let tms_cycles = List.fold_left (fun a (_, t) -> a + t) 0 mine in
+    (fun ((bench : Ts_workload.Spec_suite.bench), loops) ->
+      let sms_cycles = sum (fun l -> l.sim_sms) loops in
+      let tms_cycles = sum (fun l -> l.sim_tms) loops in
       let loop_speedup =
         Ts_base.Stats.speedup_percent
           ~baseline:(float_of_int sms_cycles)
@@ -67,7 +29,7 @@ let compute ?limit ~cfg () =
         sms_cycles;
         tms_cycles;
       })
-    Ts_workload.Spec_suite.benchmarks
+    suite
 
 let averages rows =
   ( Ts_base.Stats.mean (List.map (fun r -> r.loop_speedup) rows),

@@ -19,8 +19,8 @@ val program_speedup_of : coverage:float -> loop_speedup_pct:float -> float
 (** Amdahl: program speedup (percent) from a loop speedup (percent) and
     the fraction of program time spent in the loops. *)
 
-val compute :
-  ?limit:int -> cfg:Ts_spmt.Config.t -> unit -> row list
+val compute : (Ts_workload.Spec_suite.bench * Suite.loop list) list -> row list
+(** One row per benchmark of a {!Suite.compute} pass, in its order. *)
 
 val averages : row list -> float * float
 (** [(avg loop speedup, avg program speedup)], simple means as in the

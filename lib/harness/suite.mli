@@ -1,8 +1,6 @@
-(** Shared scheduling pass over the synthetic SPECfp2000 suite.
-
-    Table 2 and Figure 4 both need every loop of every benchmark scheduled
-    by SMS and by TMS; this module runs that once and the experiment
-    modules aggregate it. *)
+(** The pass over the synthetic SPECfp2000 suite that Table 2 and
+    Figure 4 aggregate: every loop scheduled by SMS and TMS, and both
+    kernels simulated, once per run. *)
 
 type loop_run = {
   g : Ts_ddg.Ddg.t;
@@ -10,14 +8,23 @@ type loop_run = {
   tms : Ts_tms.Tms.result;
 }
 
+type loop = {
+  run : loop_run;
+  sim_sms : Ts_spmt.Sim.stats;  (** the SMS kernel over the bench's trip *)
+  sim_tms : Ts_spmt.Sim.stats;  (** the TMS kernel, same address plan *)
+}
+
 val schedule_loop : params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> loop_run
 (** SMS plus the TMS [P_max] sweep on one loop. *)
 
-val run_bench :
+val compute :
   ?limit:int ->
-  params:Ts_isa.Spmt_params.t ->
-  Ts_workload.Spec_suite.bench ->
-  loop_run list
-(** All (or the first [limit]) loops of a benchmark, scheduled both ways,
-    as a supervised sweep: under {!Ts_resil.Supervise.keep_going} a loop
-    whose search fails is recorded and dropped from the result. *)
+  ?benches:Ts_workload.Spec_suite.bench list ->
+  cfg:Ts_spmt.Config.t ->
+  unit ->
+  (Ts_workload.Spec_suite.bench * loop list) list
+(** Every loop of [benches] (default: all 13, in Table 2 order), or the
+    first [limit] of each, generated, scheduled ({!schedule_loop}) and
+    simulated on [cfg] with the bench's trip and {!Defaults.warmup}. One
+    {!Ts_resil.Supervise.sweep_groups} task per loop, labelled
+    ["suite:<bench>/<i>"]. *)

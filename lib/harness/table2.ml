@@ -13,12 +13,12 @@ type row = {
   tms_c_delay : float;
 }
 
-let row_of_runs ~params bench runs =
+let row ~params bench (loops : Suite.loop list) =
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
-  let favg f = Ts_base.Stats.mean (List.map f runs) in
+  let favg f = Ts_base.Stats.mean (List.map (fun (l : Suite.loop) -> f l.run) loops) in
   {
     bench = bench.Ts_workload.Spec_suite.name;
-    n_loops = List.length runs;
+    n_loops = List.length loops;
     avg_inst = favg (fun r -> float_of_int (Ts_ddg.Ddg.n_nodes r.Suite.g));
     avg_mii = favg (fun r -> float_of_int (Ts_ddg.Mii.mii r.Suite.g));
     sms_ii = favg (fun r -> float_of_int r.Suite.sms.Ts_sms.Sms.kernel.K.ii);
@@ -33,13 +33,7 @@ let row_of_runs ~params bench runs =
     tms_c_delay = favg (fun r -> float_of_int r.Suite.tms.Ts_tms.Tms.achieved_c_delay);
   }
 
-let compute ?limit ~params () =
-  (* One pool task per benchmark (rows stay in Table 2 order); the
-     per-loop parallelism inside [run_bench] only kicks in when this
-     outer level runs sequentially. *)
-  Ts_base.Parallel.map
-    (fun bench -> row_of_runs ~params bench (Suite.run_bench ?limit ~params bench))
-    Ts_workload.Spec_suite.benchmarks
+let compute ~params suite = List.map (fun (bench, loops) -> row ~params bench loops) suite
 
 let render rows =
   let open Ts_base.Tablefmt in

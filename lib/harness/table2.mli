@@ -20,16 +20,11 @@ type row = {
   tms_c_delay : float;
 }
 
-val row_of_runs :
-  params:Ts_isa.Spmt_params.t ->
-  Ts_workload.Spec_suite.bench ->
-  Suite.loop_run list ->
-  row
-
 val compute :
-  ?limit:int -> params:Ts_isa.Spmt_params.t -> unit -> row list
-(** One row per benchmark, in Table 2 order. [limit] caps loops per
-    benchmark (for quick runs). *)
+  params:Ts_isa.Spmt_params.t ->
+  (Ts_workload.Spec_suite.bench * Suite.loop list) list ->
+  row list
+(** One row per benchmark of a {!Suite.compute} pass, in its order. *)
 
 val render : row list -> string
 (** The table as aligned text. *)

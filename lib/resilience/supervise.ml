@@ -116,7 +116,7 @@ let reset_failures () =
    stragglers back off.  Attempt numbering, backoff values, metric
    totals and the [(index, attempt)] fault-injection keys are identical
    to the inline loop in [attempt_task]. *)
-let sweep_map ?jobs ~what ~label f xs =
+let sweep ?jobs ~what ~label f xs =
   let policy = policy () in
   let items = Array.of_list xs in
   let n = Array.length items in
@@ -134,7 +134,7 @@ let sweep_map ?jobs ~what ~label f xs =
                 (float_of_int (policy.backoff_ms * (1 lsl (attempt - 2)))
                 /. 1000.0);
             one_attempt ~policy ~point:"worker"
-              ~label:(what ^ "/" ^ label i items.(i))
+              ~label:(label i items.(i))
               ~index:i ~attempt f
               items.(i))
           pending
@@ -157,7 +157,7 @@ let sweep_map ?jobs ~what ~label f xs =
                     (Error
                        {
                          index = i;
-                         label = what ^ "/" ^ label i items.(i);
+                         label = label i items.(i);
                          attempts = attempt;
                          error = Printexc.to_string e;
                        });
@@ -180,6 +180,27 @@ let sweep_map ?jobs ~what ~label f xs =
   if fails <> [] then
     if keep_going () then record fails else raise (Failures fails);
   List.map (function Ok v -> Some v | Error _ -> None) results
+
+let sweep_map ?jobs ~what ~label f xs =
+  sweep ?jobs ~what ~label:(fun i x -> what ^ "/" ^ label i x) f xs
+
+let sweep_groups ~what ~group ~label f groups =
+  let tasks = List.concat_map (fun (g, xs) -> List.map (fun x -> (g, x)) xs) groups in
+  let results =
+    Array.of_list
+      (sweep ~what
+         ~label:(fun _ (g, x) -> what ^ ":" ^ group g ^ "/" ^ label x)
+         (fun (g, x) -> f g x)
+         tasks)
+  in
+  (* [results] is in [tasks]' order: group [k] owns the slice after the
+     items of groups [0 .. k-1]. *)
+  snd
+    (List.fold_left_map
+       (fun i (g, xs) ->
+         let n = List.length xs in
+         (i + n, (g, List.filter_map Fun.id (Array.to_list (Array.sub results i n)))))
+       0 groups)
 
 let render_failures fs =
   let b = Buffer.create 256 in

@@ -33,7 +33,7 @@ val default_policy : policy
 
 type failure = {
   index : int;  (** input position in the sweep *)
-  label : string;  (** human-readable task id, e.g. ["fig4/applu/loop3"] *)
+  label : string;  (** human-readable task id, e.g. ["suite:applu/3"] *)
   attempts : int;  (** attempts made (1 + retries) *)
   error : string;  (** [Printexc.to_string] of the last exception *)
 }
@@ -104,6 +104,18 @@ val sweep_map :
     - keep-going on: failed tasks come back as [None], their failures are
       recorded in the run context for the end-of-run {!summary}, and the
       sweep completes. *)
+
+val sweep_groups :
+  what:string ->
+  group:('g -> string) ->
+  label:('a -> string) ->
+  ('g -> 'a -> 'b) ->
+  ('g * 'a list) list ->
+  ('g * 'b list) list
+(** {!sweep_map} over grouped items (a benchmark's loops, say), one task
+    per item in group order, regrouped in order; under keep-going a
+    failed item is left out of its group. Task [i] (the index {!Fault}
+    plans name) is the [i]-th item overall, labelled ["what:group/item"]. *)
 
 val failures : unit -> failure list
 (** Failures recorded by keep-going sweeps since the last

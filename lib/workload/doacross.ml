@@ -5,20 +5,10 @@ type selected = {
   trip : int;
 }
 
-let rec make_loop ?(attempt = 0) ~bench ~index ~profile () =
-  let rng =
-    Ts_base.Rng.of_string
-      (Printf.sprintf "doacross/%s/%d/try%d" bench index attempt)
-  in
-  let g = Gen.generate rng profile in
-  (* as in Spec_suite: redraw the rare body the swing ordering cannot
-     schedule at any II (GCC would skip such a loop) *)
-  if attempt >= 6 then g
-  else
-    match Ts_sms.Sms.schedule g with
-    | (_ : Ts_sms.Sms.result) -> g
-    | exception Ts_sms.Sms.No_schedule _ ->
-        make_loop ~attempt:(attempt + 1) ~bench ~index ~profile ()
+let make_loop ~bench ~index ~profile () =
+  Gen.schedulable
+    ~key:(Printf.sprintf "doacross/%s/%d/try%d" bench index)
+    (fun rng -> Gen.generate rng profile)
 
 (* Table 3 row: 4 loops, 27 inst, 3 SCCs, MII 11, LDP 29, LC 21.6%. The
    paper notes art's selected MIIs are resource-constrained: these are

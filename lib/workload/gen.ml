@@ -269,3 +269,18 @@ let generate rng p =
         Ts_ddg.Ddg.Builder.mem_dep b ~dist ~prob src dst)
     (List.rev !edges);
   Ts_ddg.Ddg.Builder.build b
+
+(* The paper's loops are exactly those GCC's modulo scheduler accepts;
+   mirror that by redrawing the rare body SMS cannot schedule (diamond
+   patterns can make the swing ordering paint itself into a corner at
+   every II, in which case GCC simply skips the loop). *)
+let schedulable ~key draw =
+  let rec go attempt =
+    let g = draw (Ts_base.Rng.of_string (key attempt)) in
+    if attempt >= 6 then g
+    else
+      match Ts_sms.Sms.schedule g with
+      | (_ : Ts_sms.Sms.result) -> g
+      | exception Ts_sms.Sms.No_schedule _ -> go (attempt + 1)
+  in
+  go 0

@@ -43,3 +43,8 @@ val generate : Ts_base.Rng.t -> profile -> Ts_ddg.Ddg.t
 (** Generate one loop. The result always validates, is schedulable (its
     distance-0 subgraph is acyclic), and has at least one store and one
     load when [mem_frac > 0]. *)
+
+val schedulable : key:(int -> string) -> (Ts_base.Rng.t -> Ts_ddg.Ddg.t) -> Ts_ddg.Ddg.t
+(** [schedulable ~key draw] is the first [draw (Rng.of_string (key
+    attempt))], attempt = 0, 1, ..., that {!Ts_sms.Sms.schedule} accepts
+    (one SMS probe each), or else the unprobed draw of attempt 6. *)

@@ -59,47 +59,37 @@ let find name = List.find (fun b -> b.name = name) benchmarks
 
 let total_loops = List.fold_left (fun acc b -> acc + b.n_loops) 0 benchmarks
 
-let rec loop_of ?(attempt = 0) bench index =
-  let rng =
-    Ts_base.Rng.of_string
-      (Printf.sprintf "spec/%s/loop%d/try%d" bench.name index attempt)
-  in
-  (* instruction count: uniform within +-40% of the benchmark average *)
-  let spread = 0.4 in
-  let lo = int_of_float (bench.avg_inst *. (1.0 -. spread)) in
-  let hi = int_of_float (bench.avg_inst *. (1.0 +. spread)) in
-  let n_inst = max 6 (Ts_base.Rng.int_in rng lo (max lo hi)) in
-  let recurrence = Ts_base.Rng.bool rng bench.rec_frac in
-  let target_rec_ii =
-    if recurrence then
-      (* scale the benchmark's MII target to this loop's size *)
-      let scaled = bench.avg_mii *. float_of_int n_inst /. bench.avg_inst in
-      Some (max 2 (int_of_float (Float.round scaled)))
-    else None
-  in
-  let profile =
-    {
-      Gen.default_profile with
-      Gen.name = Printf.sprintf "%s_%d" bench.name index;
-      n_inst;
-      target_rec_ii;
-      mem_prob = bench.mem_prob;
-      fp_frac = bench.fp_frac;
-      fmul_frac = bench.fmul_frac;
-      self_loop_rate = (if recurrence then 0.10 else 0.12);
-      n_extra_sccs = (if recurrence then Ts_base.Rng.int rng 2 else 0);
-    }
-  in
-  let g = Gen.generate rng profile in
-  (* The paper's 778 loops are exactly those GCC's modulo scheduler
-     accepts; mirror that by redrawing the rare body SMS cannot schedule
-     (diamond patterns can make the swing ordering paint itself into a
-     corner at every II, in which case GCC simply skips the loop). *)
-  if attempt >= 6 then g
-  else
-    match Ts_sms.Sms.schedule g with
-    | (_ : Ts_sms.Sms.result) -> g
-    | exception Ts_sms.Sms.No_schedule _ ->
-        loop_of ~attempt:(attempt + 1) bench index
+let loop bench index =
+  Gen.schedulable
+    ~key:(Printf.sprintf "spec/%s/loop%d/try%d" bench.name index)
+    (fun rng ->
+      (* instruction count: uniform within +-40% of the benchmark average *)
+      let spread = 0.4 in
+      let lo = int_of_float (bench.avg_inst *. (1.0 -. spread)) in
+      let hi = int_of_float (bench.avg_inst *. (1.0 +. spread)) in
+      let n_inst = max 6 (Ts_base.Rng.int_in rng lo (max lo hi)) in
+      let recurrence = Ts_base.Rng.bool rng bench.rec_frac in
+      let target_rec_ii =
+        if recurrence then
+          (* scale the benchmark's MII target to this loop's size *)
+          let scaled = bench.avg_mii *. float_of_int n_inst /. bench.avg_inst in
+          Some (max 2 (int_of_float (Float.round scaled)))
+        else None
+      in
+      Gen.generate rng
+        {
+          Gen.default_profile with
+          Gen.name = Printf.sprintf "%s_%d" bench.name index;
+          n_inst;
+          target_rec_ii;
+          mem_prob = bench.mem_prob;
+          fp_frac = bench.fp_frac;
+          fmul_frac = bench.fmul_frac;
+          self_loop_rate = (if recurrence then 0.10 else 0.12);
+          n_extra_sccs = (if recurrence then Ts_base.Rng.int rng 2 else 0);
+        })
 
-let loops bench = List.init bench.n_loops (fun i -> loop_of bench i)
+let loop_count ?limit bench =
+  match limit with None -> bench.n_loops | Some k -> max 0 (min k bench.n_loops)
+
+let loops ?limit bench = List.init (loop_count ?limit bench) (loop bench)

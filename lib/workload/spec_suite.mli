@@ -30,8 +30,15 @@ val benchmarks : bench list
 val find : string -> bench
 (** Lookup by name. Raises [Not_found]. *)
 
-val loops : bench -> Ts_ddg.Ddg.t list
-(** The benchmark's loop bodies (deterministic in the benchmark name). *)
+val loop : bench -> int -> Ts_ddg.Ddg.t
+(** Loop [i], named ["<bench>_<i>"]: deterministic in the benchmark name
+    and [i] alone, so each loop can be generated on its own. *)
+
+val loop_count : ?limit:int -> bench -> int
+(** [n_loops], or at most [limit] of them. *)
+
+val loops : ?limit:int -> bench -> Ts_ddg.Ddg.t list
+(** The benchmark's first [loop_count ?limit bench] loops, in order. *)
 
 val total_loops : int
 (** 778. *)

@@ -7,8 +7,9 @@ let check_int = Alcotest.(check int)
 let params = Ts_isa.Spmt_params.default
 let cfg = Ts_spmt.Config.default
 
-let table2_rows = lazy (Ts_harness.Table2.compute ~limit:3 ~params ())
-let fig4_rows = lazy (Ts_harness.Fig4.compute ~limit:3 ~cfg ())
+let suite_pass = lazy (Ts_harness.Suite.compute ~limit:3 ~cfg ())
+let table2_rows = lazy (Ts_harness.Table2.compute ~params (Lazy.force suite_pass))
+let fig4_rows = lazy (Ts_harness.Fig4.compute (Lazy.force suite_pass))
 let doacross = lazy (Ts_harness.Doacross_runs.compute ~cfg)
 
 let test_table2_shape () =
@@ -157,19 +158,44 @@ let test_ablation_shape () =
   check_bool "fma3d loses from disabling speculation (paper: 21.4%)" true
     ((by "fma3d").gain_reduction > 5.0)
 
+let render name =
+  let out = Buffer.create 1024 in
+  Ts_harness.Experiments.run ~names:[ name ] (Buffer.add_string out);
+  Buffer.contents out
+
 let test_experiments_renderers () =
   (* every renderer produces non-empty output with its headline *)
-  check_bool "table1" true
-    (String.length (Ts_harness.Experiments.table1 ()) > 100);
-  check_bool "fig2" true (String.length (Ts_harness.Experiments.fig2 ()) > 200);
+  check_bool "table1" true (String.length (render "table1") > 100);
+  check_bool "fig2" true (String.length (render "fig2") > 200);
   let t2 = Ts_harness.Table2.render (Lazy.force table2_rows) in
   check_bool "table2 text" true (String.length t2 > 200)
 
 let test_experiments_unknown_name () =
-  check_bool "unknown experiment rejected" true
-    (match Ts_harness.Experiments.run ~names:[ "fig9" ] (fun _ -> ()) with
+  let rejected names =
+    let printed = ref 0 in
+    match Ts_harness.Experiments.run ~names (fun _ -> incr printed) with
     | () -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> !printed = 0
+  in
+  check_bool "unknown experiment rejected" true (rejected [ "fig9" ]);
+  (* every name is checked before the first experiment runs *)
+  check_bool "known name before it neither runs nor prints" true
+    (rejected [ "table1"; "fig9" ])
+
+(* Table 2 and Fig 4 read one suite pass: asking for both costs no
+   schedule more than Fig 4 alone. No store, so every schedule runs. *)
+let test_suite_pass_shared () =
+  let count name = Ts_obs.Metrics.(counter_value (counter default name)) in
+  let schedules names =
+    let t0 = count "tms.schedules" and s0 = count "sms.schedules" in
+    Ts_harness.Experiments.run ~limit:1 ~names ignore;
+    (count "tms.schedules" - t0, count "sms.schedules" - s0)
+  in
+  Ts_harness.Cached.set_store None;
+  let fig4 = schedules [ "fig4" ] in
+  check_bool "fig4 schedules" true (fst fig4 > 0 && snd fig4 > 0);
+  Alcotest.(check (pair int int)) "table2 fig4 (tms, sms) = fig4" fig4
+    (schedules [ "table2"; "fig4" ])
 
 let suite =
   [
@@ -185,4 +211,6 @@ let suite =
     Alcotest.test_case "ablation: speculation matters" `Slow test_ablation_shape;
     Alcotest.test_case "experiments: renderers" `Slow test_experiments_renderers;
     Alcotest.test_case "experiments: unknown name" `Quick test_experiments_unknown_name;
+    Alcotest.test_case "experiments: table2 and fig4 share the suite pass" `Quick
+      test_suite_pass_shared;
   ]

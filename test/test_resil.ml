@@ -419,16 +419,17 @@ let test_rerun_resumes_partial_sweep () =
       Ts_harness.Cached.set_store (Some s);
       arm_ok "worker@3,worker@7";
       S.set_keep_going true;
-      let partial = Ts_harness.Fig4.compute ~limit ~cfg () in
+      let fig4 () = Ts_harness.Fig4.compute (Ts_harness.Suite.compute ~limit ~cfg ()) in
+      let partial = fig4 () in
       check_int "two loops lost" 2 (List.length (S.failures ()));
       F.disarm ();
       S.set_keep_going false;
       let t0 = cval "tms.schedules" in
-      let resumed = Ts_harness.Fig4.compute ~limit ~cfg () in
+      let resumed = fig4 () in
       check_int "only the lost loops are searched" (2 * 3)
         (cval "tms.schedules" - t0);
       Ts_harness.Cached.set_store None;
-      let uncached = Ts_harness.Fig4.compute ~limit ~cfg () in
+      let uncached = fig4 () in
       check_bool "partial rows differ" true (partial <> uncached);
       check_bool "rerun rows = uncached rows" true (resumed = uncached))
 
@@ -482,21 +483,40 @@ let test_keep_going_survivors_identical () =
     (List.combine clean faulty);
   check_int "both casualties recorded" 2 (List.length (S.failures ()))
 
-(* The harness-level version of the same property: a keep-going
-   Suite.run_bench with a persistent per-index fault drops exactly that
-   loop and schedules the survivors identically to a fault-free run. *)
+(* Grouped sweeps flatten in group order (fault-plan indices count
+   across groups), regroup in order, and drop keep-going casualties from
+   their own group only. *)
+let test_sweep_groups_regroup () =
+  let run () =
+    S.sweep_groups ~what:"g" ~group:Fun.id ~label:string_of_int
+      (fun g x -> g ^ string_of_int x)
+      [ ("a", [ 1; 2 ]); ("b", []); ("c", [ 3; 4; 5 ]) ]
+  in
+  check_bool "regrouped in order" true
+    (run () = [ ("a", [ "a1"; "a2" ]); ("b", []); ("c", [ "c3"; "c4"; "c5" ]) ]);
+  arm_ok "worker@1,worker@3";
+  S.set_keep_going true;
+  check_bool "casualties left out of their groups" true
+    (run () = [ ("a", [ "a1" ]); ("b", []); ("c", [ "c3"; "c5" ]) ]);
+  check_bool "labels name the group and the item" true
+    (List.map (fun f -> f.S.label) (S.failures ()) = [ "g:a/2"; "g:c/4" ])
+
+(* The harness-level version of the same property: a keep-going suite
+   pass with a persistent per-index fault drops exactly that loop and
+   schedules the survivors identically to a fault-free run. *)
 let test_harness_keep_going () =
-  let params = Ts_isa.Spmt_params.default in
-  let bench = Ts_workload.Spec_suite.find "swim" in
-  let clean = Ts_harness.Suite.run_bench ~limit:2 ~params bench in
+  let cfg = Ts_spmt.Config.default in
+  let benches = [ Ts_workload.Spec_suite.find "swim" ] in
+  let pass () = snd (List.hd (Ts_harness.Suite.compute ~limit:2 ~benches ~cfg ())) in
+  let clean = pass () in
   check_int "2 fault-free loops" 2 (List.length clean);
   arm_ok "worker@0";
   S.set_keep_going true;
-  let faulty = Ts_harness.Suite.run_bench ~limit:2 ~params bench in
+  let faulty = pass () in
   check_int "loop 0 dropped" 1 (List.length faulty);
-  let kernel_time (r : Ts_harness.Suite.loop_run) =
-    ( r.sms.Ts_sms.Sms.kernel.Ts_modsched.Kernel.time,
-      r.tms.Ts_tms.Tms.kernel.Ts_modsched.Kernel.time )
+  let kernel_time (l : Ts_harness.Suite.loop) =
+    ( l.run.sms.Ts_sms.Sms.kernel.Ts_modsched.Kernel.time,
+      l.run.tms.Ts_tms.Tms.kernel.Ts_modsched.Kernel.time )
   in
   check_bool "survivor bit-identical to fault-free" true
     (kernel_time (List.hd faulty) = kernel_time (List.nth clean 1));
@@ -640,6 +660,8 @@ let suite =
       (scrub test_retry_run_bit_identical);
     Alcotest.test_case "property: keep-going survivors identical" `Quick
       (scrub test_keep_going_survivors_identical);
+    Alcotest.test_case "supervise: grouped sweep regroups in order" `Quick
+      (scrub test_sweep_groups_regroup);
     Alcotest.test_case "harness: keep-going drops exactly the faulted loop"
       `Quick (scrub test_harness_keep_going);
   ]
