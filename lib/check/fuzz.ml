@@ -363,15 +363,18 @@ let c1_boundary_selftest ~c_reg_com (k : K.t) =
       | true, false -> None)
 
 (* Two simulations: the realistic configuration exercises the runtime
-   invariants (including the cache/MDT reference mirroring), and a
-   uniform-memory configuration — every access at the L1 hit cost — is
-   compared against the analytic cost model, which knows nothing about
-   cache misses. With memory flattened the model's median error is zero
-   and its worst observed ratio stays under 2x either way, so the
-   multiplicative band below has real teeth. *)
+   invariants (including the cache/MDT reference mirroring) and runs the
+   steady-state fast path beside the checked exact engine, which must
+   agree on every stats field; a uniform-memory configuration — every
+   access at the L1 hit cost — is compared against the analytic cost
+   model, which knows nothing about cache misses. With memory flattened
+   the model's median error is zero and its worst observed ratio stays
+   under 2x either way, so the multiplicative band below has real
+   teeth. *)
 let sim_band cfg sim_cfg (params : Ts_isa.Spmt_params.t) (k : K.t) =
   let (_ : Ts_spmt.Sim.stats) =
-    Ts_spmt.Sim.run ~warmup:cfg.warmup ~check:true sim_cfg k ~trip:cfg.trip
+    Ts_spmt.Sim.run ~warmup:cfg.warmup ~fast:true ~check:true sim_cfg k
+      ~trip:cfg.trip
   in
   let flat_cfg =
     { sim_cfg with l2_hit = sim_cfg.Ts_spmt.Config.l1_hit; mem_latency = sim_cfg.l1_hit }

@@ -27,9 +27,6 @@ let m_fp_extrap =
 let m_fp_mismatch =
   Ts_obs.Metrics.counter Ts_obs.Metrics.default "sim.fastpath.mismatches"
 
-let m_fp_memo =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "sim.fastpath.memo_hits"
-
 type stats = {
   cycles : int;
   committed : int;
@@ -70,37 +67,6 @@ type fp_rec = {
   r_lats : int array; (* per-load cache latency, the window's miss pattern *)
 }
 
-(* Thread-timing memoisation (fast path, every regime). A thread's timing
-   is a max-plus function: each issue/finish time is a max of
-   [start + constant] and [input arrival + constant] terms, so shifting
-   the start and every arrival by one constant shifts the whole thread by
-   that constant. On a coin-free thread no load is redirected, so (with
-   per-node stream regions disjoint) no MDT conflict and hence no squash
-   is possible, and the timing relative to [start] is a pure function of
-   (cross-thread arrival offsets, load latency vector) — the key below.
-   Distinct configurations are few even when the window signature never
-   converges (the L1-thrashing regime cycles with the lcm of the stream
-   periods), so the O(nodes + edges) dataflow replay collapses to a table
-   lookup. The caches are still accessed for real — the latency vector is
-   the key's second half — so cache state and counters stay exact. *)
-module Memo_key = struct
-  type t = int array
-
-  let equal (a : int array) b = a = b
-
-  let hash (a : int array) =
-    Array.fold_left (fun h x -> ((h lsl 5) + h + x) land max_int) 5381 a
-end
-
-module Memo_tbl = Hashtbl.Make (Memo_key)
-
-type memo_val = {
-  mv_issue : int array; (* per node, relative to the thread's start *)
-  mv_finish : int array;
-  mv_end : int; (* end_exec - start *)
-  mv_stalls : ((int * int) option * int * int) list; (* instant relative *)
-}
-
 type thread_obs = {
   index : int;
   core : int;
@@ -119,12 +85,11 @@ type thread_obs = {
    planes), dependences are CSR index arrays, RECV-stall accounting is a
    flat [n * n] counter plane with a touched-list for O(touched) scrub,
    and the speculative-write-buffer event sweep is an int-keyed binary
-   min-heap. The arena (including the caches, the MDT and the
-   thread-timing memo table) is acquired at the top of every [run] and
-   reused across sweep points on the same domain — the resident pool
-   workers are domains, so a TMS sweep's thousands of simulations share
-   one allocation. Capacities only grow; every loop bounds itself by the
-   current run's sizes.
+   min-heap. The arena (including the caches and the MDT) is acquired at
+   the top of every [run] and reused across sweep points on the same
+   domain — the resident pool workers are domains, so a TMS sweep's
+   thousands of simulations share one allocation. Capacities only grow;
+   every loop bounds itself by the current run's sizes.
 
    Lifetime rules: an arena is owned by exactly one running [run] at a
    time ([in_use]; a re-entrant call from an [observe] hook gets a fresh
@@ -167,7 +132,6 @@ type arena = {
   mutable l1 : Cache.t array;
   mutable l2 : Cache.t;
   mdt : Mdt.t;
-  memo : memo_val Memo_tbl.t;
   (* fast-path detection window pool (arrays have capacity [cap_n]) *)
   mutable win_len : int;
   mutable win_pool : fp_rec array list;
@@ -218,7 +182,6 @@ let arena_create () =
     l1 = [||];
     l2 = Cache.create ~size:32 ~assoc:1 ~line:32;
     mdt = Mdt.create ~horizon:1;
-    memo = Memo_tbl.create 256;
     win_len = 0;
     win_pool = [];
   }
@@ -231,8 +194,7 @@ let arena_scrub a =
   done;
   a.stall_ntouched <- 0;
   a.wb_len <- 0;
-  Array.fill a.h_kind 0 (Array.length a.h_kind) 0;
-  Memo_tbl.clear a.memo
+  Array.fill a.h_kind 0 (Array.length a.h_kind) 0
 
 let arena_slot : arena option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -380,7 +342,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   let ncore = p.ncore in
   (* The compiled thread→core map. [uniform_rr] — round-robin placement on
      a homogeneous machine — is the paper's configuration and the only one
-     the steady-state machinery below (windows, memoisation, residency)
+     the steady-state machinery below (windows, residency)
      reasons about; everything else runs the exact path. *)
   let place = Ts_isa.Placement.make cfg.Config.placement p in
   let place_period = Ts_isa.Placement.period place in
@@ -1051,38 +1013,6 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       | 1 -> Array.unsafe_get h_finish ((s * n) + v)
       | _ -> (Array.unsafe_get h_rec s).r_finish.(v) + Array.unsafe_get h_shift s
   in
-  (* Thread-timing memoisation (see [Memo_tbl]): every cross-thread
-     arrival a RECV fold can read, deduplicated. *)
-  let memo_inputs =
-    if not fast_ok then [||]
-    else begin
-      (* Per input, the domination threshold: an arrival with
-         [f - start <= thr] can never influence the schedule, because
-         every consumer's ready time is at least [start + row(consumer)]
-         and arrivals only matter when they exceed it. Clamping the key
-         slot there collapses all dominated-arrival variations into one
-         memo class without changing the timing function. *)
-      let seen : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
-      let order = ref [] in
-      Array.iteri
-        (fun v l ->
-          List.iter
-            (fun ((e : Ts_ddg.Ddg.edge), dk) ->
-              let key = (e.src, dk) in
-              let lb = k.K.row.(v) - (dk * p.c_reg_com) in
-              match Hashtbl.find_opt seen key with
-              | Some cur -> if lb < cur then Hashtbl.replace seen key lb
-              | None ->
-                  Hashtbl.replace seen key lb;
-                  order := key :: !order)
-            l)
-        reg_in;
-      Array.of_list
-        (List.rev_map
-           (fun (src, dk) -> (src, dk, Hashtbl.find seen (src, dk)))
-           !order)
-    end
-  in
   (* A store's lines can enter an L1 only through a coin-redirected load,
      and redirects only ever target the source of a memory-dependence
      edge: any other store's peer-L1 invalidates hit absent lines and are
@@ -1099,9 +1029,6 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     end;
     ar
   in
-  let memo = a.memo in
-  let memo_cap = 4096 in
-  let memo_hits = ref 0 in
   (* Replay this thread's load accesses against the real caches, in the
      same thread-then-row order exact execution would, leaving the
      latencies in [lat_buf]. *)
@@ -1114,24 +1041,6 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
         (if l1_access core addr then cfg.l1_hit
          else if l2_access addr then cfg.l2_hit
          else cfg.mem_latency)
-    done
-  in
-  (* The memo key is assembled in an exact-length scratch (so structural
-     equality sees only live slots) and copied only on table insert. *)
-  let n_inputs = Array.length memo_inputs in
-  let key_scratch = Array.make (n_inputs + n_loads) 0 in
-  let memo_key_fill j start =
-    for i = 0 to n_inputs - 1 do
-      let src, dk, thr = memo_inputs.(i) in
-      let f = past_finish_i (j - dk) src in
-      key_scratch.(i) <-
-        (if f = min_int then thr (* live-in: available at loop entry *)
-         else
-           let r = f - start in
-           if r < thr then thr else r)
-    done;
-    for i = 0 to n_loads - 1 do
-      key_scratch.(n_inputs + i) <- lat_buf.(loads.(i))
     done
   in
   (* Per-thread results, threaded through run-local cells instead of a
@@ -1305,39 +1214,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     cur_spawn := spawn_cycles;
     if measured && spawn_cycles > 0 then
       spawn_stall := !spawn_stall + spawn_cycles;
-    if fast_ok && (not check) && not (coin_affects j) then begin
-      (* Coin-free thread: timing is a pure function of the arrival
-         offsets and the load latencies (see [Memo_tbl]). Replay the
-         loads first — the latency vector is half the key. *)
-      if not lats then fill_lats j;
-      memo_key_fill j start;
-      match Memo_tbl.find_opt memo key_scratch with
-      | Some m ->
-          incr memo_hits;
-          let mi = m.mv_issue and mf = m.mv_finish in
-          for v = 0 to n - 1 do
-            Array.unsafe_set h_issue (base + v) (Array.unsafe_get mi v + start);
-            Array.unsafe_set h_finish (base + v) (Array.unsafe_get mf v + start)
-          done;
-          cur_start := start;
-          cur_end := m.mv_end + start;
-          cur_stalls :=
-            List.map (fun (b, c, ts) -> (b, c, ts + start)) m.mv_stalls
-      | None ->
-          exec_thread ~use_lats:true j ~base start ~recv:true;
-          if Memo_tbl.length memo < memo_cap then
-            Memo_tbl.add memo (Array.copy key_scratch)
-              {
-                mv_issue =
-                  Array.init n (fun v -> h_issue.(base + v) - start);
-                mv_finish =
-                  Array.init n (fun v -> h_finish.(base + v) - start);
-                mv_end = !cur_end - start;
-                mv_stalls =
-                  List.map (fun (b, c, ts) -> (b, c, ts - start)) !cur_stalls;
-              }
-    end
-    else exec_thread ~use_lats:lats j ~base start ~recv:true;
+    exec_thread ~use_lats:lats j ~base start ~recv:true;
     if measured then account_stalls ~core ~j !cur_stalls;
     (* All of this thread's (and every later thread's) write-buffer events
        lie at or after [start]; older events are now final. *)
@@ -1804,7 +1681,6 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   if !extrap_count > 0 then Ts_obs.Metrics.incr ~by:!extrap_count m_fp_extrap;
   if !mismatch_count > 0 then
     Ts_obs.Metrics.incr ~by:!mismatch_count m_fp_mismatch;
-  if !memo_hits > 0 then Ts_obs.Metrics.incr ~by:!memo_hits m_fp_memo;
   if traced then
     Trace.instant trace ~pid:trace_pid ~ts:!last_commit_end "sim.end"
       ~args:

@@ -122,23 +122,15 @@ val run :
     squash — drops back to exact execution, so the returned stats are
     identical to a [fast:false] run. When the signature is pure L1 hits
     and every line the load streams can touch probes resident, even the
-    cache replay is elided. Between engagements, threads unaffected by
-    probabilistic-dependence coins are memoised: their timing relative to
-    the start cycle is a pure function of the cross-thread arrival offsets
-    (clamped to the threshold below which an arrival cannot influence the
-    schedule) and the replayed load-latency vector, so recurring
-    (offsets, latencies) pairs skip the instruction-level replay even when
-    the cache behaviour never becomes periodic. The fast path quietly
-    disables itself under
-    [trace]/[observe] (which need every thread), for
-    always-realised memory dependences, and off the uniform round-robin
-    machine (a heterogeneous core mix or a non-round-robin
-    {!Config.placement}): the detection windows, memo keys and residency
-    arguments all assume thread [j] runs on core [j mod ncore] at unit
-    speed. Combining [fast] with [check]
+    cache replay is elided. The fast path quietly disables itself under
+    [trace]/[observe] (which need every thread), for always-realised
+    memory dependences, and off the uniform round-robin machine (a
+    heterogeneous core mix or a non-round-robin {!Config.placement}): the
+    detection windows and residency arguments all assume thread [j] runs
+    on core [j mod ncore] at unit speed. Combining [fast] with [check]
     runs {e both} paths on the same address plan and raises
     {!Ts_check.Invariant.Check_failed} on any stats field divergence.
-    Engagement, extrapolation, mismatch and memo-hit counters land on
+    Engagement, extrapolation and mismatch counters land on
     {!Ts_obs.Metrics.default} under [sim.fastpath.*].
 
     Identical totals are also accumulated on {!Ts_obs.Metrics.default}

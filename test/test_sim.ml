@@ -231,6 +231,39 @@ let test_sim_check_does_not_perturb () =
         true (plain = checked))
     [ Fixtures.spec_loop (); Fixtures.motivating () ]
 
+(* The fast path's window extrapolation must actually engage, and stay
+   exact, on loops whose probabilistic memory dependences squash threads:
+   a coin thread disengages the fast path (re-materialising the
+   extrapolated write-buffer events) and the window has to re-engage
+   after it. *)
+let test_sim_fast_engages_around_squashes () =
+  let cval name =
+    Ts_obs.Metrics.counter_value
+      (Ts_obs.Metrics.counter Ts_obs.Metrics.default name)
+  in
+  let e0 = cval "sim.fastpath.engagements"
+  and x0 = cval "sim.fastpath.extrapolated_threads" in
+  let squashes =
+    List.fold_left
+      (fun acc g ->
+        let k = kernel_of g in
+        let plan = Ts_spmt.Address_plan.create g in
+        let exact = Ts_spmt.Sim.run ~plan ~fast:false cfg k ~trip:2000 in
+        let fast = Ts_spmt.Sim.run ~plan ~fast:true cfg k ~trip:2000 in
+        check_bool
+          (g.Ts_ddg.Ddg.name ^ ": fast stats identical to exact")
+          true (exact = fast);
+        acc + fast.Ts_spmt.Sim.squashes)
+      0 (Fixtures.c2_loops ())
+  in
+  let engaged = cval "sim.fastpath.engagements" - e0
+  and extrapolated = cval "sim.fastpath.extrapolated_threads" - x0 in
+  check_bool (Printf.sprintf "engagements (%d) > 0" engaged) true (engaged > 0);
+  check_bool
+    (Printf.sprintf "extrapolated threads (%d) > 0" extrapolated)
+    true (extrapolated > 0);
+  check_bool (Printf.sprintf "squashes (%d) > 0" squashes) true (squashes > 0)
+
 let test_ipc () =
   let g = Fixtures.motivating () in
   let k = kernel_of g in
@@ -369,6 +402,8 @@ let suite =
     Alcotest.test_case "sim: wb peak occupancy" `Quick test_sim_wb_peak_counts_stores;
     Alcotest.test_case "sim: check does not perturb" `Quick
       test_sim_check_does_not_perturb;
+    Alcotest.test_case "sim: fast path engages around squashes" `Quick
+      test_sim_fast_engages_around_squashes;
     Alcotest.test_case "sim: ipc sanity" `Quick test_ipc;
     Alcotest.test_case "single: basic" `Quick test_single_basic;
     Alcotest.test_case "single: ResII floor" `Quick test_single_res_ii_floor;
