@@ -20,28 +20,37 @@ let t_mis_spec p ~ii ~c_delay ~p_m ~n =
 let estimate p ~ii ~c_delay ~p_m ~n =
   t_nomiss p ~ii ~c_delay ~n +. t_mis_spec p ~ii ~c_delay ~p_m ~n
 
-let f_groups (p : t) ~mii ~ii_max ~cd_max =
+(* One cursor per II row: [cd.(r)] is the smallest [C_delay] of row
+   [mii + r] not yet emitted and [head.(r)] its key ([max_int] once the
+   row is exhausted). F does not decrease along a row, so the smallest
+   head key is the next group's, and each row's share of that group is
+   the run of cursors from its head that keep the key. *)
+let f_frontier (p : t) ~mii ~ii_max ~cd_max =
+  let scale = float_of_int p.ncore in
+  let key ii cd =
+    if cd > cd_max then max_int
+    else int_of_float (Float.round (f_value p ~ii ~c_delay:cd *. scale))
+  in
+  let rows = max 0 (ii_max - mii + 1) in
   let cd_min = 1 + p.c_reg_com in
-  let tbl = Hashtbl.create 64 in
-  for ii = mii to ii_max do
-    for cd = cd_min to cd_max do
-      let f = f_value p ~ii ~c_delay:cd in
-      let key = int_of_float (Float.round (f *. float_of_int p.ncore)) in
-      let cur = try Hashtbl.find tbl key with Not_found -> [] in
-      Hashtbl.replace tbl key ((ii, cd) :: cur)
-    done
-  done;
-  Hashtbl.fold (fun k pts acc -> (k, pts) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (key, pts) ->
-         let best = Hashtbl.create 8 in
-         List.iter
-           (fun (ii, cd) ->
-             let cur = try Hashtbl.find best ii with Not_found -> min_int in
-             if cd > cur then Hashtbl.replace best ii cd)
-           pts;
-         let points =
-           Hashtbl.fold (fun ii cd acc -> (ii, cd) :: acc) best []
-           |> List.sort compare
-         in
-         (float_of_int key /. float_of_int p.ncore, points))
+  let cd = Array.make rows cd_min in
+  let head = Array.init rows (fun r -> key (mii + r) cd_min) in
+  let rec group () =
+    let k = Array.fold_left Int.min max_int head in
+    if k = max_int then Seq.Nil
+    else begin
+      let points = ref [] in
+      for r = rows - 1 downto 0 do
+        if head.(r) = k then begin
+          let ii = mii + r in
+          while head.(r) = k do
+            cd.(r) <- cd.(r) + 1;
+            head.(r) <- key ii cd.(r)
+          done;
+          points := (ii, cd.(r) - 1) :: !points
+        end
+      done;
+      Seq.Cons ((float_of_int k /. scale, !points), group)
+    end
+  in
+  group

@@ -40,11 +40,24 @@ val estimate : t -> ii:int -> c_delay:int -> p_m:float -> n:int -> float
 (** [T = T_nomiss + T_mis_spec]: the model's prediction for a scheduled
     kernel, comparable against the simulator's measurement. *)
 
-val f_groups :
-  t -> mii:int -> ii_max:int -> cd_max:int -> (float * (int * int) list) list
+val f_frontier :
+  t -> mii:int -> ii_max:int -> cd_max:int -> (float * (int * int) list) Seq.t
 (** The Figure 3 "for every (II, C_delay) s.t. F = F_min" enumeration,
-    shared by every thread-sensitive scheduler: candidate [(II, C_delay)]
-    points grouped by objective value, groups in increasing [F] order. [F]
-    is a multiple of [1/ncore] so grouping is exact. Within a group only
-    the largest [C_delay] per II is kept (identical objective, weakest
-    admission constraints), points ordered by increasing II. *)
+    walked by every thread-sensitive scheduler: the candidate
+    [(II, C_delay)] points of [\[mii, ii_max\] × \[1 + c_reg_com, cd_max\]]
+    grouped by objective value, groups in increasing [F] order. [F] is a
+    multiple of [1/ncore] (groups are keyed on [round (F · ncore)]), so
+    grouping is exact. Within a group only the largest [C_delay] per II
+    is kept (identical objective, weakest admission constraints), points
+    ordered by increasing II. The grid is empty when [ii_max < mii] or
+    [cd_max < 1 + c_reg_com].
+
+    Lazy and output-sensitive: one cursor per II row, advanced as groups
+    are produced, so a walk that stops after [k] groups pays for the
+    points of those groups plus one scan of the row heads per group, not
+    for the rectangle. This relies on [F] not decreasing as [C_delay]
+    grows.
+
+    The sequence is {e ephemeral}: its nodes share the cursors, so it
+    can be traversed once, and forcing a node a second time is wrong.
+    Call [f_frontier] again for a fresh walk. *)

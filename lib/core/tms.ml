@@ -384,14 +384,22 @@ let result_event trace (r : result) =
           ("fell_back", Ts_obs.Json.Bool r.fell_back);
         ]
 
-(* [memo] is the sweep's shared point table; a lone search has none. *)
-let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
-    ?(placement = Ts_isa.Placement.Round_robin) ~params g =
+(* The per-loop half of a search: everything that depends on the loop,
+   the machine and the placement but not on [P_max]. A sweep builds it
+   once and hands it to each of its searches. *)
+type prepared = {
+  params : Ts_isa.Spmt_params.t;  (* effective under the placement *)
+  mii : int;
+  ii_max : int;
+  cd_max : int;
+  order : (int * S.direction) list;
+}
+
+let prepare ?max_ii ~placement ~params g =
   (* Definition 2 under the placement: the search prices the worst
      distance-1 hop cost and target-core speed of the compiled map
      ([effective_params] is the identity for round-robin). *)
   let params = Ts_isa.Placement.effective_params placement params in
-  Ts_obs.Prof.span "tms.search" @@ fun () ->
   let mii = Ts_ddg.Mii.mii g in
   let ii_max =
     match max_ii with
@@ -405,9 +413,17 @@ let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
   let max_lat =
     Array.fold_left (fun acc (nd : Ts_ddg.Ddg.node) -> max acc nd.latency) 1 g.nodes
   in
+  let cd_max = ii_max - 1 + max_lat + params.Ts_isa.Spmt_params.c_reg_com in
+  { params; mii; ii_max; cd_max; order = Ts_sms.Order.compute_with_dirs g ~ii:mii }
+
+(* One search at [p_max]. Returns the result and the smallest frequency
+   a C2 comparison rejected on any point the walk consumed ([infinity]
+   when C2 never rejected): the search's walk is then the walk at every
+   P_max below that floor (see [schedule_sweep]). [memo] is the sweep's
+   shared point table; a lone search has none. *)
+let search ?memo ~trace ~p_max prep g =
+  let { params; mii; ii_max; cd_max; order } = prep in
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
-  let cd_max = ii_max - 1 + max_lat + c_reg_com in
-  let order = Ts_sms.Order.compute_with_dirs g ~ii:mii in
   (* The grid revisits each II once per objective group: compute the ASAP
      table (a Bellman-Ford relaxation) once per II, not per grid point. *)
   let asap_cache = Hashtbl.create 8 in
@@ -419,7 +435,6 @@ let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
         Hashtbl.add asap_cache ii a;
         a
   in
-  let groups = Cost_model.f_groups params ~mii ~ii_max ~cd_max in
   if Trace.enabled trace then
     Trace.begin_span trace ~ts:(Trace.tick trace) "tms.search"
       ~args:
@@ -430,6 +445,7 @@ let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
           ("ii_max", Ts_obs.Json.Int ii_max);
         ];
   let attempts = ref 0 in
+  let c2_floor = ref infinity in
   (* Bounded order repair: when the swing order dead-ends, hoist the
      blocking node to the front (so it gets first pick of the window) and
      re-run the placement from scratch.  Each grid point restarts from
@@ -489,9 +505,10 @@ let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
      the first success is the lowest-F placement for that II). *)
   let f0 = ref None in
   let best = ref None in
-  let rec walk = function
-    | [] -> ()
-    | (f, points) :: rest ->
+  let rec walk groups =
+    match groups () with
+    | Seq.Nil -> ()
+    | Seq.Cons ((f, points), rest) ->
         let past_plateau =
           match !f0 with
           | Some f0v -> f > f0v +. default_f_slack +. 1e-9
@@ -507,10 +524,10 @@ let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
              walk is then REPLAYED in sequential order, consuming a
              precomputed outcome only when the point is still worth
              attempting and discarding the rest unflushed, so counters,
-             trace events and the chosen kernel stay bit-identical to
-             [--jobs 1].  Chunking re-filters against the updated
-             incumbent between chunks, bounding wasted speculation to one
-             chunk per improvement. *)
+             trace events, the C2 floor and the chosen kernel stay
+             bit-identical to [--jobs 1].  Chunking re-filters against
+             the updated incumbent between chunks, bounding wasted
+             speculation to one chunk per improvement. *)
           let replay pre (ii, cd) =
             let worth =
               match !best with
@@ -526,6 +543,7 @@ let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
                 | None -> try_point ~ii ~cd
               in
               flush_tally p.p_tally;
+              if p.p_reject_min < !c2_floor then c2_floor := p.p_reject_min;
               (match dt with
               | Some dt -> Metrics.observe m_attempt_ms (dt *. 1000.0)
               | None -> Metrics.incr m_warm_hits);
@@ -571,7 +589,7 @@ let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
           walk rest
         end
   in
-  walk groups;
+  walk (Cost_model.f_frontier params ~mii ~ii_max ~cd_max);
   let r =
     match !best with
     | Some (_, cd, f, kernel) ->
@@ -596,42 +614,70 @@ let search ?memo ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
   result_event trace r;
   if Trace.enabled trace then
     Trace.end_span trace ~ts:(Trace.tick trace) "tms.search";
-  r
+  (r, !c2_floor)
 
-let schedule ?trace ?p_max ?max_ii ?placement ~params g =
-  search ?trace ?p_max ?max_ii ?placement ~params g
+let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
+    ?(placement = Ts_isa.Placement.Round_robin) ~params g =
+  Ts_obs.Prof.span "tms.search" @@ fun () ->
+  fst (search ~trace ~p_max (prepare ?max_ii ~placement ~params g) g)
 
 let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
     ?(placement = Ts_isa.Placement.Round_robin) ~params g =
-  let params = Ts_isa.Placement.effective_params placement params in
-  let n = 1000 in
+  if p_maxes = [] then invalid_arg "Tms.schedule_sweep: empty p_max list";
+  let p_lo = List.fold_left Float.min infinity p_maxes in
+  let p_hi = List.fold_left Float.max neg_infinity p_maxes in
   (* The per-P_max searches walk the same (II, C_delay) grid, and most
      points' C2 envelopes cover several of the swept values: one table,
      shared by the searches and dropped with the sweep. *)
   let memo = { lock = Mutex.create (); points = Hashtbl.create 256 } in
-  let run p_max = search ~memo ~trace ~p_max ~params g in
-  (* One worker domain per P_max. An enabled tracer is a single shared
-     sink, so traced sweeps stay sequential (and their event order
-     deterministic); results are identical either way. *)
-  let results =
-    if Trace.enabled trace then List.map run p_maxes
-    else Ts_base.Parallel.map run p_maxes
+  (* The setup is charged to the first search's span, so the profile
+     still counts one "tms.search" per search. *)
+  let prep, (r_lo, c2_floor) =
+    Ts_obs.Prof.span "tms.search" @@ fun () ->
+    let prep = prepare ~placement ~params g in
+    (prep, search ~memo ~trace ~p_max:p_lo prep g)
   in
+  let n = 1000 in
   let cost (r : result) =
-    Cost_model.estimate params ~ii:r.kernel.K.ii
+    Cost_model.estimate prep.params ~ii:r.kernel.K.ii
       ~c_delay:r.achieved_c_delay ~p_m:r.misspec ~n
   in
-  match results with
-  | [] -> invalid_arg "Tms.schedule_sweep: empty p_max list"
-  | r0 :: rest ->
-      let best =
-        List.fold_left (fun best r -> if cost r < cost best then r else best) r0 rest
+  let best, searches =
+    if c2_floor > p_hi +. 1e-12 then
+      (* C2 cannot bind: every point the walk at [p_lo] consumed keeps
+         each of its C2 verdicts at every swept value (admitted
+         frequencies are <= p_lo, rejected ones > p_hi), so every other
+         search would replay this walk and return this kernel at the same
+         cost. The fold below keeps the first of equal costs: the result
+         labelled with the list's first value. *)
+      ({ r_lo with p_max = List.hd p_maxes }, 1)
+    else begin
+      let run p_max =
+        if p_max = p_lo then r_lo
+        else
+          Ts_obs.Prof.span "tms.search" @@ fun () ->
+          fst (search ~memo ~trace ~p_max prep g)
       in
-      if Trace.enabled trace then
-        Trace.instant trace ~ts:(Trace.tick trace) "tms.sweep.pick"
-          ~args:
-            [
-              ("p_max", Ts_obs.Json.Float best.p_max);
-              ("estimate", Ts_obs.Json.Float (cost best));
-            ];
-      best
+      (* One worker domain per P_max. An enabled tracer is a single shared
+         sink, so traced sweeps stay sequential (and their event order
+         deterministic); results are identical either way. *)
+      let results =
+        if Trace.enabled trace then List.map run p_maxes
+        else Ts_base.Parallel.map run p_maxes
+      in
+      let r0 = List.hd results in
+      ( List.fold_left
+          (fun best r -> if cost r < cost best then r else best)
+          r0 (List.tl results),
+        1 + List.length (List.filter (fun p -> p <> p_lo) p_maxes) )
+    end
+  in
+  if Trace.enabled trace then
+    Trace.instant trace ~ts:(Trace.tick trace) "tms.sweep.pick"
+      ~args:
+        [
+          ("p_max", Ts_obs.Json.Float best.p_max);
+          ("estimate", Ts_obs.Json.Float (cost best));
+          ("searches", Ts_obs.Json.Int searches);
+        ];
+  best

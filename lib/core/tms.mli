@@ -193,15 +193,37 @@ val schedule_sweep :
   Ts_ddg.Ddg.t ->
   result
 (** Section 4.3: "several values for [P_max] can be tried so that the best
-    schedule for a loop can be picked". Runs {!schedule} for each value
-    (default [\[0.01; 0.05; 0.25\]]) and keeps the schedule with the lowest
-    cost-model estimate {!Cost_model.estimate}.
+    schedule for a loop can be picked". Searches for each value (default
+    [\[0.01; 0.05; 0.25\]]) and keeps the schedule with the lowest
+    cost-model estimate {!Cost_model.estimate}, the first in list order
+    on a tie. The result is the one {!schedule} would give at the value
+    it is labelled with.
 
-    The searches share grid points: each placed [(II, C_delay)] point is
-    recorded with the range of [P_max] values at which every C2
+    The per-loop setup (effective params, MII, grid bounds, swing order)
+    is built once and shared by the sweep's searches. The smallest value
+    [p_lo] is searched first. {b When C2 cannot bind}, that search is the
+    whole sweep: if no C2 comparison on a grid point its walk consumed
+    rejected a frequency at or below the largest value [p_hi] (none
+    rejected at all, on the paper's loops), then every comparison keeps
+    its verdict at every swept value, so each other search would replay
+    the same walk and return the same kernel at the same cost. The sweep
+    then returns that result labelled with the list's first value, the
+    one the tie-break keeps. Otherwise the remaining values are searched
+    (on the pool unless traced) and the walk's result fills [p_lo]'s
+    slot.
+
+    Those searches share grid points: each placed [(II, C_delay)] point
+    is recorded with the range of [P_max] values at which every C2
     comparison it made keeps its verdict, and a search whose [P_max]
     falls in that range replays the point instead of placing it again.
-    The result, the attempt counts and the [tms.slots.*] totals are
-    bit-identical to running {!schedule} per value; replays are counted
-    on [tms.warm.point_hits] and still on [tms.attempts]. The table lives
-    only as long as the call. *)
+    Replays are counted on [tms.warm.point_hits] and still on
+    [tms.attempts]; each search counts once on [tms.schedules]. The
+    counters are therefore those of the searches the sweep ran (one
+    where C2 cannot bind), not one search per value; the result is
+    bit-identical either way. The table lives only as long as the call.
+
+    A traced sweep runs its searches in order, [p_lo] first (so a list
+    that is not ascending no longer traces in list order), each in its
+    own ["tms.search"] span, and ends with a ["tms.sweep.pick"] event
+    (args: the chosen [p_max], its [estimate], and [searches], the
+    number of searches run). *)

@@ -32,7 +32,6 @@ let schedule ?(trace = Ts_obs.Trace.null) ?(p_max = Tms.default_p_max) ?max_ii
   in
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
   let cd_max = ii_max - 1 + max_lat + c_reg_com in
-  let groups = Cost_model.f_groups params ~mii ~ii_max ~cd_max in
   (* Per-II caches: the grid revisits an II once per objective group, and
      both the ASAP relaxation and the priority sort depend only on
      (g, II). *)
@@ -106,9 +105,10 @@ let schedule ?(trace = Ts_obs.Trace.null) ?(p_max = Tms.default_p_max) ?max_ii
   in
   let f0 = ref None in
   let best = ref None in
-  let rec walk = function
-    | [] -> ()
-    | (f, points) :: rest ->
+  let rec walk groups =
+    match groups () with
+    | Seq.Nil -> ()
+    | Seq.Cons ((f, points), rest) ->
         let past_plateau =
           match !f0 with
           | Some f0v -> f > f0v +. Tms.default_f_slack +. 1e-9
@@ -175,7 +175,7 @@ let schedule ?(trace = Ts_obs.Trace.null) ?(p_max = Tms.default_p_max) ?max_ii
           walk rest
         end
   in
-  walk groups;
+  walk (Cost_model.f_frontier params ~mii ~ii_max ~cd_max);
   let r =
     match !best with
     | Some (_, cd, f, kernel) ->

@@ -8,8 +8,8 @@ type loop_run = {
 
 type loop = { run : loop_run; sim_sms : Ts_spmt.Sim.stats; sim_tms : Ts_spmt.Sim.stats }
 
-let schedule_loop ~params g =
-  let sms = Cached.sms g in
+let schedule_loop ?sms ~params g =
+  let sms = match sms with Some r -> r | None -> Cached.sms g in
   let tms = Cached.tms_sweep ~params g in
   { g; sms; tms }
 
@@ -21,7 +21,17 @@ let compute ?limit ?(benches = Spec.benchmarks) ~cfg () =
     ~group:(fun (b : Spec.bench) -> b.name)
     ~label:string_of_int
     (fun (b : Spec.bench) i ->
-      let run = schedule_loop ~params (Spec.loop b i) in
+      (* The generator's SMS probe is the loop's SMS: a probe that
+         accepts a draw records its result, which is then the accepted
+         loop's. Only the unprobed last-resort draw leaves it empty. *)
+      let probed = ref None in
+      let probe g =
+        let r = Cached.sms g in
+        probed := Some r;
+        r
+      in
+      let g = Spec.loop ~probe b i in
+      let run = schedule_loop ?sms:!probed ~params g in
       let sim k = Cached.sim ~warmup:Defaults.warmup cfg k ~trip:b.trip in
       {
         run;

@@ -14,8 +14,11 @@ type loop = {
   sim_tms : Ts_spmt.Sim.stats;  (** the TMS kernel, same address plan *)
 }
 
-val schedule_loop : params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> loop_run
-(** SMS plus the TMS [P_max] sweep on one loop. *)
+val schedule_loop :
+  ?sms:Ts_sms.Sms.result -> params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> loop_run
+(** SMS plus the TMS [P_max] sweep on one loop. [sms], when given, is
+    the loop's SMS result already in hand (the generator's probe), and
+    {!Cached.sms} is not asked again. *)
 
 val compute :
   ?limit:int ->
@@ -25,6 +28,7 @@ val compute :
   (Ts_workload.Spec_suite.bench * loop list) list
 (** Every loop of [benches] (default: all 13, in Table 2 order), or the
     first [limit] of each, generated, scheduled ({!schedule_loop}) and
-    simulated on [cfg] with the bench's trip and {!Defaults.warmup}. One
+    simulated on [cfg] with the bench's trip and {!Defaults.warmup}.
+    {!Cached.sms} is the generator's probe, so a loop runs SMS once. One
     {!Ts_resil.Supervise.sweep_groups} task per loop, labelled
     ["suite:<bench>/<i>"]. *)

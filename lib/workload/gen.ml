@@ -274,12 +274,12 @@ let generate rng p =
    mirror that by redrawing the rare body SMS cannot schedule (diamond
    patterns can make the swing ordering paint itself into a corner at
    every II, in which case GCC simply skips the loop). *)
-let schedulable ~key draw =
+let schedulable ?(probe = fun g -> Ts_sms.Sms.schedule g) ~key draw =
   let rec go attempt =
     let g = draw (Ts_base.Rng.of_string (key attempt)) in
     if attempt >= 6 then g
     else
-      match Ts_sms.Sms.schedule g with
+      match probe g with
       | (_ : Ts_sms.Sms.result) -> g
       | exception Ts_sms.Sms.No_schedule _ -> go (attempt + 1)
   in

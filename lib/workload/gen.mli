@@ -44,7 +44,16 @@ val generate : Ts_base.Rng.t -> profile -> Ts_ddg.Ddg.t
     distance-0 subgraph is acyclic), and has at least one store and one
     load when [mem_frac > 0]. *)
 
-val schedulable : key:(int -> string) -> (Ts_base.Rng.t -> Ts_ddg.Ddg.t) -> Ts_ddg.Ddg.t
+val schedulable :
+  ?probe:(Ts_ddg.Ddg.t -> Ts_sms.Sms.result) ->
+  key:(int -> string) ->
+  (Ts_base.Rng.t -> Ts_ddg.Ddg.t) ->
+  Ts_ddg.Ddg.t
 (** [schedulable ~key draw] is the first [draw (Rng.of_string (key
-    attempt))], attempt = 0, 1, ..., that {!Ts_sms.Sms.schedule} accepts
-    (one SMS probe each), or else the unprobed draw of attempt 6. *)
+    attempt))], attempt = 0, 1, ..., that [probe] accepts (one probe
+    each), or else the unprobed draw of attempt 6. A draw is rejected
+    when [probe] raises {!Ts_sms.Sms.No_schedule}.
+
+    [probe] defaults to {!Ts_sms.Sms.schedule}. A caller that schedules
+    the loop with SMS anyway passes its own SMS (a cached one, say) and
+    keeps the accepted draw's result, so the loop costs one SMS run. *)

@@ -59,8 +59,8 @@ let find name = List.find (fun b -> b.name = name) benchmarks
 
 let total_loops = List.fold_left (fun acc b -> acc + b.n_loops) 0 benchmarks
 
-let loop bench index =
-  Gen.schedulable
+let loop ?probe bench index =
+  Gen.schedulable ?probe
     ~key:(Printf.sprintf "spec/%s/loop%d/try%d" bench.name index)
     (fun rng ->
       (* instruction count: uniform within +-40% of the benchmark average *)

@@ -30,9 +30,12 @@ val benchmarks : bench list
 val find : string -> bench
 (** Lookup by name. Raises [Not_found]. *)
 
-val loop : bench -> int -> Ts_ddg.Ddg.t
+val loop :
+  ?probe:(Ts_ddg.Ddg.t -> Ts_sms.Sms.result) -> bench -> int -> Ts_ddg.Ddg.t
 (** Loop [i], named ["<bench>_<i>"]: deterministic in the benchmark name
-    and [i] alone, so each loop can be generated on its own. *)
+    and [i] alone, so each loop can be generated on its own. [probe] is
+    the generator's SMS probe ({!Gen.schedulable}); any SMS gives the
+    same loop. *)
 
 val loop_count : ?limit:int -> bench -> int
 (** [n_loops], or at most [limit] of them. *)

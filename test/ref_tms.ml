@@ -14,6 +14,9 @@ module Overheads = Ts_tms.Overheads
 
 type result = {
   kernel : K.t;
+  c_delay_threshold : int;
+  p_max : float;
+  misspec : float;
   f_min : float;
   attempts : int;
   fell_back : bool;
@@ -133,6 +136,37 @@ let try_schedule g ~order ~ii ~c_delay ~p_max ~c_reg_com =
   in
   go order
 
+(* The Figure 3 enumeration, eagerly: hash every point of the
+   [\[mii, ii_max\] × \[1 + c_reg_com, cd_max\]] rectangle by
+   [round (F · ncore)], sort the groups, and keep the largest [C_delay]
+   per II in each, points by increasing II. The optimised search walks
+   the same groups lazily ([Cost_model.f_frontier]). *)
+let f_groups (p : Ts_isa.Spmt_params.t) ~mii ~ii_max ~cd_max =
+  let cd_min = 1 + p.c_reg_com in
+  let tbl = Hashtbl.create 64 in
+  for ii = mii to ii_max do
+    for cd = cd_min to cd_max do
+      let f = Cost_model.f_value p ~ii ~c_delay:cd in
+      let key = int_of_float (Float.round (f *. float_of_int p.ncore)) in
+      let cur = try Hashtbl.find tbl key with Not_found -> [] in
+      Hashtbl.replace tbl key ((ii, cd) :: cur)
+    done
+  done;
+  Hashtbl.fold (fun k pts acc -> (k, pts) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (key, pts) ->
+         let best = Hashtbl.create 8 in
+         List.iter
+           (fun (ii, cd) ->
+             let cur = try Hashtbl.find best ii with Not_found -> min_int in
+             if cd > cur then Hashtbl.replace best ii cd)
+           pts;
+         let points =
+           Hashtbl.fold (fun ii cd acc -> (ii, cd) :: acc) best []
+           |> List.sort compare
+         in
+         (float_of_int key /. float_of_int p.ncore, points))
+
 let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~params g =
   let mii = Ts_ddg.Mii.mii g in
   let ii_max =
@@ -146,7 +180,7 @@ let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~params g =
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
   let cd_max = ii_max - 1 + max_lat + c_reg_com in
   let order = Ts_sms.Order.compute_with_dirs g ~ii:mii in
-  let groups = Cost_model.f_groups params ~mii ~ii_max ~cd_max in
+  let groups = f_groups params ~mii ~ii_max ~cd_max in
   let attempts = ref 0 in
   (* Bounded order repair (mirrors [Tms.schedule]): on failure, hoist the
      blocking node to the front of the swing order and retry, up to
@@ -183,14 +217,14 @@ let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~params g =
               let worth =
                 match !best with
                 | None -> true
-                | Some (bii, _, _) -> ii < bii
+                | Some (bii, _, _, _) -> ii < bii
               in
               if worth then begin
                 incr attempts;
                 match try_point ~ii ~cd with
                 | Some kernel ->
                     if !f0 = None then f0 := Some f;
-                    best := Some (ii, f, kernel)
+                    best := Some (ii, cd, f, kernel)
                 | None -> ()
               end)
             points;
@@ -198,9 +232,14 @@ let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~params g =
         end
   in
   walk groups;
+  let result ~c_delay_threshold ~f_min ~fell_back kernel =
+    { kernel; c_delay_threshold; p_max;
+      misspec = Overheads.misspec_prob kernel ~c_reg_com; f_min;
+      attempts = !attempts; fell_back }
+  in
   match !best with
-  | Some (_, f, kernel) ->
-      { kernel; f_min = f; attempts = !attempts; fell_back = false }
+  | Some (_, cd, f, kernel) ->
+      result ~c_delay_threshold:cd ~f_min:f ~fell_back:false kernel
   | None ->
       let sms = Ts_sms.Sms.schedule g in
       let kernel = sms.Ts_sms.Sms.kernel in
@@ -208,21 +247,21 @@ let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~params g =
         Cost_model.f_value params ~ii:kernel.K.ii
           ~c_delay:(max 1 (K.c_delay kernel ~c_reg_com))
       in
-      { kernel; f_min; attempts = !attempts; fell_back = true }
+      result ~c_delay_threshold:cd_max ~f_min ~fell_back:true kernel
 
+(* Every value searched on its own, in list order; the first result of
+   the lowest cost estimate wins, labelled with the [P_max] it was
+   searched at. *)
 let schedule_sweep ?(p_maxes = [ 0.01; 0.05; 0.25 ]) ~params g =
   let n = 1000 in
-  let results =
-    List.map (fun p_max -> (p_max, schedule ~p_max ~params g)) p_maxes
-  in
+  let results = List.map (fun p_max -> schedule ~p_max ~params g) p_maxes in
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
   let cost (r : result) =
     Cost_model.estimate params ~ii:r.kernel.K.ii
       ~c_delay:(K.c_delay r.kernel ~c_reg_com)
-      ~p_m:(Overheads.misspec_prob r.kernel ~c_reg_com)
-      ~n
+      ~p_m:r.misspec ~n
   in
   match results with
   | [] -> invalid_arg "Ref_tms.schedule_sweep: empty p_max list"
-  | (_, r0) :: rest ->
-      List.fold_left (fun best (_, r) -> if cost r < cost best then r else best) r0 rest
+  | r0 :: rest ->
+      List.fold_left (fun best r -> if cost r < cost best then r else best) r0 rest

@@ -109,6 +109,48 @@ let test_no_reg_deps_nothing_preserved () =
   let k = K.of_times g ~ii:4 [| 2; 0 |] in
   feq "bare mem dep counts fully" 0.3 (Ts_tms.Overheads.misspec_prob k ~c_reg_com:3)
 
+(* The lazy frontier walks exactly the groups of the reference's eager
+   rectangle enumeration: same F values, same points, same order. The
+   machines cover 1-8 cores with random overheads, plus heterogeneous
+   mixes seen through a placement's effective params; the grids include
+   empty ones ([ii_max < mii] or [cd_max < 1 + c_reg_com]). *)
+let arb_grid =
+  let open QCheck.Gen in
+  let gen =
+    let* ncore = int_range 1 8 in
+    let* c_spawn = int_range 0 12 and* c_commit = int_range 0 12 in
+    let* c_reg_com = int_range 0 12 in
+    let base = { Ts_isa.Spmt_params.default with ncore; c_spawn; c_commit; c_reg_com } in
+    let* params =
+      frequency
+        [
+          (2, return base);
+          ( 1,
+            let* mix =
+              array_size (int_range 1 8)
+                (oneofl Ts_isa.Spmt_params.[ fast_core; slow_core ])
+            in
+            let+ policy = oneofl Ts_isa.Placement.all in
+            Ts_isa.Placement.effective_params policy
+              (Ts_isa.Spmt_params.with_cores base mix) );
+        ]
+    in
+    let* mii = int_range 1 30 in
+    let* ii_span = int_range (-3) 20 and* cd_span = int_range (-3) 40 in
+    return
+      (params, mii, mii + ii_span, params.Ts_isa.Spmt_params.c_reg_com + cd_span)
+  in
+  QCheck.make gen ~print:(fun ((p : Ts_isa.Spmt_params.t), mii, ii_max, cd_max) ->
+      Printf.sprintf
+        "ncore=%d c_spawn=%d c_commit=%d c_reg_com=%d mii=%d ii_max=%d cd_max=%d"
+        p.ncore p.c_spawn p.c_commit p.c_reg_com mii ii_max cd_max)
+
+let prop_frontier_is_reference =
+  QCheck.Test.make ~count:2000 ~name:"F frontier = eager F-group enumeration"
+    arb_grid (fun (params, mii, ii_max, cd_max) ->
+      List.of_seq (Ts_tms.Cost_model.f_frontier params ~mii ~ii_max ~cd_max)
+      = Ref_tms.f_groups params ~mii ~ii_max ~cd_max)
+
 let suite =
   [
     Alcotest.test_case "F: serial bound" `Quick test_f_value_serial_bound;
@@ -124,4 +166,5 @@ let suite =
     Alcotest.test_case "preserved: insufficient sync" `Quick test_preserved_insufficient_sync;
     Alcotest.test_case "preserved: row-order guard" `Quick test_preserved_guard_row_order;
     Alcotest.test_case "P_M without register deps" `Quick test_no_reg_deps_nothing_preserved;
+    QCheck_alcotest.to_alcotest prop_frontier_is_reference;
   ]

@@ -23,13 +23,22 @@ let check_kernel name (expect : K.t) (got : K.t) =
   Alcotest.(check (array int)) (name ^ ": rows") expect.K.row got.K.row;
   Alcotest.(check (array int)) (name ^ ": stages") expect.K.stage got.K.stage
 
-let check_schedule name g ~params ~p_max =
-  let r = Ts_tms.Tms.schedule ~p_max ~params g in
-  let e = Ref_tms.schedule ~p_max ~params g in
+(* Every field of the result record, kernel first. *)
+let check_result name (e : Ref_tms.result) (r : Ts_tms.Tms.result) =
   check_kernel name e.Ref_tms.kernel r.Ts_tms.Tms.kernel;
   Alcotest.(check (float 0.0)) (name ^ ": f_min") e.Ref_tms.f_min r.Ts_tms.Tms.f_min;
   check_int (name ^ ": attempts") e.Ref_tms.attempts r.Ts_tms.Tms.attempts;
-  check_bool (name ^ ": fell_back") e.Ref_tms.fell_back r.Ts_tms.Tms.fell_back
+  check_bool (name ^ ": fell_back") e.Ref_tms.fell_back r.Ts_tms.Tms.fell_back;
+  Alcotest.(check (float 0.0)) (name ^ ": p_max") e.Ref_tms.p_max r.Ts_tms.Tms.p_max;
+  check_int (name ^ ": c_delay_threshold") e.Ref_tms.c_delay_threshold
+    r.Ts_tms.Tms.c_delay_threshold;
+  Alcotest.(check (float 0.0)) (name ^ ": misspec") e.Ref_tms.misspec
+    r.Ts_tms.Tms.misspec
+
+let check_schedule name g ~params ~p_max =
+  check_result name
+    (Ref_tms.schedule ~p_max ~params g)
+    (Ts_tms.Tms.schedule ~p_max ~params g)
 
 let p_maxes = [ 0.0; 0.01; 0.05; 0.25; 1.0 ]
 
@@ -43,19 +52,32 @@ let test_motivating () =
         g ~params:two_core ~p_max)
     p_maxes
 
-(* A sweep shares grid points between its per-P_max searches; the
-   reference sweep runs each search alone, so any replay that differs
-   from a placement shows up here. *)
+(* A sweep shares grid points between its per-P_max searches and stops
+   after one search where C2 cannot bind; the reference sweep runs each
+   search alone, so a replay that differs from a placement, or a
+   short-circuited result labelled with the wrong P_max, shows up here. *)
 let check_sweep ?p_maxes name g ~params =
-  let r = Ts_tms.Tms.schedule_sweep ?p_maxes ~params g in
-  let e = Ref_tms.schedule_sweep ?p_maxes ~params g in
-  check_kernel name e.Ref_tms.kernel r.Ts_tms.Tms.kernel;
-  Alcotest.(check (float 0.0)) (name ^ ": f_min") e.Ref_tms.f_min r.Ts_tms.Tms.f_min;
-  check_int (name ^ ": attempts") e.Ref_tms.attempts r.Ts_tms.Tms.attempts;
-  check_bool (name ^ ": fell_back") e.Ref_tms.fell_back r.Ts_tms.Tms.fell_back
+  check_result name
+    (Ref_tms.schedule_sweep ?p_maxes ~params g)
+    (Ts_tms.Tms.schedule_sweep ?p_maxes ~params g)
+
+(* The default ascending list and two orders where the smallest value,
+   searched first, is not the head of the list. *)
+let sweep_orders = [ None; Some [ 0.25; 0.05; 0.01 ]; Some [ 0.05; 0.01; 0.25 ] ]
+
+let check_sweeps name g ~params =
+  List.iter
+    (fun p_maxes ->
+      let tag =
+        match p_maxes with
+        | None -> ""
+        | Some l -> " [" ^ String.concat ";" (List.map string_of_float l) ^ "]"
+      in
+      check_sweep ?p_maxes (name ^ tag) g ~params)
+    sweep_orders
 
 let test_motivating_sweep () =
-  check_sweep "sweep pick" (Fixtures.motivating ()) ~params
+  check_sweeps "sweep pick" (Fixtures.motivating ()) ~params
 
 let test_spec_suite () =
   List.iter
@@ -94,17 +116,20 @@ let test_generated () =
       g ~params:ps ~p_max
   done
 
-(* The same 50 DDGs and machines swept, plus loops where C2 binds, so
-   that points recorded at one P_max are also refused at another. The C2
-   loops are swept in both directions: ascending, a replay can only fail
-   the rejected-frequency half of the envelope, descending only the
-   admitted-frequency half. *)
+(* The same 50 DDGs and machines swept in three orders (on these C2
+   never binds, so each sweep stops after one search and relabels its
+   result), plus loops where C2 binds, so that points recorded at one
+   P_max are also refused at another. The smallest value is always
+   searched first; the C2 loops are then swept in both directions:
+   ascending, a replay can only fail the rejected-frequency half of the
+   envelope, while descending, 0.05 also meets points recorded at 0.25,
+   which only the admitted-frequency half can refuse. *)
 let test_generated_sweeps () =
   for seed = 0 to 49 do
     let n_inst = 8 + (seed mod 5 * 7) in
     let g = Fixtures.generated ~seed ~n_inst () in
     let ps = if seed mod 2 = 0 then params else two_core in
-    check_sweep (Printf.sprintf "gen sweep seed=%d n=%d" seed n_inst) g ~params:ps
+    check_sweeps (Printf.sprintf "gen sweep seed=%d n=%d" seed n_inst) g ~params:ps
   done;
   List.iteri
     (fun i g ->

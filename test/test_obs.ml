@@ -260,6 +260,43 @@ let test_search_log_attempts () =
   check_bool "has result event" true
     (List.exists (fun ev -> J.member "name" ev = Some (J.Str "tms.result")) events)
 
+(* A traced sweep's "tms.sweep.pick" event says how many searches the
+   sweep ran, one "tms.search" span each: one where C2 cannot bind (a
+   generated loop), every P_max where it does (the motivating loop), the
+   smallest value first whatever the list order. *)
+let test_search_log_sweep_searches () =
+  let params = Ts_isa.Spmt_params.default in
+  let sweep_events g =
+    let buf = Buffer.create 4096 in
+    let tr = Trace.to_buffer ~format:Trace.Jsonl buf in
+    ignore (Ts_tms.Tms.schedule_sweep ~trace:tr ~p_maxes:[ 0.25; 0.05; 0.01 ] ~params g);
+    Trace.close tr;
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match J.parse l with
+           | Ok ev -> ev
+           | Error msg -> Alcotest.failf "search log line invalid: %s" msg)
+  in
+  let arg name ev = Option.bind (J.member "args" ev) (J.member name) in
+  let named n = List.filter (fun ev -> J.member "name" ev = Some (J.Str n)) in
+  let check_sweep what g ~searches =
+    let events = sweep_events g in
+    let spans =
+      List.filter (fun ev -> J.member "ph" ev = Some (J.Str "B")) (named "tms.search" events)
+    in
+    (match named "tms.sweep.pick" events with
+    | [ pick ] ->
+        check_bool (what ^ ": searches arg") true
+          (arg "searches" pick = Some (J.Int searches))
+    | l -> Alcotest.failf "%s: %d tms.sweep.pick events" what (List.length l));
+    check_int (what ^ ": tms.search spans") searches (List.length spans);
+    check_bool (what ^ ": smallest P_max searched first") true
+      (arg "p_max" (List.hd spans) = Some (J.Float 0.01))
+  in
+  check_sweep "C2-free" (Fixtures.generated ~seed:200 ()) ~searches:1;
+  check_sweep "C2 binds" (Ts_workload.Motivating.ddg ()) ~searches:3
+
 (* --- Tracer domain-safety --- *)
 
 let test_trace_parallel_writers () =
@@ -340,6 +377,8 @@ let suite =
     Alcotest.test_case "sim trace valid + balanced" `Quick test_sim_trace_valid;
     Alcotest.test_case "sim trace deterministic" `Quick test_sim_trace_deterministic;
     Alcotest.test_case "search log attempts" `Quick test_search_log_attempts;
+    Alcotest.test_case "search log sweep searches" `Quick
+      test_search_log_sweep_searches;
     Alcotest.test_case "trace parallel writers" `Quick test_trace_parallel_writers;
     Alcotest.test_case "legacy env rejected" `Quick test_legacy_env_rejected;
     Alcotest.test_case "legacy env empty ok" `Quick test_legacy_env_empty_ok;

@@ -193,10 +193,10 @@ let test_search_counters_pinned () =
   in
   let pinned =
     [
-      ("tms.attempts", 2800);
-      ("tms.slots.admitted", 66627);
-      ("tms.slots.resource_reject", 7979);
-      ("tms.slots.c1_reject", 297055);
+      ("tms.attempts", 1168);
+      ("tms.slots.admitted", 24403);
+      ("tms.slots.resource_reject", 2665);
+      ("tms.slots.c1_reject", 108591);
       ("tms.slots.c2_reject", 1774);
     ]
   in
@@ -212,20 +212,49 @@ let cval name =
 
 (* A point one search of a sweep replays from another's recorded outcome
    counts on [tms.attempts] and [tms.warm.point_hits], but it was looked
-   up, not placed: [tms.attempt_ms] must time placements only. *)
+   up, not placed: [tms.attempt_ms] must time placements only. Only
+   sweeps where C2 binds run more than one search, so the loops are the
+   C2 ones. *)
 let test_sweep_attempt_ms_times_placements () =
   let h = Ts_obs.Metrics.histogram Ts_obs.Metrics.default "tms.attempt_ms" in
   let a0 = cval "tms.attempts" and h0 = cval "tms.warm.point_hits" in
   let n0 = Ts_obs.Metrics.histogram_count h in
   List.iter
     (fun g -> ignore (Ts_tms.Tms.schedule_sweep ~params g))
-    (Fixtures.motivating ()
-    :: List.init 4 (fun i -> Fixtures.generated ~seed:(200 + i) ()));
+    (Fixtures.c2_loops ());
   let attempts = cval "tms.attempts" - a0
   and hits = cval "tms.warm.point_hits" - h0 in
   check_bool "the sweeps replayed points" true (hits > 0);
   check_int "attempt_ms samples = attempts - point_hits" (attempts - hits)
     (Ts_obs.Metrics.histogram_count h - n0)
+
+(* Where C2 cannot bind, a sweep is one search: the walk at the smallest
+   P_max is the walk at every other, so nothing is replayed. Where it
+   binds, every swept value is still searched. *)
+let test_sweep_one_search_where_c2_cannot_bind () =
+  let searches g =
+    let s0 = cval "tms.schedules" and h0 = cval "tms.warm.point_hits" in
+    ignore (Ts_tms.Tms.schedule_sweep ~params g);
+    (cval "tms.schedules" - s0, cval "tms.warm.point_hits" - h0)
+  in
+  List.iter
+    (fun g ->
+      let n, hits = searches g in
+      check_int (g.Ts_ddg.Ddg.name ^ ": one search") 1 n;
+      check_int (g.Ts_ddg.Ddg.name ^ ": no replays") 0 hits)
+    (List.init 4 (fun i -> Fixtures.generated ~seed:(200 + i) ()));
+  let kernel p_max g = (Ts_tms.Tms.schedule ~p_max ~params g).Ts_tms.Tms.kernel in
+  let binding =
+    List.filter
+      (fun g ->
+        let a = kernel 0.01 g and b = kernel 0.25 g in
+        (a.K.ii, a.K.time) <> (b.K.ii, b.K.time))
+      (Fixtures.c2_loops ())
+  in
+  check_bool "some C2 loop binds" true (binding <> []);
+  List.iter
+    (fun g -> check_int (g.Ts_ddg.Ddg.name ^ ": every P_max") 3 (fst (searches g)))
+    binding
 
 (* Where C2 binds, a point recorded at one P_max often does not transfer
    to another: the sweep must replay some points and place the rest
@@ -274,4 +303,6 @@ let suite =
       test_sweep_attempt_ms_times_placements;
     Alcotest.test_case "sweep: points shared where C2 binds" `Quick
       test_sweep_sharing_where_c2_binds;
+    Alcotest.test_case "sweep: one search where C2 cannot bind" `Quick
+      test_sweep_one_search_where_c2_cannot_bind;
   ]
