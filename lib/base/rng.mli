@@ -27,6 +27,11 @@ val derive2 : t -> int -> int -> t
     {!split} with a formatted label; used in simulator hot paths (one
     stream per (edge, iteration)). *)
 
+val coin2 : t -> int -> int -> float -> bool
+(** [coin2 t a b p] is [bool (derive2 t a b) p], bit for bit, without
+    allocating: the per-(edge, iteration) coin of the simulator's address
+    streams. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -97,17 +97,18 @@ let check_mdt_model ~rounds =
           R.Mdt.record_store refm ~thread:!thread ~addr ~finish
       | 4 | 5 | 6 ->
           let issue = !clock - Rng.int rng 60 in
-          let got =
-            Ts_spmt.Mdt.conflicting_store real ~thread:!thread ~addr ~issue
+          let got = Ts_spmt.Mdt.conflict real ~thread:!thread ~addr ~issue in
+          let expect =
+            match R.Mdt.conflicting_store refm ~thread:!thread ~addr ~issue with
+            | None -> Ts_spmt.Mdt.no_conflict
+            | Some f -> f
           in
-          let expect = R.Mdt.conflicting_store refm ~thread:!thread ~addr ~issue in
+          let show f =
+            if f = Ts_spmt.Mdt.no_conflict then "none" else string_of_int f
+          in
           if got <> expect then
-            fail
-              "conflicting_store (thread %d, addr %d, issue %d) = %s, reference \
-               says %s"
-              !thread addr issue
-              (match got with None -> "none" | Some f -> string_of_int f)
-              (match expect with None -> "none" | Some f -> string_of_int f)
+            fail "conflict (thread %d, addr %d, issue %d) = %s, reference says %s"
+              !thread addr issue (show got) (show expect)
       | 7 ->
           let upto = !thread - horizon + Rng.int_in rng (-3) 3 in
           Ts_spmt.Mdt.retire real ~upto;

@@ -60,7 +60,14 @@ let realised t ~edge_index ~iter =
     invalid_arg "Address_plan.realised: not a memory dependence edge";
   if iter < e.distance then false
   else if e.prob >= 1.0 then true
-  else Ts_base.Rng.bool (Ts_base.Rng.derive2 t.root edge_index iter) e.prob
+  else Ts_base.Rng.coin2 t.root edge_index iter e.prob
+
+(* The first realised incoming edge wins: its producer's location. *)
+let rec redirected t ~node ~iter = function
+  | [] -> own_addr t node iter
+  | (idx, (e : Ts_ddg.Ddg.edge)) :: rest ->
+      if realised t ~edge_index:idx ~iter then own_addr t e.src (iter - e.distance)
+      else redirected t ~node ~iter rest
 
 let addr t ~node ~iter =
   match t.streams.(node) with
@@ -70,12 +77,4 @@ let addr t ~node ~iter =
   | Some _ ->
       (* A load whose incoming memory dependence fires this iteration reads
          the producer store's location. *)
-      let rec first = function
-        | [] -> None
-        | (idx, (e : Ts_ddg.Ddg.edge)) :: rest ->
-            if realised t ~edge_index:idx ~iter then Some (e.src, iter - e.distance)
-            else first rest
-      in
-      (match first t.incoming_mem.(node) with
-      | Some (src, prod_iter) -> own_addr t src prod_iter
-      | None -> own_addr t node iter)
+      redirected t ~node ~iter t.incoming_mem.(node)

@@ -30,23 +30,27 @@ let create ~size ~assoc ~line =
   }
 
 (* The paths below run once per simulated cache access, which makes them
-   the hottest code in the whole simulator; flat arrays, shift/mask set
-   selection and unsafe indexing (offsets are in range by construction)
-   keep them cheap. LRU semantics are the textbook aging scheme the naive
-   {!Ts_check.Ref_models} mirror implements: ages count up from 0 = most
-   recent, the victim is the highest age (lowest way on ties). *)
+   the hottest code in the whole simulator, and they must not allocate
+   (test_sim.ml pins it): without flambda, ocamlopt allocates a returned
+   (block, base) tuple and a local closure over them even when it inlines
+   the call, so the set is selected by shift/mask into a base offset of
+   the flat arrays and the way search is a plain loop. Indexing is unsafe
+   because offsets are in range by construction. LRU semantics are the
+   textbook aging scheme the naive {!Ts_check.Ref_models} mirror
+   implements: ages count up from 0 = most recent, the victim is the
+   highest age (lowest way on ties). *)
 
-let[@inline] base_of t addr =
-  let block = addr lsr t.line_shift in
-  (block, (block land t.set_mask) * t.assoc)
+let[@inline] block_of t addr = addr lsr t.line_shift
+let[@inline] set_base t block = (block land t.set_mask) * t.assoc
 
-let[@inline] find_way t base block =
-  let rec go i =
-    if i = t.assoc then -1
-    else if Array.unsafe_get t.tags (base + i) = block then i
-    else go (i + 1)
-  in
-  go 0
+(* The way holding [block] in the set at [base], or -1. *)
+let find_way t base block =
+  let way = ref (-1) and i = ref 0 in
+  while !way < 0 && !i < t.assoc do
+    if Array.unsafe_get t.tags (base + !i) = block then way := !i;
+    incr i
+  done;
+  !way
 
 let touch_at t base way =
   let old = Array.unsafe_get t.lru (base + way) in
@@ -56,7 +60,7 @@ let touch_at t base way =
   done;
   Array.unsafe_set t.lru (base + way) 0
 
-let[@inline] victim t base =
+let victim t base =
   let best = ref 0 and best_age = ref (Array.unsafe_get t.lru base) in
   for i = 1 to t.assoc - 1 do
     let a = Array.unsafe_get t.lru (base + i) in
@@ -68,7 +72,8 @@ let[@inline] victim t base =
   !best
 
 let access t addr =
-  let block, base = base_of t addr in
+  let block = block_of t addr in
+  let base = set_base t block in
   let way = find_way t base block in
   if way >= 0 then begin
     t.hits <- t.hits + 1;
@@ -84,16 +89,18 @@ let access t addr =
   end
 
 let probe t addr =
-  let block, base = base_of t addr in
-  find_way t base block >= 0
+  let block = block_of t addr in
+  find_way t (set_base t block) block >= 0
 
 let invalidate t addr =
-  let block, base = base_of t addr in
+  let block = block_of t addr in
+  let base = set_base t block in
   let way = find_way t base block in
   if way >= 0 then Array.unsafe_set t.tags (base + way) (-1)
 
 let fill t addr =
-  let block, base = base_of t addr in
+  let block = block_of t addr in
+  let base = set_base t block in
   let way = find_way t base block in
   if way >= 0 then touch_at t base way
   else begin

@@ -60,8 +60,10 @@ type fp_rec = {
   mutable r_spawn : int; (* spawn-stall cycles (recorded even in warmup) *)
   mutable r_squashed : bool;
   mutable r_coin : bool; (* a probabilistic mem-dep coin touches this thread *)
-  mutable r_stalls : ((int * int) option * int * int) list;
-      (* RECV stalls: (blamed producer/consumer, cycles, stall instant) *)
+  mutable r_nstalls : int;
+  r_stalls : int array;
+      (* RECV stalls, [r_nstalls] flat (blame, cycles, instant) triples;
+         blame is [producer * n + consumer], or -1 *)
   r_finish : int array;
   r_issue : int array;
   r_lats : int array; (* per-load cache latency, the window's miss pattern *)
@@ -82,14 +84,17 @@ type thread_obs = {
    Everything the per-cycle core touches per thread lives in flat [int
    array] scratch owned by a per-domain arena: the history ring is a
    struct-of-arrays (kind/shift tags plus flat [horizon * n] issue/finish
-   planes), dependences are CSR index arrays, RECV-stall accounting is a
-   flat [n * n] counter plane with a touched-list for O(touched) scrub,
-   and the speculative-write-buffer event sweep is an int-keyed binary
-   min-heap. The arena (including the caches and the MDT) is acquired at
-   the top of every [run] and reused across sweep points on the same
-   domain — the resident pool workers are domains, so a TMS sweep's
-   thousands of simulations share one allocation. Capacities only grow;
-   every loop bounds itself by the current run's sizes.
+   planes), dependences are CSR index arrays, the fast path's coin
+   iterations are a sorted int array, a thread's RECV stalls are flat int
+   triples, finite-width issue slots are int counters, RECV-stall
+   accounting is a flat [n * n] counter plane with a touched-list for
+   O(touched) scrub, and the speculative-write-buffer event sweep is an
+   int-keyed binary min-heap. The arena (including the caches and the
+   MDT) is acquired at the top of every [run] and reused across sweep
+   points on the same domain — the resident pool workers are domains, so
+   a TMS sweep's thousands of simulations share one allocation.
+   Capacities only grow; every loop bounds itself by the current run's
+   sizes.
 
    Lifetime rules: an arena is owned by exactly one running [run] at a
    time ([in_use]; a re-entrant call from an [observe] hook gets a fresh
@@ -111,9 +116,14 @@ type arena = {
   mutable reg_dk : int array;
   mutable intra_off : int array;
   mutable intra_src : int array;
-  mutable redir_off : int array;
-  mutable redir_iter : int array;
-  mutable redir_addr : int array;
+  mutable coin_iters : int array; (* sorted iterations a coin redirects *)
+  (* the executing thread's RECV stalls, flat triples (see [fp_rec]) *)
+  mutable stall_buf : int array;
+  (* finite-width issue counts, indexed by [issue - start]; zero past
+     [iw_hi], the highest index touched since the last scrub (at every
+     thread's start, so a run that died mid-thread poisons nothing) *)
+  mutable iw_cnt : int array;
+  mutable iw_hi : int;
   (* RECV-stall accumulation, flat [producer * n + consumer] *)
   mutable stall_cnt : int array;
   mutable stall_touched : int array;
@@ -132,9 +142,10 @@ type arena = {
   mutable l1 : Cache.t array;
   mutable l2 : Cache.t;
   mdt : Mdt.t;
-  (* fast-path detection window pool (arrays have capacity [cap_n]) *)
+  (* the fast path's three detection windows (previous, current and
+     signature) of [win_len] records with capacity [cap_n], or [||] *)
   mutable win_len : int;
-  mutable win_pool : fp_rec array list;
+  mutable windows : fp_rec array array;
 }
 
 let dummy_rec =
@@ -146,7 +157,8 @@ let dummy_rec =
     r_spawn = 0;
     r_squashed = false;
     r_coin = false;
-    r_stalls = [];
+    r_nstalls = 0;
+    r_stalls = [||];
     r_finish = [||];
     r_issue = [||];
     r_lats = [||];
@@ -165,9 +177,10 @@ let arena_create () =
     reg_dk = [||];
     intra_off = [| 0 |];
     intra_src = [||];
-    redir_off = [| 0 |];
-    redir_iter = [||];
-    redir_addr = [||];
+    coin_iters = [||];
+    stall_buf = [||];
+    iw_cnt = [||];
+    iw_hi = -1;
     stall_cnt = [||];
     stall_touched = [||];
     stall_ntouched = 0;
@@ -183,11 +196,12 @@ let arena_create () =
     l2 = Cache.create ~size:32 ~assoc:1 ~line:32;
     mdt = Mdt.create ~horizon:1;
     win_len = 0;
-    win_pool = [];
+    windows = [||];
   }
 
 (* Scrub on acquire (see the lifetime rules above): O(touched) for the
-   stall plane, O(horizon) for the ring tags, O(1) for the heap. *)
+   stall plane, O(horizon) for the ring tags, O(1) for the heap. The issue
+   counters are scrubbed per thread instead ([iw_scrub]). *)
 let arena_scrub a =
   for i = 0 to a.stall_ntouched - 1 do
     a.stall_cnt.(a.stall_touched.(i)) <- 0
@@ -226,10 +240,11 @@ let arena_ensure_n a n =
     a.stores <- Array.make c 0;
     a.reg_off <- Array.make (c + 1) 0;
     a.intra_off <- Array.make (c + 1) 0;
-    a.redir_off <- Array.make (c + 1) 0;
+    (* a thread stalls at most once per node *)
+    a.stall_buf <- Array.make (3 * c) 0;
     a.stall_cnt <- Array.make (c * c) 0;
-    (* pooled windows carry node-capacity arrays: drop the stale pool *)
-    a.win_pool <- []
+    (* the windows carry node-capacity arrays: drop the stale ones *)
+    a.windows <- [||]
   end
 
 let arena_ensure_edges a ~n_reg ~n_intra =
@@ -240,10 +255,19 @@ let arena_ensure_edges a ~n_reg ~n_intra =
   if n_intra > Array.length a.intra_src then
     a.intra_src <- Array.make (grown n_intra (Array.length a.intra_src)) 0
 
-let arena_ensure_redir a len =
-  if len > Array.length a.redir_iter then begin
-    a.redir_iter <- Array.make (grown len (Array.length a.redir_iter)) 0;
-    a.redir_addr <- Array.make (Array.length a.redir_iter) 0
+let arena_ensure_coins a total =
+  if total > Array.length a.coin_iters then
+    a.coin_iters <- Array.make (grown total (Array.length a.coin_iters)) 0
+
+let iw_scrub a =
+  Array.fill a.iw_cnt 0 (a.iw_hi + 1) 0;
+  a.iw_hi <- -1
+
+let arena_ensure_iw a len =
+  if len > Array.length a.iw_cnt then begin
+    let b = Array.make (grown len (Array.length a.iw_cnt)) 0 in
+    Array.blit a.iw_cnt 0 b 0 (Array.length a.iw_cnt);
+    a.iw_cnt <- b
   end
 
 let arena_ensure_hist a ~slots ~n =
@@ -360,7 +384,6 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     Array.init ncore (fun i ->
         (Ts_isa.Spmt_params.core_desc p i).Ts_isa.Spmt_params.lat_scale)
   in
-  let has_width = Array.exists (fun w -> w > 0) core_width in
   reject_legacy_trace_env ();
   let traced = Trace.enabled trace in
   if traced then begin
@@ -582,15 +605,16 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     end
   in
   let mdt_conflict ~thread ~addr ~issue =
-    let got = Mdt.conflicting_store mdt ~thread ~addr ~issue in
+    let got = Mdt.conflict mdt ~thread ~addr ~issue in
     if check then begin
       let expect = Ref.Mdt.conflicting_store rmdt.(0) ~thread ~addr ~issue in
+      let expect = match expect with None -> Mdt.no_conflict | Some f -> f in
       if got <> expect then
         Chk.failf "Sim.run: MDT conflict query (thread %d, addr %d, issue %d) \
                    answered %s but the reference model says %s"
           thread addr issue
-          (match got with None -> "none" | Some f -> string_of_int f)
-          (match expect with None -> "none" | Some f -> string_of_int f)
+          (if got = Mdt.no_conflict then "none" else string_of_int got)
+          (if expect = Mdt.no_conflict then "none" else string_of_int expect)
     end;
     got
   in
@@ -637,8 +661,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     done
   in
   (* accumulators *)
-  let stall_add src dst cycles =
-    let idx = (src * n) + dst in
+  let stall_add idx cycles =
     let cur = a.stall_cnt.(idx) in
     if cur = 0 then begin
       if a.stall_ntouched >= Array.length a.stall_touched then begin
@@ -724,137 +747,59 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   in
   if a.win_len <> w_len then begin
     a.win_len <- w_len;
-    a.win_pool <- []
+    a.windows <- [||]
   end;
   let max_stage = Array.fold_left max 0 k.K.stage in
-  (* Address memoisation for the fast path: [Address_plan.addr] rolls a
-     seeded coin per incoming memory-dependence edge on every call, which
-     dominates the per-thread cost once the timing replay is gone. All
-     coins are pre-rolled here — the rare realised redirects land in the
-     per-consumer sorted [redir_*] CSR segments, everything else is the
-     node's own affine stream, computed arithmetically. [addr_of] is
-     exact: it reproduces [Address_plan.addr] including the
-     first-realised-edge-wins redirect order. *)
-  let own_streams =
-    if fast_ok then Array.init n (fun v -> Address_plan.stream plan ~node:v)
-    else [||]
-  in
+  (* Both engines read addresses straight from [Address_plan.addr], which
+     allocates nothing. [own_streams] are the nodes' affine streams, read
+     by the fast path's analytic MDT. *)
+  let own_streams = Array.init n (fun v -> Address_plan.stream plan ~node:v) in
+  let addr_of ~node ~iter = Address_plan.addr plan ~node ~iter in
   let has_mem_in = Array.make n false in
-  let redir_off = a.redir_off
-  and redir_iter = ref a.redir_iter
-  and redir_addr = ref a.redir_addr in
-  (* Iterations where a probabilistic memory-dependence coin fires; the
-     loads they redirect run in threads [i, i + max_stage]. *)
-  let coin_iters =
-    if not fast_ok then begin
-      Array.fill redir_off 0 (n + 1) 0;
-      [||]
-    end
+  Array.iter
+    (fun (e : Ts_ddg.Ddg.edge) ->
+      if e.kind = Ts_ddg.Ddg.Mem then has_mem_in.(e.dst) <- true)
+    g.edges;
+  (* Iterations where a probabilistic memory-dependence coin fires on any
+     incoming Mem edge (the fast path's business only): the loads they
+     redirect run in threads [i, i + max_stage]. Marked over [0, total),
+     then compacted in place into ascending order. *)
+  let n_coin =
+    if not fast_ok then 0
     else begin
-      let acc = ref [] in
-      (* incoming Mem edges per consumer, in edge-index order — the order
-         [Address_plan.addr] consults them *)
-      let by_dst = Array.make n [] in
+      arena_ensure_coins a total;
+      let ci = a.coin_iters in
+      Array.fill ci 0 total 0;
       Array.iteri
         (fun idx (e : Ts_ddg.Ddg.edge) ->
-          if e.kind = Ts_ddg.Ddg.Mem then begin
-            by_dst.(e.dst) <- (idx, e) :: by_dst.(e.dst);
-            has_mem_in.(e.dst) <- true
-          end)
-        g.edges;
-      Array.iteri (fun v l -> by_dst.(v) <- List.rev l) by_dst;
-      (* Realised (iter, addr) redirects per consumer, ascending by iter:
-         collected per dst (reversed), then flattened into the CSR. *)
-      let per_dst = Array.make n [] in
-      let n_redir = ref 0 in
-      Array.iteri
-        (fun dst edges ->
-          if edges <> [] then
+          if e.kind = Ts_ddg.Ddg.Mem then
             for it = 0 to total - 1 do
-              let rec first = function
-                | [] -> ()
-                | (idx, _) :: rest ->
-                    if Address_plan.realised plan ~edge_index:idx ~iter:it
-                    then begin
-                      acc := it :: !acc;
-                      per_dst.(dst) <-
-                        (it, Address_plan.addr plan ~node:dst ~iter:it)
-                        :: per_dst.(dst);
-                      incr n_redir
-                    end
-                    else first rest
-              in
-              first edges
+              if Address_plan.realised plan ~edge_index:idx ~iter:it then
+                ci.(it) <- 1
             done)
-        by_dst;
-      arena_ensure_redir a !n_redir;
-      redir_iter := a.redir_iter;
-      redir_addr := a.redir_addr;
-      let ri = !redir_iter and ra = !redir_addr in
-      let off = ref 0 in
-      for v = 0 to n - 1 do
-        (* [per_dst.(v)] is descending by iter; fill its segment from the
-           back so the CSR segment ends up ascending. *)
-        let seg = List.length per_dst.(v) in
-        redir_off.(v) <- !off;
-        let at = ref (!off + seg - 1) in
-        List.iter
-          (fun (it, addr) ->
-            ri.(!at) <- it;
-            ra.(!at) <- addr;
-            decr at)
-          per_dst.(v);
-        off := !off + seg
-      done;
-      redir_off.(n) <- !off;
-      Array.of_list (List.sort_uniq compare !acc)
-    end
-  in
-  let redir_iter = !redir_iter and redir_addr = !redir_addr in
-  let addr_of ~node ~iter =
-    if not fast_ok then Address_plan.addr plan ~node ~iter
-    else begin
-      let redirected =
-        if has_mem_in.(node) then begin
-          let rec bs lo hi =
-            if lo >= hi then min_int
-            else
-              let m = (lo + hi) / 2 in
-              let it = redir_iter.(m) in
-              if it = iter then redir_addr.(m)
-              else if it < iter then bs (m + 1) hi
-              else bs lo m
-          in
-          bs redir_off.(node) redir_off.(node + 1)
+        g.edges;
+      let c = ref 0 in
+      for it = 0 to total - 1 do
+        if ci.(it) = 1 then begin
+          ci.(!c) <- it;
+          incr c
         end
-        else min_int
-      in
-      if redirected <> min_int then redirected
-      else
-        match own_streams.(node) with
-        | Some (base, stride, ws) -> base + (stride * iter mod ws)
-        | None -> Address_plan.addr plan ~node ~iter
+      done;
+      !c
     end
   in
+  let coin_iters = a.coin_iters in
   (* Is any coin iteration inside [lo, hi]? *)
   let coin_in lo hi =
-    let len = Array.length coin_iters in
-    len > 0
-    &&
-    let rec bs x b =
-      if x >= b then x
-      else
-        let m = (x + b) / 2 in
-        if coin_iters.(m) < lo then bs (m + 1) b else bs x m
-    in
-    let idx = bs 0 len in
-    idx < len && coin_iters.(idx) <= hi
+    let x = ref 0 and b = ref n_coin in
+    while !x < !b do
+      let m = (!x + !b) lsr 1 in
+      if Array.unsafe_get coin_iters m < lo then x := m + 1 else b := m
+    done;
+    !x < n_coin && Array.unsafe_get coin_iters !x <= hi
   in
   let coin_affects j = coin_in (j - max_stage) j in
-  let no_coins_from j =
-    let len = Array.length coin_iters in
-    len = 0 || coin_iters.(len - 1) + max_stage < j
-  in
+  let no_coins_from j = n_coin = 0 || coin_iters.(n_coin - 1) + max_stage < j in
   (* ---- analytic MDT occupancy ----
 
      The MDT's record/prune/retire sequence — hence its live count and
@@ -874,7 +819,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   let store_periods =
     List.filter_map
       (fun v ->
-        match if fast_ok then own_streams.(v) else None with
+        match own_streams.(v) with
         | Some (_, stride, ws) -> Some (v, ws / gcd stride ws)
         | None -> None)
       store_l
@@ -890,7 +835,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   (* A thread's stores must really sit in the table iff a coin-affected
      thread within [horizon] ahead could query them. *)
   let mdt_relevant t =
-    Array.length coin_iters > 0 && coin_in (t - max_stage) (t + horizon - 1)
+    n_coin > 0 && coin_in (t - max_stage) (t + horizon - 1)
   in
   let av_live = ref 0 in
   let av_peak = ref 0 in
@@ -911,14 +856,12 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
      .. j]. *)
   let av_retire j =
     let upto = j - horizon in
-    let removed =
-      List.fold_left
-        (fun acc (_, pv) ->
-          let lo = max (j - pv + 1) (max !av_u 0) in
-          acc + max 0 (upto - lo))
-        0 store_periods
-    in
-    av_live := !av_live - removed;
+    let removed = ref 0 in
+    for i = 0 to n_stores - 1 do
+      let lo = max (j - store_pv.(stores.(i)) + 1) (max !av_u 0) in
+      removed := !removed + max 0 (upto - lo)
+    done;
+    av_live := !av_live - !removed;
     if upto > !av_u then av_u := upto
   in
   let rec_cap = a.cap_n in
@@ -931,26 +874,29 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       r_spawn = 0;
       r_squashed = false;
       r_coin = false;
-      r_stalls = [];
+      r_nstalls = 0;
+      r_stalls = Array.make (3 * rec_cap) 0;
       r_finish = Array.make rec_cap 0;
       r_issue = Array.make rec_cap 0;
       r_lats = Array.make rec_cap 0;
     }
   in
-  let fresh_window () =
-    match a.win_pool with
-    | w :: rest ->
-        a.win_pool <- rest;
-        Array.iter (fun r -> r.r_valid <- false) w;
-        w
-    | [] -> Array.init w_len (fun _ -> fresh_rec ())
+  if fast_ok && Array.length a.windows = 0 then
+    a.windows <- Array.init 3 (fun _ -> Array.init w_len (fun _ -> fresh_rec ()));
+  let window i =
+    if fast_ok then begin
+      let w = a.windows.(i) in
+      Array.iter (fun r -> r.r_valid <- false) w;
+      w
+    end
+    else [||]
   in
-  let wprev = ref (if fast_ok then fresh_window () else [||]) in
-  let wcur = ref (if fast_ok then fresh_window () else [||]) in
+  let wprev = ref (window 0) in
+  let wcur = ref (window 1) in
   let prev_clean = ref false in
   let engaged = ref false in
   let allhit = ref false in
-  let sig0 = ref [||] in
+  let sig0 = ref (window 2) (* holds a signature once [engage_count > 0] *) in
   let sig_base = ref 0 in
   let engage_first = ref 0 in (* first extrapolation-eligible thread *)
   let delta = ref 0 in
@@ -988,20 +934,22 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
                  Some (v, per_res))
          by_row_l)
   in
-  let residency_ok () =
-    List.for_all
-      (fun (v, per_res) ->
+  let rec all_resident c = function
+    | [] -> true
+    | addr :: rest -> Cache.probe l1.(c) addr && all_resident c rest
+  in
+  let rec resident = function
+    | [] -> true
+    | (v, per_res) :: rest ->
         let stage = k.K.stage.(v) in
         let ok = ref true in
         for c = 0 to ncore - 1 do
           let rr = (((c - stage) mod ncore) + ncore) mod ncore in
-          List.iter
-            (fun addr -> if not (Cache.probe l1.(c) addr) then ok := false)
-            per_res.(rr)
+          if !ok && not (all_resident c per_res.(rr)) then ok := false
         done;
-        !ok)
-      (Lazy.force line_sets)
+        !ok && resident rest
   in
+  let residency_ok () = resident (Lazy.force line_sets) in
   (* Producer finish-time lookback over the history ring; [min_int] for
      "no such thread" (live-in). *)
   let past_finish_i jj v =
@@ -1044,19 +992,18 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     done
   in
   (* Per-thread results, threaded through run-local cells instead of a
-     freshly allocated record per thread. [cur_stalls] is chronological;
-     the empty list is the common (and allocation-free) case. *)
+     freshly allocated record per thread. The thread's RECV stalls are
+     the first [cur_nstalls] triples of the arena's [stall_buf], in
+     chronological order. *)
   let cur_start = ref 0 in
   let cur_end = ref 0 in
   let cur_spawn = ref 0 in
   let cur_squashed = ref false in
-  let cur_stalls = ref [] in
-  (* Per-cycle issue counts for finite-width cores; reset per thread. *)
-  let iw_tbl : (int, int) Hashtbl.t =
-    Hashtbl.create (if has_width then 64 else 1)
-  in
+  let cur_nstalls = ref 0 in
+  let stall_buf = a.stall_buf in
   (* Execute one thread into its history-ring slot; [recv] false on
-     re-execution (values present). [use_lats] short-circuits the load
+     re-execution (values present, no RECV blocks: the first attempt's
+     stalls stay in [stall_buf]). [use_lats] short-circuits the load
      cache accesses with the latencies already in [lat_buf] (the caller
      replayed them); otherwise loads access the caches and the observed
      latency lands in [lat_buf]. Leaves start/end/stalls in the cells
@@ -1068,7 +1015,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
        reused slot's finish plane must be wiped first. *)
     Array.fill h_finish base n 0;
     let end_exec = ref start in
-    let stalls = ref [] in
+    if recv then cur_nstalls := 0;
     (* Schedule replay with blocking receives: instructions issue at their
        static kernel row plus the shift accumulated by earlier RECV stalls.
        A RECV on an empty queue (Voltron's queue model) blocks the in-order
@@ -1081,7 +1028,10 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     let core = core_of j in
     let lat_scale = Array.unsafe_get core_scale core in
     let width = Array.unsafe_get core_width core in
-    if has_width then Hashtbl.reset iw_tbl;
+    (* Per-cycle issue counts for finite-width cores, indexed by [issue -
+       start]: every issue is at or after its thread's start, since rows
+       and shifts are non-negative. *)
+    iw_scrub a;
     let comm_base =
       if uniform_rr then 0 else j mod place_period * (max_lookback + 1)
     in
@@ -1125,10 +1075,12 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
            max(C_spn, C_ci, C_delay) structure of the Section 4.2 cost
            model. *)
         if !inter_arrival - sched > !shift then shift := !inter_arrival - sched;
-        let blamed =
-          if !blame_src >= 0 then Some (!blame_src, v) else None
-        in
-        stalls := (blamed, cycles, ready) :: !stalls
+        let at = 3 * !cur_nstalls in
+        Array.unsafe_set stall_buf at
+          (if !blame_src >= 0 then (!blame_src * n) + v else -1);
+        Array.unsafe_set stall_buf (at + 1) cycles;
+        Array.unsafe_set stall_buf (at + 2) ready;
+        incr cur_nstalls
       end;
       let issue = if ready > !inter_arrival then ready else !inter_arrival in
       (* Finite issue width (heterogeneous cores only): at most [width]
@@ -1139,19 +1091,16 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       let issue =
         if width = 0 then issue
         else begin
-          let c = ref issue in
-          while
-            match Hashtbl.find_opt iw_tbl !c with
-            | Some used -> used >= width
-            | None -> false
-          do
+          let c = ref (issue - start) in
+          while !c <= a.iw_hi && Array.unsafe_get a.iw_cnt !c >= width do
             incr c
           done;
-          let used =
-            match Hashtbl.find_opt iw_tbl !c with Some u -> u | None -> 0
-          in
-          Hashtbl.replace iw_tbl !c (used + 1);
-          !c
+          if !c > a.iw_hi then begin
+            arena_ensure_iw a (!c + 1);
+            a.iw_hi <- !c
+          end;
+          Array.unsafe_set a.iw_cnt !c (Array.unsafe_get a.iw_cnt !c + 1);
+          start + !c
         end
       in
       let latency =
@@ -1176,25 +1125,40 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       if fin > !end_exec then end_exec := fin
     done;
     cur_end := !end_exec;
-    cur_stalls := List.rev !stalls
+    (* Finite issue width, re-derived from the issue plane independently
+       of the counters above. *)
+    if check && width > 0 then
+      for x = 0 to n - 1 do
+        let t = h_issue.(base + x) in
+        let same = ref 0 in
+        for y = 0 to n - 1 do
+          if h_issue.(base + y) = t then incr same
+        done;
+        if !same > width then
+          Chk.failf "Sim.run: thread %d issues %d instructions at cycle %d \
+                     on core %d, whose issue width is %d"
+            j !same t core width
+      done
   in
-  let account_stalls ~core ~j stalls =
-    List.iter
-      (fun (blamed, cycles, ts) ->
-        sync_stall := !sync_stall + cycles;
-        if traced then
-          Trace.instant trace ~pid:trace_pid ~tid:core ~ts "sync-stall"
-            ~args:
-              ([ ("thread", J.Int j); ("cycles", J.Int cycles) ]
-              @
-              match blamed with
-              | Some (src, dst) ->
-                  [ ("producer", J.Int src); ("consumer", J.Int dst) ]
-              | None -> []);
-        match blamed with
-        | Some (src, dst) -> stall_add src dst cycles
-        | None -> ())
-      stalls
+  (* [stalls.(3i .. 3i+2)] for [i < count]: (blame, cycles, instant). *)
+  let account_stalls ~core ~j stalls count =
+    for i = 0 to count - 1 do
+      let blame = stalls.(3 * i) and cycles = stalls.((3 * i) + 1) in
+      sync_stall := !sync_stall + cycles;
+      if traced then
+        Trace.instant trace ~pid:trace_pid ~tid:core
+          ~ts:stalls.((3 * i) + 2) "sync-stall"
+          ~args:
+            ([ ("thread", J.Int j); ("cycles", J.Int cycles) ]
+            @
+            if blame >= 0 then
+              [
+                ("producer", J.Int (blame / n));
+                ("consumer", J.Int (blame mod n));
+              ]
+            else []);
+      if blame >= 0 then stall_add blame cycles
+    done
   in
   let emit_exec_span ~core ~j name ~ts0 ~ts1 =
     Trace.begin_span trace ~pid:trace_pid ~tid:core ~ts:ts0 name
@@ -1215,7 +1179,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     if measured && spawn_cycles > 0 then
       spawn_stall := !spawn_stall + spawn_cycles;
     exec_thread ~use_lats:lats j ~base start ~recv:true;
-    if measured then account_stalls ~core ~j !cur_stalls;
+    if measured then account_stalls ~core ~j stall_buf !cur_nstalls;
     (* All of this thread's (and every later thread's) write-buffer events
        lie at or after [start]; older events are now final. *)
     wb_finalize start;
@@ -1223,58 +1187,54 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
        had not yet written? A coin-free thread under [fast_ok] reads only
        its own stream regions, which no store ever writes (redirects only
        target store streams and the per-node regions are disjoint), so
-       the probes are skipped — they could only answer [None]. *)
-    let viol = ref None in
+       the probes are skipped — they could only answer [no_conflict]. *)
+    let viol = ref Mdt.no_conflict in
     if (not fast_ok) || coin_affects j then
       for i = 0 to n_loads - 1 do
         let v = loads.(i) in
         if mem_nonempty.(v) then begin
           let addr = addr_of ~node:v ~iter:(j - k.K.stage.(v)) in
-          match
+          let t_detect =
             mdt_conflict ~thread:j ~addr ~issue:h_issue.(base + v)
-          with
-          | Some t_detect ->
-              viol :=
-                Some
-                  (match !viol with
-                  | None -> t_detect
-                  | Some t -> max t t_detect)
-          | None -> ()
+          in
+          if t_detect > !viol then viol := t_detect
         end
       done;
-    (match !viol with
-    | None ->
-        if traced && measured then
-          emit_exec_span ~core ~j "exec" ~ts0:start ~ts1:!cur_end
-    | Some t_detect ->
-        if measured then incr squashes;
-        let restart = t_detect + p.c_inv in
-        if check && restart < t_detect + p.c_inv then
-          Chk.failf "Sim.run: thread %d restarts at %d, before detection %d \
-                     + invalidation overhead %d"
-            j restart t_detect p.c_inv;
-        (* The wasted attempt's stores sat in the buffer until the
-           invalidation completed. *)
-        wb_stores ~base ~drain:restart;
-        if traced && measured then begin
-          (* The wasted first attempt, cut off where the MDT caught the
-             premature load; the re-execution follows after [c_inv]. *)
-          emit_exec_span ~core ~j "exec (squashed)" ~ts0:start ~ts1:t_detect;
-          Trace.instant trace ~pid:trace_pid ~tid:core ~ts:t_detect "squash"
-            ~args:
-              [
-                ("thread", J.Int j);
-                ("detected", J.Int t_detect);
-                ("restart", J.Int restart);
-              ]
-        end;
-        (* Keep the first attempt's RECV stalls: they were already
-           accounted, and the detection-window record wants them. *)
-        let stalls0 = !cur_stalls in
-        exec_thread ~use_lats:false j ~base restart ~recv:false;
-        cur_stalls := stalls0;
-        if traced && measured then
-          emit_exec_span ~core ~j "re-exec" ~ts0:restart ~ts1:!cur_end);
+    let squashed = !viol <> Mdt.no_conflict in
+    if not squashed then begin
+      if traced && measured then
+        emit_exec_span ~core ~j "exec" ~ts0:start ~ts1:!cur_end
+    end
+    else begin
+      let t_detect = !viol in
+      if measured then incr squashes;
+      let restart = t_detect + p.c_inv in
+      if check && restart < t_detect + p.c_inv then
+        Chk.failf "Sim.run: thread %d restarts at %d, before detection %d \
+                   + invalidation overhead %d"
+          j restart t_detect p.c_inv;
+      (* The wasted attempt's stores sat in the buffer until the
+         invalidation completed. *)
+      wb_stores ~base ~drain:restart;
+      if traced && measured then begin
+        (* The wasted first attempt, cut off where the MDT caught the
+           premature load; the re-execution follows after [c_inv]. *)
+        emit_exec_span ~core ~j "exec (squashed)" ~ts0:start ~ts1:t_detect;
+        Trace.instant trace ~pid:trace_pid ~tid:core ~ts:t_detect "squash"
+          ~args:
+            [
+              ("thread", J.Int j);
+              ("detected", J.Int t_detect);
+              ("restart", J.Int restart);
+            ]
+      end;
+      (* The first attempt's RECV stalls stay in [stall_buf] (the
+         re-execution does not block): they were already accounted, and
+         the detection-window record wants them. *)
+      exec_thread ~use_lats:false j ~base restart ~recv:false;
+      if traced && measured then
+        emit_exec_span ~core ~j "re-exec" ~ts0:restart ~ts1:!cur_end
+    end;
     if check then
       for idx = 0 to n - 1 do
         let v = by_row.(idx) in
@@ -1365,18 +1325,18 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
             end_exec = !cur_end;
             commit_start;
             commit_end;
-            squashed = !viol <> None;
+            squashed;
           }
     | None -> ());
     h_kind.(j mod horizon) <- 1;
-    cur_squashed := !viol <> None;
+    cur_squashed := squashed;
     (* Successors respawn from the (possibly re-executed) thread's start. *)
     prev_spawn_base := !cur_start;
     if j mod 64 = 63 then begin
       if analytic_mdt then begin
         av_retire j;
         (* keep the (tiny) coin-neighbourhood table pruned *)
-        if Array.length coin_iters > 0 then Mdt.retire mdt ~upto:(j - horizon)
+        if n_coin > 0 then Mdt.retire mdt ~upto:(j - horizon)
       end
       else mdt_retire ~upto:(j - horizon)
     end
@@ -1392,7 +1352,8 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     r.r_spawn <- !cur_spawn;
     r.r_squashed <- !cur_squashed;
     r.r_coin <- coin_affects j;
-    r.r_stalls <- !cur_stalls;
+    r.r_nstalls <- !cur_nstalls;
+    Array.blit stall_buf 0 r.r_stalls 0 (3 * !cur_nstalls);
     let base = j mod horizon * n in
     Array.blit h_finish base r.r_finish 0 n;
     Array.blit h_issue base r.r_issue 0 n;
@@ -1417,15 +1378,28 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     done;
     !ok
   in
-  let rec stalls_eq sa sb d =
-    match (sa, sb) with
-    | [], [] -> true
-    | (ba, ca, ta) :: ra, (bb, cb, tb) :: rb ->
-        ba = bb && ca = cb && tb = ta + d && stalls_eq ra rb d
-    | _ -> false
+  (* Same stalls, [rb]'s instants shifted by [d]. *)
+  let stalls_eq ra rb d =
+    ra.r_nstalls = rb.r_nstalls
+    &&
+    let ok = ref true in
+    for i = 0 to ra.r_nstalls - 1 do
+      let x = 3 * i in
+      if
+        ra.r_stalls.(x) <> rb.r_stalls.(x)
+        || ra.r_stalls.(x + 1) <> rb.r_stalls.(x + 1)
+        || rb.r_stalls.(x + 2) <> ra.r_stalls.(x + 2) + d
+      then ok := false
+    done;
+    !ok
   in
   let window_clean w =
-    Array.for_all (fun r -> r.r_valid && (not r.r_squashed) && not r.r_coin) w
+    let clean = ref true in
+    for o = 0 to w_len - 1 do
+      let r = w.(o) in
+      if (not r.r_valid) || r.r_squashed || r.r_coin then clean := false
+    done;
+    !clean
   in
   (* Leave the engaged regime at thread [j] (which just ran exactly, with
      live write-buffer sweeping, starting at [upto]). While engaged the
@@ -1475,7 +1449,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
              && rc.r_end_exec = rp.r_end_exec + d
              && rc.r_commit_end = rp.r_commit_end + d
              && rc.r_spawn = rp.r_spawn
-             && stalls_eq rp.r_stalls rc.r_stalls d
+             && stalls_eq rp rc d
              && shift_eq rp.r_finish rc.r_finish d
              && shift_eq rp.r_issue rc.r_issue d
              &&
@@ -1489,25 +1463,25 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
        done;
        if !ok then begin
          engaged := true;
-         (* The previous engagement's signature (if any) can be pooled:
-            by now the history ring holds only really-executed threads,
-            so nothing references its records. *)
-         if Array.length !sig0 > 0 then a.win_pool <- !sig0 :: a.win_pool;
+         (* The previous engagement's signature becomes the next current
+            window: by now the history ring holds only really-executed
+            threads, so nothing references its records. *)
+         let spare = !sig0 in
          sig0 := !wcur;
          sig_base := next - w_len;
          engage_first := next;
          delta := d;
-         sig_allhit :=
-           Array.for_all
-             (fun r ->
-               let all = ref true in
-               for i = 0 to n_loads - 1 do
-                 if r.r_lats.(loads.(i)) <> cfg.l1_hit then all := false
-               done;
-               !all)
-             !sig0;
+         let all = ref true in
+         for o = 0 to w_len - 1 do
+           let r = wc.(o) in
+           for i = 0 to n_loads - 1 do
+             if r.r_lats.(loads.(i)) <> cfg.l1_hit then all := false
+           done
+         done;
+         sig_allhit := !all;
          incr engage_count;
-         wcur := fresh_window ();
+         wcur := spare;
+         Array.iter (fun r -> r.r_valid <- false) spare;
          prev_clean := false;
          Array.iter (fun r -> r.r_valid <- false) !wprev
        end
@@ -1545,14 +1519,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     let start = r.r_start + shift in
     let commit_end = r.r_commit_end + shift in
     if measured && r.r_spawn > 0 then spawn_stall := !spawn_stall + r.r_spawn;
-    if measured then
-      List.iter
-        (fun (blamed, cycles, _) ->
-          sync_stall := !sync_stall + cycles;
-          match blamed with
-          | Some (src, dst) -> stall_add src dst cycles
-          | None -> ())
-        r.r_stalls;
+    if measured then account_stalls ~core ~j r.r_stalls r.r_nstalls;
     (* No write-buffer events while engaged: the steady state repeats the
        signature window's recorded occupancy trajectory (every event
        shifts uniformly), so the peak cannot move; [disengage]
@@ -1591,7 +1558,7 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     if j mod 64 = 63 then begin
       if analytic_mdt then begin
         av_retire j;
-        if Array.length coin_iters > 0 then Mdt.retire mdt ~upto:(j - horizon)
+        if n_coin > 0 then Mdt.retire mdt ~upto:(j - horizon)
       end
       else mdt_retire ~upto:(j - horizon)
     end;
@@ -1689,13 +1656,6 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
           ("squashes", J.Int !squashes);
           ("sync_stall_cycles", J.Int !sync_stall);
         ];
-  (* Return the detection windows to the pool for the next run on this
-     domain. The sets {wprev, wcur} and the signature are distinct arrays
-     whenever non-empty. *)
-  if fast_ok then begin
-    a.win_pool <- !wprev :: !wcur :: a.win_pool;
-    if Array.length !sig0 > 0 then a.win_pool <- !sig0 :: a.win_pool
-  end;
   let breakdown =
     let lst = ref [] in
     for i = a.stall_ntouched - 1 downto 0 do

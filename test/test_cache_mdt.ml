@@ -69,46 +69,48 @@ let prop_cache_hit_after_access =
 
 (* --- MDT --- *)
 
+let no_conflict = Ts_spmt.Mdt.no_conflict
+
 let test_mdt_conflict_detection () =
   let m = Ts_spmt.Mdt.create ~horizon:4 in
   Ts_spmt.Mdt.record_store m ~thread:5 ~addr:0x40 ~finish:100;
   (* a load in thread 6 issued before the store completed: conflict at 100 *)
   check_bool "conflict" true
-    (Ts_spmt.Mdt.conflicting_store m ~thread:6 ~addr:0x40 ~issue:90 = Some 100);
+    (Ts_spmt.Mdt.conflict m ~thread:6 ~addr:0x40 ~issue:90 = 100);
   (* issued after completion: no conflict *)
   check_bool "ordered" true
-    (Ts_spmt.Mdt.conflicting_store m ~thread:6 ~addr:0x40 ~issue:101 = None);
+    (Ts_spmt.Mdt.conflict m ~thread:6 ~addr:0x40 ~issue:101 = no_conflict);
   (* different address: no conflict *)
   check_bool "other addr" true
-    (Ts_spmt.Mdt.conflicting_store m ~thread:6 ~addr:0x44 ~issue:90 = None)
+    (Ts_spmt.Mdt.conflict m ~thread:6 ~addr:0x44 ~issue:90 = no_conflict)
 
 let test_mdt_horizon () =
   let m = Ts_spmt.Mdt.create ~horizon:4 in
   Ts_spmt.Mdt.record_store m ~thread:1 ~addr:0x40 ~finish:100;
   (* thread 6 is more than horizon away: thread 1 committed long ago *)
   check_bool "out of window" true
-    (Ts_spmt.Mdt.conflicting_store m ~thread:6 ~addr:0x40 ~issue:0 = None)
+    (Ts_spmt.Mdt.conflict m ~thread:6 ~addr:0x40 ~issue:0 = no_conflict)
 
 let test_mdt_less_speculative_only () =
   let m = Ts_spmt.Mdt.create ~horizon:4 in
   Ts_spmt.Mdt.record_store m ~thread:7 ~addr:0x40 ~finish:100;
   (* a store by a MORE speculative thread never squashes an older one *)
   check_bool "younger store ignored" true
-    (Ts_spmt.Mdt.conflicting_store m ~thread:6 ~addr:0x40 ~issue:0 = None)
+    (Ts_spmt.Mdt.conflict m ~thread:6 ~addr:0x40 ~issue:0 = no_conflict)
 
 let test_mdt_latest_finish () =
   let m = Ts_spmt.Mdt.create ~horizon:8 in
   Ts_spmt.Mdt.record_store m ~thread:1 ~addr:0x40 ~finish:50;
   Ts_spmt.Mdt.record_store m ~thread:2 ~addr:0x40 ~finish:80;
   check_bool "latest completion wins" true
-    (Ts_spmt.Mdt.conflicting_store m ~thread:4 ~addr:0x40 ~issue:10 = Some 80)
+    (Ts_spmt.Mdt.conflict m ~thread:4 ~addr:0x40 ~issue:10 = 80)
 
 let test_mdt_retire () =
   let m = Ts_spmt.Mdt.create ~horizon:8 in
   Ts_spmt.Mdt.record_store m ~thread:1 ~addr:0x40 ~finish:50;
   Ts_spmt.Mdt.retire m ~upto:2;
   check_bool "retired" true
-    (Ts_spmt.Mdt.conflicting_store m ~thread:3 ~addr:0x40 ~issue:0 = None)
+    (Ts_spmt.Mdt.conflict m ~thread:3 ~addr:0x40 ~issue:0 = no_conflict)
 
 let test_mdt_peak () =
   let m = Ts_spmt.Mdt.create ~horizon:8 in
@@ -131,48 +133,109 @@ let test_mdt_live_count_drops_horizon_expired () =
     (Ts_spmt.Mdt.live_entries m);
   check_int "peak saw the crowded moment" 2 (Ts_spmt.Mdt.peak_entries m)
 
+let test_mdt_out_of_order_rejected () =
+  let m = Ts_spmt.Mdt.create ~horizon:4 in
+  Ts_spmt.Mdt.record_store m ~thread:5 ~addr:0x40 ~finish:10;
+  Ts_spmt.Mdt.record_store m ~thread:5 ~addr:0x48 ~finish:12;
+  check_bool "an earlier thread after a later one is rejected" true
+    (match Ts_spmt.Mdt.record_store m ~thread:4 ~addr:0x40 ~finish:9 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Ts_spmt.Mdt.clear m ~horizon:4;
+  Ts_spmt.Mdt.record_store m ~thread:0 ~addr:0x40 ~finish:1;
+  check_int "clear restarts the order" 1 (Ts_spmt.Mdt.live_entries m)
+
 (* --- differential properties against the Ts_check reference models --- *)
 
 (* Deterministic op streams from Ts_base.Rng: each QCheck case is a seed. *)
 
+(* The reference model's answer in [Mdt.conflict]'s terms. *)
+let ref_conflict refm ~thread ~addr ~issue =
+  match Ts_check.Ref_models.Mdt.conflicting_store refm ~thread ~addr ~issue with
+  | None -> Ts_spmt.Mdt.no_conflict
+  | Some f -> f
+
+(* Two rounds on one table, [clear]ed in between (the arena reuse path),
+   each against a fresh reference model: 96 addresses and 2,400 ops per
+   round, so the pooled table's entry pool, address index and free list
+   all grow and recycle. *)
 let prop_mdt_matches_reference =
   QCheck.Test.make ~count:60 ~name:"MDT matches the naive reference model"
     QCheck.(int_bound 10_000)
     (fun seed ->
       let rng = Ts_base.Rng.of_string (Printf.sprintf "test-mdt/%d" seed) in
-      let horizon = 1 + Ts_base.Rng.int rng 5 in
-      let real = Ts_spmt.Mdt.create ~horizon in
-      let refm = Ts_check.Ref_models.Mdt.create ~horizon in
-      let thread = ref horizon in
+      let real = Ts_spmt.Mdt.create ~horizon:1 in
       let ok = ref true in
-      for step = 1 to 120 do
-        let addr = 8 * Ts_base.Rng.int rng 5 in
-        (match Ts_base.Rng.int rng 8 with
-        | 0 | 1 | 2 ->
-            let finish = (10 * step) + Ts_base.Rng.int rng 30 in
-            Ts_spmt.Mdt.record_store real ~thread:!thread ~addr ~finish;
-            Ts_check.Ref_models.Mdt.record_store refm ~thread:!thread ~addr
-              ~finish
-        | 3 | 4 ->
-            let issue = (10 * step) - Ts_base.Rng.int rng 100 in
-            if
-              Ts_spmt.Mdt.conflicting_store real ~thread:!thread ~addr ~issue
-              <> Ts_check.Ref_models.Mdt.conflicting_store refm ~thread:!thread
-                   ~addr ~issue
-            then ok := false
-        | 5 ->
-            let upto = !thread - horizon + Ts_base.Rng.int_in rng (-2) 2 in
-            Ts_spmt.Mdt.retire real ~upto;
-            Ts_check.Ref_models.Mdt.retire refm ~upto
-        | _ -> thread := !thread + 1 + Ts_base.Rng.int rng 2);
-        if
-          Ts_spmt.Mdt.live_entries real
-          <> Ts_check.Ref_models.Mdt.live_entries refm
-          || Ts_spmt.Mdt.peak_entries real
-             <> Ts_check.Ref_models.Mdt.peak_entries refm
-        then ok := false
+      for _round = 1 to 2 do
+        let horizon = 1 + Ts_base.Rng.int rng 8 in
+        Ts_spmt.Mdt.clear real ~horizon;
+        let refm = Ts_check.Ref_models.Mdt.create ~horizon in
+        let thread = ref horizon in
+        for step = 1 to 2400 do
+          let addr = 8 * Ts_base.Rng.int rng 96 in
+          (match Ts_base.Rng.int rng 16 with
+          | 0 | 1 | 2 | 3 | 4 | 5 | 6 ->
+              let finish = (10 * step) + Ts_base.Rng.int rng 30 in
+              Ts_spmt.Mdt.record_store real ~thread:!thread ~addr ~finish;
+              Ts_check.Ref_models.Mdt.record_store refm ~thread:!thread ~addr
+                ~finish
+          | 7 | 8 | 9 | 10 ->
+              let issue = (10 * step) - Ts_base.Rng.int rng 100 in
+              if
+                Ts_spmt.Mdt.conflict real ~thread:!thread ~addr ~issue
+                <> ref_conflict refm ~thread:!thread ~addr ~issue
+              then ok := false
+          | 11 ->
+              let upto = !thread - horizon + Ts_base.Rng.int_in rng (-2) 2 in
+              Ts_spmt.Mdt.retire real ~upto;
+              Ts_check.Ref_models.Mdt.retire refm ~upto
+          | _ -> thread := !thread + 1 + Ts_base.Rng.int rng 2);
+          if
+            Ts_spmt.Mdt.live_entries real
+            <> Ts_check.Ref_models.Mdt.live_entries refm
+            || Ts_spmt.Mdt.peak_entries real
+               <> Ts_check.Ref_models.Mdt.peak_entries refm
+          then ok := false
+        done
       done;
       !ok)
+
+(* The pooled table under a load no property case is guaranteed to
+   reach: hundreds of live entries over a hundred addresses per thread
+   (pool and index growth), retires that hand entries back to the free
+   list, and a [clear] whose next run reuses everything. *)
+let test_mdt_pool_growth_and_reuse () =
+  let real = Ts_spmt.Mdt.create ~horizon:4 in
+  let run ~horizon ~threads =
+    Ts_spmt.Mdt.clear real ~horizon;
+    let refm = Ts_check.Ref_models.Mdt.create ~horizon in
+    for j = 0 to threads - 1 do
+      for s = 0 to 99 do
+        let addr = 8 * (((j * 37) + (s * 11)) mod 150) in
+        let finish = (10 * j) + s in
+        Ts_spmt.Mdt.record_store real ~thread:j ~addr ~finish;
+        Ts_check.Ref_models.Mdt.record_store refm ~thread:j ~addr ~finish;
+        if
+          Ts_spmt.Mdt.conflict real ~thread:j ~addr ~issue:0
+          <> ref_conflict refm ~thread:j ~addr ~issue:0
+        then Alcotest.failf "thread %d addr %d: conflict query diverged" j addr
+      done;
+      if j mod 8 = 7 then begin
+        Ts_spmt.Mdt.retire real ~upto:(j - horizon);
+        Ts_check.Ref_models.Mdt.retire refm ~upto:(j - horizon)
+      end;
+      check_int
+        (Printf.sprintf "live after thread %d" j)
+        (Ts_check.Ref_models.Mdt.live_entries refm)
+        (Ts_spmt.Mdt.live_entries real)
+    done;
+    check_int "peak" (Ts_check.Ref_models.Mdt.peak_entries refm)
+      (Ts_spmt.Mdt.peak_entries real)
+  in
+  run ~horizon:4 ~threads:40;
+  check_bool "the pool outgrew its initial 64 entries" true
+    (Ts_spmt.Mdt.peak_entries real > 64);
+  run ~horizon:2 ~threads:40
 
 let prop_cache_matches_reference =
   QCheck.Test.make ~count:60
@@ -180,11 +243,12 @@ let prop_cache_matches_reference =
     QCheck.(int_bound 10_000)
     (fun seed ->
       let rng = Ts_base.Rng.of_string (Printf.sprintf "test-cache/%d" seed) in
-      let size = 256 and assoc = 2 and line = 32 in
+      let assoc = Ts_base.Rng.pick rng [| 1; 2; 4; 8 |] in
+      let size = Ts_base.Rng.pick rng [| 256; 1024; 4096 |] and line = 32 in
       let real = Ts_spmt.Cache.create ~size ~assoc ~line in
       let refm = Ts_check.Ref_models.Cache.create ~size ~assoc ~line in
       let ok = ref true in
-      for _ = 1 to 200 do
+      for _ = 1 to 600 do
         let addr = line * Ts_base.Rng.int rng (3 * size / line) in
         (match Ts_base.Rng.int rng 8 with
         | 0 | 1 | 2 | 3 ->
@@ -225,6 +289,10 @@ let suite =
     Alcotest.test_case "mdt: peak entries" `Quick test_mdt_peak;
     Alcotest.test_case "mdt: live count drops expired entries" `Quick
       test_mdt_live_count_drops_horizon_expired;
+    Alcotest.test_case "mdt: out-of-order record rejected" `Quick
+      test_mdt_out_of_order_rejected;
+    Alcotest.test_case "mdt: pool growth and reuse" `Quick
+      test_mdt_pool_growth_and_reuse;
     QCheck_alcotest.to_alcotest prop_mdt_matches_reference;
     QCheck_alcotest.to_alcotest prop_cache_matches_reference;
   ]

@@ -125,6 +125,16 @@ let prop_int_in_range =
       let v = Ts_base.Rng.int r bound in
       v >= 0 && v < bound)
 
+let prop_coin2_matches_derive2 =
+  QCheck.Test.make ~count:1000
+    ~name:"coin2 equals bool of derive2, bit for bit"
+    QCheck.(
+      quad int64 (int_range (-1000) 100_000) (int_range (-100_000) 100_000)
+        (float_bound_inclusive 1.0))
+    (fun (seed, a, b, p) ->
+      let t = Ts_base.Rng.create seed in
+      Ts_base.Rng.coin2 t a b p = Ts_base.Rng.bool (Ts_base.Rng.derive2 t a b) p)
+
 let suite =
   [
     Alcotest.test_case "create: deterministic" `Quick test_deterministic;
@@ -145,4 +155,5 @@ let suite =
     Alcotest.test_case "pick_weighted: bias" `Quick test_pick_weighted_bias;
     Alcotest.test_case "pick_weighted: single" `Quick test_pick_weighted_single;
     QCheck_alcotest.to_alcotest prop_int_in_range;
+    QCheck_alcotest.to_alcotest prop_coin2_matches_derive2;
   ]

@@ -272,6 +272,95 @@ let test_ipc () =
   check_bool "0 < ipc <= width * ncore" true
     (ipc > 0.0 && ipc <= 16.0)
 
+(* --- Heterogeneous machines under [~check] --- *)
+
+let hetero_cfg mix policy =
+  match Ts_isa.Spmt_params.mix_of_string mix with
+  | Ok m ->
+      Ts_spmt.Config.with_placement
+        { cfg with Ts_spmt.Config.params = Ts_isa.Spmt_params.apply_mix params m }
+        policy
+  | Error e -> failwith e
+
+let hetero_loops () =
+  [
+    Fixtures.motivating ();
+    Fixtures.spec_loop ();
+    Fixtures.diamond ();
+    Fixtures.accumulator ();
+    Fixtures.two_scc ();
+  ]
+  @ List.map (fun seed -> Fixtures.generated ~seed ~n_inst:(16 + (8 * seed)) ())
+      [ 0; 1; 2; 3 ]
+
+(* Finite issue width, the reference cache and MDT models and the
+   pre-rolled addresses are all checked on every thread of a
+   heterogeneous run; the checked stats must equal the unchecked ones. *)
+let test_sim_hetero_checked mix policy () =
+  let mcfg = hetero_cfg mix policy in
+  List.iter
+    (fun g ->
+      let k = kernel_of g in
+      let plan = Ts_spmt.Address_plan.create g in
+      let plain = Ts_spmt.Sim.run ~plan ~warmup:64 mcfg k ~trip:300 in
+      let checked =
+        Ts_spmt.Sim.run ~plan ~warmup:64 ~check:true mcfg k ~trip:300
+      in
+      check_bool
+        (g.Ts_ddg.Ddg.name ^ ": checked stats identical")
+        true (plain = checked))
+    (hetero_loops ())
+
+(* The arena's scratch must not leak from one run into the next: a short
+   cold run (no warmup to wash a perturbation out) repeats exactly after
+   other runs on the same domain. *)
+let test_sim_hetero_runs_independent () =
+  let mcfg = hetero_cfg "2fast+2slow" Ts_isa.Placement.Locality in
+  let ks = List.map kernel_of (hetero_loops ()) in
+  let firsts = List.map (fun k -> Ts_spmt.Sim.run mcfg k ~trip:50) ks in
+  List.iter2
+    (fun k first ->
+      check_bool "same stats on a rerun" true
+        (Ts_spmt.Sim.run mcfg k ~trip:50 = first))
+    (List.rev ks) (List.rev firsts)
+
+(* --- Allocation --- *)
+
+(* Minor-heap words per extra simulated thread: the difference between a
+   run of [2 * trip] and one of [trip], over [trip]. Per-run setup
+   cancels out; what remains is what the per-thread path allocates. The
+   first run grows the domain's scratch arena to the larger size. *)
+let words_per_thread ?(fast = false) mcfg g =
+  let k = kernel_of g in
+  let plan = Ts_spmt.Address_plan.create g in
+  let trip = 2000 and warmup = 64 in
+  let words trip =
+    let w0 = Gc.minor_words () in
+    ignore (Ts_spmt.Sim.run ~plan ~warmup ~fast mcfg k ~trip);
+    Gc.minor_words () -. w0
+  in
+  ignore (words (2 * trip));
+  let short = words trip in
+  let long = words (2 * trip) in
+  (long -. short) /. float_of_int trip
+
+let test_sim_allocation_free () =
+  let hetero = hetero_cfg "2fast+2slow" Ts_isa.Placement.Locality in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun (what, w) ->
+          check_bool
+            (Printf.sprintf "%s, %s: %.3f words per thread" g.Ts_ddg.Ddg.name
+               what w)
+            true (w < 0.5))
+        [
+          ("exact", words_per_thread cfg g);
+          ("exact heterogeneous", words_per_thread hetero g);
+          ("fast path", words_per_thread ~fast:true cfg g);
+        ])
+    [ Fixtures.spec_loop (); Fixtures.motivating (); Fixtures.generated () ]
+
 (* --- Single-threaded baseline --- *)
 
 let test_single_basic () =
@@ -405,6 +494,18 @@ let suite =
     Alcotest.test_case "sim: fast path engages around squashes" `Quick
       test_sim_fast_engages_around_squashes;
     Alcotest.test_case "sim: ipc sanity" `Quick test_ipc;
+    Alcotest.test_case "sim: checked 2fast+2slow round-robin" `Quick
+      (test_sim_hetero_checked "2fast+2slow" Ts_isa.Placement.Round_robin);
+    Alcotest.test_case "sim: checked 2fast+2slow locality" `Quick
+      (test_sim_hetero_checked "2fast+2slow" Ts_isa.Placement.Locality);
+    Alcotest.test_case "sim: checked 1fast+3slow round-robin" `Quick
+      (test_sim_hetero_checked "fast+3slow" Ts_isa.Placement.Round_robin);
+    Alcotest.test_case "sim: checked 1fast+3slow locality" `Quick
+      (test_sim_hetero_checked "fast+3slow" Ts_isa.Placement.Locality);
+    Alcotest.test_case "sim: heterogeneous reruns are independent" `Quick
+      test_sim_hetero_runs_independent;
+    Alcotest.test_case "sim: allocation-free per thread" `Quick
+      test_sim_allocation_free;
     Alcotest.test_case "single: basic" `Quick test_single_basic;
     Alcotest.test_case "single: ResII floor" `Quick test_single_res_ii_floor;
     Alcotest.test_case "single: recurrence bound" `Quick test_single_recurrence_bound;
