@@ -21,10 +21,11 @@ let m_slot_admitted = Metrics.counter Metrics.default "tms.slots.admitted"
    outcome instead of a placement run (see [point]). *)
 let m_warm_hits = Metrics.counter Metrics.default "tms.warm.point_hits"
 
-(* Latency distribution of one grid-point placement (order repair
-   included): the unit of work the sweep repeats thousands of times, so
-   its p50/p90/p99 is what tells a slow search from a wide one. Replayed
-   points are not placements and are not observed. *)
+(* Latency distribution of one grid-point attempt (order repair or the
+   IMS post-check included): the unit of work the search repeats
+   thousands of times, so its p50/p90/p99 is what tells a slow search
+   from a wide one. Replayed points are not placements and are not
+   observed. *)
 let m_attempt_ms = Metrics.histogram Metrics.default "tms.attempt_ms"
 
 type result = {
@@ -62,15 +63,6 @@ let default_p_max = 0.05
      of the low-II points a single greedy pass rejects. *)
 let default_f_slack = 1.5
 let default_place_retries = 3
-
-(* First [k] elements and the rest, in order ([k] is a small speculation
-   window, so the non-tail recursion is fine). *)
-let rec take_drop k = function
-  | [] -> ([], [])
-  | l when k <= 0 -> ([], l)
-  | x :: tl ->
-      let a, b = take_drop (k - 1) tl in
-      (x :: a, b)
 
 type slot_verdict = Admit | Reject_resource | Reject_c1 | Reject_c2
 
@@ -218,11 +210,10 @@ let reject_reason r =
 
 (* Slot-verdict counters are accumulated in a local tally and flushed to
    the shared metrics once per attempt: a fetch_and_add per slot check
-   would ping-pong the counters' cache lines across the sweep's domains.
-   The tally is also what lets the search evaluate grid points
-   speculatively in parallel — an attempt the sequential walk would have
-   skipped is simply discarded unflushed, so the metrics record exactly
-   the sequential walk's totals at any pool size. *)
+   would ping-pong the counters' cache lines across the domains of a
+   sweep's parallel P_max searches. The tally is also what a sweep
+   records with each point, so that a search replaying the point counts
+   the verdicts its placement would have produced (see [point]). *)
 type slot_tally = {
   mutable t_resource : int;
   mutable t_c1 : int;
@@ -351,13 +342,8 @@ let finish ~params ~p_max ~mii ~attempts ~fell_back ~c_delay_threshold ~f_min ke
    objective value, the accept/reject outcome and the reject reason
    (window-empty vs resource/C1/C2 slot exhaustion); searches are
    logical-time (Trace.tick), not cycle-time. *)
-let attempt_event trace ~base ~ii ~c_delay ~f ?reason accepted =
+let attempt_event trace ~base ~ii ~c_delay ~f ~reason accepted =
   if Trace.enabled trace then
-    let reason =
-      match reason with
-      | Some r -> r
-      | None -> if accepted then "scheduled" else "placement-failed"
-    in
     Trace.instant trace ~ts:(Trace.tick trace) "tms.attempt"
       ~args:
         [
@@ -385,45 +371,136 @@ let result_event trace (r : result) =
         ]
 
 (* The per-loop half of a search: everything that depends on the loop,
-   the machine and the placement but not on [P_max]. A sweep builds it
-   once and hands it to each of its searches. *)
+   the machine and the placement but not on [P_max] or on the base
+   scheduler. A sweep builds it once and hands it to each of its
+   searches. *)
 type prepared = {
   params : Ts_isa.Spmt_params.t;  (* effective under the placement *)
   mii : int;
   ii_max : int;
   cd_max : int;
-  order : (int * S.direction) list;
 }
 
-let prepare ?max_ii ~placement ~params g =
+let prepare ~placement ~params g =
   (* Definition 2 under the placement: the search prices the worst
      distance-1 hop cost and target-core speed of the compiled map
      ([effective_params] is the identity for round-robin). *)
   let params = Ts_isa.Placement.effective_params placement params in
   let mii = Ts_ddg.Mii.mii g in
+  (* II rarely exceeds the longest dependence path (Section 4.3); cap the
+     search grid there and rely on the fallback for the pathological
+     remainder. *)
   let ii_max =
-    match max_ii with
-    | Some m -> m
-    | None ->
-        (* II rarely exceeds the longest dependence path (Section 4.3);
-           cap the search grid there and rely on the SMS fallback for the
-           pathological remainder. *)
-        min (Ts_ddg.Mii.ii_upper_bound g) (max (Ts_ddg.Mii.ldp g) mii + 8)
+    min (Ts_ddg.Mii.ii_upper_bound g) (max (Ts_ddg.Mii.ldp g) mii + 8)
   in
   let max_lat =
     Array.fold_left (fun acc (nd : Ts_ddg.Ddg.node) -> max acc nd.latency) 1 g.nodes
   in
   let cd_max = ii_max - 1 + max_lat + params.Ts_isa.Spmt_params.c_reg_com in
-  { params; mii; ii_max; cd_max; order = Ts_sms.Order.compute_with_dirs g ~ii:mii }
+  { params; mii; ii_max; cd_max }
 
-(* One search at [p_max]. Returns the result and the smallest frequency
-   a C2 comparison rejected on any point the walk consumed ([infinity]
-   when C2 never rejected): the search's walk is then the walk at every
-   P_max below that floor (see [schedule_sweep]). [memo] is the sweep's
-   shared point table; a lone search has none. *)
-let search ?memo ~trace ~p_max prep g =
-  let { params; mii; ii_max; cd_max; order } = prep in
-  let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
+type attempt =
+  | Placed of (K.t, string) Stdlib.result
+  | Replayed of (K.t, string) Stdlib.result
+
+(* The Figure 3 outer search at [p_max], whichever base scheduler places
+   the instructions: [attempt] tries one grid point, [fallback]
+   schedules the loop when the grid is exhausted, and [base] names the
+   scheduler in trace events.
+
+   F-plateau walk: scan objective groups in ascending F.  After the
+   first feasible point fixes F0, keep scanning until F exceeds
+   F0 + default_f_slack, tie-breaking toward the lowest II seen so far
+   (points at or above the incumbent II are skipped, and within a group
+   the first success is the lowest-F placement for that II). *)
+let search ~trace ~base ~p_max prep g ~attempt ~fallback =
+  let { params; mii; ii_max; cd_max } = prep in
+  if Trace.enabled trace then
+    Trace.begin_span trace ~ts:(Trace.tick trace) "tms.search"
+      ~args:
+        [
+          ("loop", Ts_obs.Json.Str g.Ts_ddg.Ddg.name);
+          ("p_max", Ts_obs.Json.Float p_max);
+          ("mii", Ts_obs.Json.Int mii);
+          ("ii_max", Ts_obs.Json.Int ii_max);
+        ];
+  let attempts = ref 0 in
+  let f0 = ref None in
+  let best = ref None in
+  let try_point f (ii, cd) =
+    let worth =
+      match !best with None -> true | Some (bii, _, _, _) -> ii < bii
+    in
+    if worth then begin
+      incr attempts;
+      Metrics.incr m_attempts;
+      let t0 = Unix.gettimeofday () in
+      let outcome =
+        match attempt ~ii ~c_delay:cd with
+        | Placed o ->
+            Metrics.observe m_attempt_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
+            o
+        | Replayed o ->
+            Metrics.incr m_warm_hits;
+            o
+      in
+      match outcome with
+      | Ok kernel ->
+          attempt_event trace ~base ~ii ~c_delay:cd ~f ~reason:"scheduled" true;
+          if !f0 = None then f0 := Some f;
+          best := Some (ii, cd, f, kernel)
+      | Error reason -> attempt_event trace ~base ~ii ~c_delay:cd ~f ~reason false
+    end
+  in
+  let rec walk groups =
+    match groups () with
+    | Seq.Nil -> ()
+    | Seq.Cons ((f, points), rest) ->
+        let past_plateau =
+          match !f0 with
+          | Some f0v -> f > f0v +. default_f_slack +. 1e-9
+          | None -> false
+        in
+        if not past_plateau then begin
+          List.iter (try_point f) points;
+          walk rest
+        end
+  in
+  walk (Cost_model.f_frontier params ~mii ~ii_max ~cd_max);
+  let r =
+    match !best with
+    | Some (_, cd, f, kernel) ->
+        finish ~params ~p_max ~mii ~attempts:!attempts ~fell_back:false
+          ~c_delay_threshold:cd ~f_min:f kernel
+    | None ->
+        (* Grid exhausted: degenerate to the base scheduler. *)
+        Metrics.incr m_fallbacks;
+        if Trace.enabled trace then
+          Trace.instant trace ~ts:(Trace.tick trace) "tms.fallback"
+            ~args:[ ("base", Ts_obs.Json.Str base) ];
+        let kernel = fallback g in
+        let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
+        let f_min =
+          Cost_model.f_value params ~ii:kernel.K.ii
+            ~c_delay:(max 1 (K.c_delay kernel ~c_reg_com))
+        in
+        finish ~params ~p_max ~mii ~attempts:!attempts ~fell_back:true
+          ~c_delay_threshold:cd_max ~f_min kernel
+  in
+  Metrics.incr m_schedules;
+  result_event trace r;
+  if Trace.enabled trace then
+    Trace.end_span trace ~ts:(Trace.tick trace) "tms.search";
+  r
+
+(* TMS over SMS at [p_max]: each grid point places the swing [order]
+   with bounded order repair. Returns the result and the smallest
+   frequency a C2 comparison rejected on any point the walk consumed
+   ([infinity] when C2 never rejected): the search's walk is then the
+   walk at every P_max below that floor (see [schedule_sweep]). [memo]
+   is the sweep's shared point table; a lone search has none. *)
+let search_sms ?memo ~trace ~p_max prep ~order g =
+  let c_reg_com = prep.params.Ts_isa.Spmt_params.c_reg_com in
   (* The grid revisits each II once per objective group: compute the ASAP
      table (a Bellman-Ford relaxation) once per II, not per grid point. *)
   let asap_cache = Hashtbl.create 8 in
@@ -435,23 +512,12 @@ let search ?memo ~trace ~p_max prep g =
         Hashtbl.add asap_cache ii a;
         a
   in
-  if Trace.enabled trace then
-    Trace.begin_span trace ~ts:(Trace.tick trace) "tms.search"
-      ~args:
-        [
-          ("loop", Ts_obs.Json.Str g.Ts_ddg.Ddg.name);
-          ("p_max", Ts_obs.Json.Float p_max);
-          ("mii", Ts_obs.Json.Int mii);
-          ("ii_max", Ts_obs.Json.Int ii_max);
-        ];
-  let attempts = ref 0 in
   let c2_floor = ref infinity in
   (* Bounded order repair: when the swing order dead-ends, hoist the
      blocking node to the front (so it gets first pick of the window) and
      re-run the placement from scratch.  Each grid point restarts from
      the pristine swing order. *)
   let place_point ~ii ~cd =
-    let at0 = Unix.gettimeofday () in
     let tally = new_tally () in
     (* C2 comparison envelope (see [point]), recorded across every
        order-repair retry. *)
@@ -475,151 +541,34 @@ let search ?memo ~trace ~p_max prep g =
       | Error _ -> res
     in
     let res = go order 0 in
-    let dt = Unix.gettimeofday () -. at0 in
     let p =
       { p_res = res; p_tally = tally; p_admit_max = !admit_max;
         p_reject_min = !reject_min }
     in
     Option.iter (fun m -> memo_add m ~ii ~cd p) memo;
-    (p, Some dt)
+    p
   in
-  (* A point replayed from the sweep's table comes back without a
-     latency: it was looked up, not placed. *)
-  let try_point ~ii ~cd =
-    match Option.bind memo (memo_find ~ii ~cd ~p_max) with
-    | Some p -> (p, None)
-    | None -> place_point ~ii ~cd
+  let attempt ~ii ~c_delay:cd =
+    let replayed = Option.bind memo (memo_find ~ii ~cd ~p_max) in
+    let p = match replayed with Some p -> p | None -> place_point ~ii ~cd in
+    flush_tally p.p_tally;
+    if p.p_reject_min < !c2_floor then c2_floor := p.p_reject_min;
+    let outcome = Result.map_error reject_reason p.p_res in
+    if Option.is_some replayed then Replayed outcome else Placed outcome
   in
-  (* Traced searches stay strictly sequential (the tracer is a single
-     shared sink and the "one event per attempt" contract depends on
-     walk order); otherwise grid points fan out on the resident pool. *)
-  let par = (not (Trace.enabled trace)) && Ts_base.Parallel.get_jobs () > 1 in
-  (* Speculation window: enough in-flight points to feed every worker,
-     small enough that a mid-chunk improvement of the incumbent wastes at
-     most one chunk of evaluations. *)
-  let spec_chunk = 2 * Ts_base.Parallel.get_jobs () in
-  (* F-plateau walk: scan objective groups in ascending F.  After the
-     first feasible point fixes F0, keep scanning until F exceeds
-     F0 + default_f_slack, tie-breaking toward the lowest II seen so far
-     (points at or above the incumbent II are skipped, and within a group
-     the first success is the lowest-F placement for that II). *)
-  let f0 = ref None in
-  let best = ref None in
-  let rec walk groups =
-    match groups () with
-    | Seq.Nil -> ()
-    | Seq.Cons ((f, points), rest) ->
-        let past_plateau =
-          match !f0 with
-          | Some f0v -> f > f0v +. default_f_slack +. 1e-9
-          | None -> false
-        in
-        if not past_plateau then begin
-          (* Speculative frontier, one chunk of points at a time: every
-             point of the chunk still below the incumbent best II at
-             chunk entry — a provable superset of the sequential walk's
-             attempts within the chunk, since the incumbent only
-             improves — is evaluated as a pool task ([try_point] is pure
-             given the shared read-only DDG, order and ASAP tables).  The
-             walk is then REPLAYED in sequential order, consuming a
-             precomputed outcome only when the point is still worth
-             attempting and discarding the rest unflushed, so counters,
-             trace events, the C2 floor and the chosen kernel stay
-             bit-identical to [--jobs 1].  Chunking re-filters against
-             the updated incumbent between chunks, bounding wasted
-             speculation to one chunk per improvement. *)
-          let replay pre (ii, cd) =
-            let worth =
-              match !best with
-              | None -> true
-              | Some (bii, _, _, _) -> ii < bii
-            in
-            if worth then begin
-              incr attempts;
-              Metrics.incr m_attempts;
-              let p, dt =
-                match List.assoc_opt (ii, cd) pre with
-                | Some v -> v
-                | None -> try_point ~ii ~cd
-              in
-              flush_tally p.p_tally;
-              if p.p_reject_min < !c2_floor then c2_floor := p.p_reject_min;
-              (match dt with
-              | Some dt -> Metrics.observe m_attempt_ms (dt *. 1000.0)
-              | None -> Metrics.incr m_warm_hits);
-              match p.p_res with
-              | Ok kernel ->
-                  attempt_event trace ~base:"sms" ~ii ~c_delay:cd ~f
-                    ~reason:"scheduled" true;
-                  if !f0 = None then f0 := Some f;
-                  best := Some (ii, cd, f, kernel)
-              | Error rej ->
-                  attempt_event trace ~base:"sms" ~ii ~c_delay:cd ~f
-                    ~reason:(reject_reason rej) false
-            end
-          in
-          let rec chunked = function
-            | [] -> ()
-            | points ->
-                let now, later = take_drop spec_chunk points in
-                let entry_bii =
-                  match !best with
-                  | None -> max_int
-                  | Some (bii, _, _, _) -> bii
-                in
-                let cands =
-                  List.filter (fun (ii, _) -> ii < entry_bii) now
-                in
-                let pre =
-                  if par && List.length cands >= 2 then begin
-                    (* ASAP tables live in a (single-domain) Hashtbl
-                       cache: fill it for the chunk's IIs before fanning
-                       out. *)
-                    List.iter (fun (ii, _) -> ignore (asap_for ii)) cands;
-                    Ts_base.Parallel.map
-                      (fun (ii, cd) -> ((ii, cd), try_point ~ii ~cd))
-                      cands
-                  end
-                  else []
-                in
-                List.iter (replay pre) now;
-                chunked later
-          in
-          chunked points;
-          walk rest
-        end
-  in
-  walk (Cost_model.f_frontier params ~mii ~ii_max ~cd_max);
   let r =
-    match !best with
-    | Some (_, cd, f, kernel) ->
-        finish ~params ~p_max ~mii ~attempts:!attempts ~fell_back:false
-          ~c_delay_threshold:cd ~f_min:f kernel
-    | None ->
-        (* Grid exhausted: degenerate to SMS. *)
-        Metrics.incr m_fallbacks;
-        if Trace.enabled trace then
-          Trace.instant trace ~ts:(Trace.tick trace) "tms.fallback"
-            ~args:[ ("base", Ts_obs.Json.Str "sms") ];
-        let sms = Ts_sms.Sms.schedule g in
-        let kernel = sms.Ts_sms.Sms.kernel in
-        let f_min =
-          Cost_model.f_value params ~ii:kernel.K.ii
-            ~c_delay:(max 1 (K.c_delay kernel ~c_reg_com))
-        in
-        finish ~params ~p_max ~mii ~attempts:!attempts ~fell_back:true
-          ~c_delay_threshold:cd_max ~f_min kernel
+    search ~trace ~base:"sms" ~p_max prep g ~attempt ~fallback:(fun g ->
+        (Ts_sms.Sms.schedule g).Ts_sms.Sms.kernel)
   in
-  Metrics.incr m_schedules;
-  result_event trace r;
-  if Trace.enabled trace then
-    Trace.end_span trace ~ts:(Trace.tick trace) "tms.search";
   (r, !c2_floor)
 
-let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
+let swing_order prep g = Ts_sms.Order.compute_with_dirs g ~ii:prep.mii
+
+let schedule ?(trace = Trace.null) ?(p_max = default_p_max)
     ?(placement = Ts_isa.Placement.Round_robin) ~params g =
   Ts_obs.Prof.span "tms.search" @@ fun () ->
-  fst (search ~trace ~p_max (prepare ?max_ii ~placement ~params g) g)
+  let prep = prepare ~placement ~params g in
+  fst (search_sms ~trace ~p_max prep ~order:(swing_order prep g) g)
 
 let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
     ?(placement = Ts_isa.Placement.Round_robin) ~params g =
@@ -632,10 +581,11 @@ let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
   let memo = { lock = Mutex.create (); points = Hashtbl.create 256 } in
   (* The setup is charged to the first search's span, so the profile
      still counts one "tms.search" per search. *)
-  let prep, (r_lo, c2_floor) =
+  let prep, order, (r_lo, c2_floor) =
     Ts_obs.Prof.span "tms.search" @@ fun () ->
     let prep = prepare ~placement ~params g in
-    (prep, search ~memo ~trace ~p_max:p_lo prep g)
+    let order = swing_order prep g in
+    (prep, order, search_sms ~memo ~trace ~p_max:p_lo prep ~order g)
   in
   let n = 1000 in
   let cost (r : result) =
@@ -656,7 +606,7 @@ let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
         if p_max = p_lo then r_lo
         else
           Ts_obs.Prof.span "tms.search" @@ fun () ->
-          fst (search ~memo ~trace ~p_max prep g)
+          fst (search_sms ~memo ~trace ~p_max prep ~order g)
       in
       (* One worker domain per P_max. An enabled tracer is a single shared
          sink, so traced sweeps stay sequential (and their event order

@@ -74,13 +74,14 @@ type reject = {
 val schedule :
   ?trace:Ts_obs.Trace.t ->
   ?p_max:float ->
-  ?max_ii:int ->
   ?placement:Ts_isa.Placement.policy ->
   params:Ts_isa.Spmt_params.t ->
   Ts_ddg.Ddg.t ->
   result
-(** Run TMS. [max_ii] bounds the II grid (default
-    {!Ts_ddg.Mii.ii_upper_bound}).
+(** Run TMS over SMS: {!search} with the swing order plus order repair
+    at each grid point and SMS as the fallback. The II grid ends at the
+    longest dependence path or MII, whichever is larger, plus 8 (capped
+    at {!Ts_ddg.Mii.ii_upper_bound}).
 
     [placement] (default {!Ts_isa.Placement.Round_robin}) makes the
     search price Definition 2 under the given thread-to-core map: the
@@ -167,23 +168,57 @@ val admissible :
 (** [admit ... = Admit]. Exposed so other base schedulers can be made
     thread-sensitive (see {!Tms_ims}) and for tests. *)
 
-val attempt_event :
-  Ts_obs.Trace.t ->
-  base:string ->
-  ii:int ->
-  c_delay:int ->
-  f:float ->
-  ?reason:string ->
-  bool ->
-  unit
-(** Emit one ["tms.attempt"] instant event (no-op on the null tracer);
-    shared with the other thread-sensitive instantiations ({!Tms_ims}).
-    [base] names the underlying scheduler (["sms"], ["ims"]); [reason]
-    defaults to ["scheduled"] / ["placement-failed"] by acceptance —
-    pass {!reject_reason} for the diagnosis. *)
+(** {1 The Figure 3 outer search, for any base scheduler} *)
 
-val result_event : Ts_obs.Trace.t -> result -> unit
-(** Emit the ["tms.result"] event for a finished search. *)
+type prepared = private {
+  params : Ts_isa.Spmt_params.t;  (** effective under the placement *)
+  mii : int;
+  ii_max : int;  (** last II of the grid *)
+  cd_max : int;  (** last [C_delay] of the grid *)
+}
+(** The per-loop setup of a search: everything that depends on the
+    loop, the machine and the placement, but not on [P_max] or on the
+    base scheduler. *)
+
+val prepare :
+  placement:Ts_isa.Placement.policy ->
+  params:Ts_isa.Spmt_params.t ->
+  Ts_ddg.Ddg.t ->
+  prepared
+(** [params] passed through {!Ts_isa.Placement.effective_params}, MII,
+    and the grid bounds {!schedule} documents. *)
+
+type attempt =
+  | Placed of (Ts_modsched.Kernel.t, string) Stdlib.result
+  | Replayed of (Ts_modsched.Kernel.t, string) Stdlib.result
+      (** answered from a recorded outcome instead of a placement run *)
+(** One grid point's outcome: the kernel, or the reason the point
+    failed (the ["tms.attempt"] event's [reason]). *)
+
+val search :
+  trace:Ts_obs.Trace.t ->
+  base:string ->
+  p_max:float ->
+  prepared ->
+  Ts_ddg.Ddg.t ->
+  attempt:(ii:int -> c_delay:int -> attempt) ->
+  fallback:(Ts_ddg.Ddg.t -> Ts_modsched.Kernel.t) ->
+  result
+(** The Figure 3 outer search, the one grid walk behind {!schedule},
+    {!schedule_sweep} and {!Tms_ims.schedule}. It walks the
+    [F (II, C_delay)] groups of {!Cost_model.f_frontier} in ascending
+    [F], calling [attempt ~ii ~c_delay] on each point below the
+    incumbent II, and returns the lowest-II success within
+    {!default_f_slack} of the first one. When no point succeeds it
+    returns [fallback g], flagged [fell_back] with the grid's largest
+    [C_delay] as threshold.
+
+    The search counts on {!Ts_obs.Metrics.default}: each attempt on
+    [tms.attempts], a placed attempt's latency on [tms.attempt_ms], a
+    replayed one on [tms.warm.point_hits], one [tms.schedules] per
+    search and one [tms.fallbacks] per fallback. [trace] receives the
+    events {!schedule} documents, with [base] naming the scheduler
+    (["sms"], ["ims"]). Slot verdicts are the attempt's to count. *)
 
 val schedule_sweep :
   ?trace:Ts_obs.Trace.t ->

@@ -6,7 +6,9 @@
     places one instruction at a time. This module instantiates it over
     {!Ts_sms.Ims} (Rau's iterative modulo scheduling) instead of SMS,
     substantiating the claim; the ablation bench compares the two
-    instantiations. *)
+    instantiations. The outer search is {!Tms.search}, the same walk
+    TMS-over-SMS runs; only the grid-point attempt and the fallback
+    differ. *)
 
 type result = Tms.result = {
   kernel : Ts_modsched.Kernel.t;
@@ -21,13 +23,13 @@ type result = Tms.result = {
 }
 
 val schedule :
-  ?trace:Ts_obs.Trace.t ->
-  ?p_max:float ->
-  ?max_ii:int ->
   ?placement:Ts_isa.Placement.policy ->
   params:Ts_isa.Spmt_params.t ->
   Ts_ddg.Ddg.t ->
   result
-(** TMS-over-IMS. Falls back to plain IMS if the grid is exhausted.
-    [trace] receives the same ["tms.attempt"]/["tms.fallback"]/
-    ["tms.result"] events as {!Tms.schedule}, with [base = "ims"]. *)
+(** TMS-over-IMS at {!Tms.default_p_max}, on the grid {!Tms.schedule}
+    walks. Each grid point is one {!Ts_sms.Ims.try_ii} pass under
+    {!Tms.admissible}; a kernel whose IMS evictions broke its C1 or C2
+    claim is rejected. Falls back to plain IMS if the grid is exhausted.
+    Counts on the [tms.*] search counters like {!Tms.schedule}, except
+    the [tms.slots.*] verdicts, which IMS does not report. *)

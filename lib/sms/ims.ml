@@ -114,11 +114,9 @@ let try_ii_counting ?(budget_ratio = 6) ?(admissible = fun _ _ ~cycle:_ -> true)
 let try_ii ?budget_ratio ?admissible ?asap ?prio g ~ii =
   fst (try_ii_counting ?budget_ratio ?admissible ?asap ?prio g ~ii)
 
-let schedule ?max_ii ?budget_ratio g =
+let schedule ?budget_ratio g =
   let mii = Ts_ddg.Mii.mii g in
-  let max_ii =
-    match max_ii with Some m -> m | None -> Ts_ddg.Mii.ii_upper_bound g
-  in
+  let max_ii = Ts_ddg.Mii.ii_upper_bound g in
   let placements = ref 0 in
   let rec go ii attempts =
     if ii > max_ii then

@@ -22,11 +22,11 @@ type result = {
 
 exception No_schedule of string
 
-val schedule :
-  ?max_ii:int -> ?budget_ratio:int -> Ts_ddg.Ddg.t -> result
-(** Schedule a loop. [budget_ratio] (default 6) bounds the placement
-    operations per II attempt at [ratio * n_nodes], after which the II is
-    increased, as in Rau's formulation. *)
+val schedule : ?budget_ratio:int -> Ts_ddg.Ddg.t -> result
+(** Schedule a loop, trying IIs from MII up to
+    {!Ts_ddg.Mii.ii_upper_bound}. [budget_ratio] (default 6) bounds the
+    placement operations per II attempt at [ratio * n_nodes], after which
+    the II is increased, as in Rau's formulation. *)
 
 val priority_order : Ts_ddg.Ddg.t -> ii:int -> int list
 (** Rau's height-based placement priority at [ii] (highest first, ties by

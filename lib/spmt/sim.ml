@@ -354,8 +354,29 @@ let reject_legacy_trace_env () =
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
+(* Round-robin placement on a homogeneous machine: the paper's
+   configuration, and the only one the steady-state machinery of
+   [run_internal] (windows, residency) reasons about. *)
+let uniform_rr cfg =
+  cfg.Config.placement = Ts_isa.Placement.Round_robin
+  && not (Ts_isa.Spmt_params.heterogeneous cfg.Config.params)
+
+(* Whether a run takes the steady-state fast path (see [run_internal]):
+   asked for, on the [uniform_rr] configuration, untraced, unobserved,
+   and with no certain memory dependence. Every other run is the exact
+   engine's, and its profile span says so. *)
+let fast_path_ok ~fast ~trace ~observed cfg (g : Ts_ddg.Ddg.t) =
+  fast && uniform_rr cfg
+  && (not (Trace.enabled trace))
+  && (not observed)
+  && not
+       (Array.exists
+          (fun (e : Ts_ddg.Ddg.edge) ->
+            e.kind = Ts_ddg.Ddg.Mem && e.prob >= 1.0)
+          g.edges)
+
 let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
-    ~fast cfg (k : K.t) ~trip =
+    ~fast_ok cfg (k : K.t) ~trip =
   if trip <= 0 then invalid_arg "Sim.run: trip must be positive";
   if warmup < 0 then invalid_arg "Sim.run: warmup must be non-negative";
   let total = warmup + trip in
@@ -364,18 +385,13 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   let p = cfg.Config.params in
   Ts_isa.Spmt_params.validate ~who:"Sim.run" p;
   let ncore = p.ncore in
-  (* The compiled thread→core map. [uniform_rr] — round-robin placement on
-     a homogeneous machine — is the paper's configuration and the only one
-     the steady-state machinery below (windows, residency)
-     reasons about; everything else runs the exact path. *)
+  (* The compiled thread→core map; everything but [uniform_rr] runs the
+     exact path. *)
   let place = Ts_isa.Placement.make cfg.Config.placement p in
   let place_period = Ts_isa.Placement.period place in
   let place_seq = Ts_isa.Placement.seq place in
   let core_of j = Array.unsafe_get place_seq (j mod place_period) in
-  let uniform_rr =
-    cfg.Config.placement = Ts_isa.Placement.Round_robin
-    && not (Ts_isa.Spmt_params.heterogeneous p)
-  in
+  let uniform_rr = uniform_rr cfg in
   let core_width =
     Array.init ncore (fun i ->
         (Ts_isa.Spmt_params.core_desc p i).Ts_isa.Spmt_params.issue_width)
@@ -711,16 +727,9 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
      periodic streams can ever touch probes resident, and no coin remains
      ahead, even the cache replay is provably redundant (loads cannot
      miss, store fills/invalidates touch disjoint lines) and threads are
-     extrapolated arithmetically. *)
-  let fast_ok =
-    fast && uniform_rr && (not traced)
-    && Option.is_none observe
-    && not
-         (Array.exists
-            (fun (e : Ts_ddg.Ddg.edge) ->
-              e.kind = Ts_ddg.Ddg.Mem && e.prob >= 1.0)
-            g.edges)
-  in
+     extrapolated arithmetically.
+
+     [fast_ok] is [fast_path_ok] of this run, decided by the caller. *)
   (* Distance-[dk] arrival cost per consumer period position. Round-robin
      keeps the legacy [dk * c_reg_com] thread-forwarding model inline (and
      bit-identical); explicit policies read the placement's physical
@@ -1725,13 +1734,16 @@ let m_ns_per_cycle =
   Ts_obs.Metrics.histogram Ts_obs.Metrics.default "sim.ns_per_cycle"
 
 let timed_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace
-    ~trace_pid ~fast cfg k ~trip =
-  Ts_obs.Prof.span (if fast then "sim.run.fast" else "sim.run.exact")
+    ~trace_pid ~fast cfg (k : K.t) ~trip =
+  let fast_ok =
+    fast_path_ok ~fast ~trace ~observed:(Option.is_some observe) cfg k.K.g
+  in
+  Ts_obs.Prof.span (if fast_ok then "sim.run.fast" else "sim.run.exact")
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let st =
     run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace
-      ~trace_pid ~fast cfg k ~trip
+      ~trace_pid ~fast_ok cfg k ~trip
   in
   let dt = Unix.gettimeofday () -. t0 in
   Ts_obs.Metrics.observe m_run_ms (dt *. 1000.0);

@@ -135,8 +135,9 @@ val run :
 
     Identical totals are also accumulated on {!Ts_obs.Metrics.default}
     under [sim.*]: counters plus the [sim.run_ms] and [sim.ns_per_cycle]
-    latency histograms, and a [sim.run.fast]/[sim.run.exact]
-    {!Ts_obs.Prof} span per call.
+    latency histograms, and a {!Ts_obs.Prof} span per call named after
+    the engine that ran: [sim.run.fast] when the fast path was eligible,
+    [sim.run.exact] otherwise (whatever [fast] asked for).
 
     The legacy [TS_SIM_TRACE]/[TS_SIM_TRACE_NODES] env-var debugging
     (deprecated since the structured tracer landed) has been removed;

@@ -139,10 +139,10 @@ let test_generated_sweeps () =
         g ~params)
     (Fixtures.c2_loops ())
 
-(* The sweep's tms.* counters must total the same whatever the pool
-   size: slot verdicts are flushed per attempt and the grid walk itself
-   is unchanged, so jobs must only change who increments, never by how
-   much. *)
+(* The tms.* counters of a sweep and of a TMS-over-IMS search must
+   total the same whatever the pool size: slot verdicts are flushed per
+   attempt and the grid walk itself is unchanged, so jobs must only
+   change who increments, never by how much. *)
 let test_counters_jobs_invariant () =
   let loops =
     Fixtures.motivating ()
@@ -158,7 +158,9 @@ let test_counters_jobs_invariant () =
     Ts_obs.Metrics.reset Ts_obs.Metrics.default;
     ignore
       (Ts_base.Parallel.map ~jobs
-         (fun g -> Ts_tms.Tms.schedule_sweep ~params g)
+         (fun g ->
+           ( Ts_tms.Tms.schedule_sweep ~params g,
+             Ts_tms.Tms_ims.schedule ~params g ))
          loops);
     List.map
       (fun n ->

@@ -16,6 +16,7 @@ let () =
       ("cost-model", Test_cost_model.suite);
       ("tms", Test_tms.suite);
       ("tms-equiv", Test_equiv.suite);
+      ("tms-ims", Test_tms_ims.suite);
       ("cache+mdt", Test_cache_mdt.suite);
       ("sim", Test_sim.suite);
       ("placement", Test_placement.suite);

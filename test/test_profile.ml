@@ -93,6 +93,30 @@ let test_profile_then_schedule () =
   let r = Ts_tms.Tms.schedule ~params:Ts_isa.Spmt_params.default profiled in
   Ts_modsched.Kernel.validate r.Ts_tms.Tms.kernel
 
+(* The simulator's profile span names the engine that ran, not the flag
+   asked for: a heterogeneous machine always runs the exact engine. *)
+let test_sim_span_names_engine () =
+  let params =
+    match Ts_isa.Spmt_params.mix_of_string "2fast+2slow" with
+    | Ok m -> Ts_isa.Spmt_params.apply_mix Ts_isa.Spmt_params.default m
+    | Error e -> Alcotest.fail e
+  in
+  let cfg = { Ts_spmt.Config.default with Ts_spmt.Config.params } in
+  let k = (Ts_sms.Sms.schedule (Fixtures.motivating ())).Ts_sms.Sms.kernel in
+  let module Prof = Ts_obs.Prof in
+  Prof.set_enabled true;
+  Fun.protect ~finally:(fun () -> Prof.set_enabled false) @@ fun () ->
+  ignore (Ts_spmt.Sim.run ~fast:true cfg k ~trip:200);
+  let count name =
+    match
+      List.find_opt (fun (row : Prof.row) -> row.name = name) (Prof.report ()).rows
+    with
+    | Some row -> row.count
+    | None -> 0
+  in
+  check_int "sim.run.exact" 1 (count "sim.run.exact");
+  check_int "sim.run.fast" 0 (count "sim.run.fast")
+
 let test_measure_bad_iters () =
   check_bool "zero train iters rejected" true
     (match Ts_spmt.Profile.measure (Fixtures.spec_loop ()) ~train_iters:0 with
@@ -202,6 +226,8 @@ let suite =
     Alcotest.test_case "profile: pipeline to scheduler" `Quick
       test_profile_then_schedule;
     Alcotest.test_case "profile: argument validation" `Quick test_measure_bad_iters;
+    Alcotest.test_case "profile: sim span names the engine" `Quick
+      test_sim_span_names_engine;
     Alcotest.test_case "slices: prologue/kernel/epilogue" `Quick
       test_thread_slice_prologue;
     Alcotest.test_case "slices: conservation" `Quick test_thread_slice_conservation;
