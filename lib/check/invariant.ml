@@ -150,6 +150,27 @@ let dker_violations (k : Ts_modsched.Kernel.t) =
     k.g.edges;
   List.rev !acc
 
+(* The C_delay floor: around a register recurrence, the inter-iteration
+   register dependences must cover the recurrence's latency, so the
+   largest [sync - c_reg_com] among them is at least the RecII of the
+   register subgraph. Free of [c_reg_com], so every kernel is checked. *)
+let floor_violations (k : Ts_modsched.Kernel.t) =
+  let acc, { add } = make () in
+  let floor = Ts_ddg.Mii.reg_rec_ii k.g in
+  if floor > 0 then begin
+    let worst =
+      List.fold_left
+        (fun m e -> if dker k e >= 1 then max m (sync k ~c_reg_com:0 e) else m)
+        0 (Ts_ddg.Ddg.reg_edges k.g)
+    in
+    if worst < floor then
+      add "C_delay floor"
+        "largest sync - c_reg_com is %d, below the register recurrence's \
+         RecII %d"
+        worst floor
+  end;
+  List.rev !acc
+
 (* C2's preservation rule (Section 4.2): a speculated memory dependence is
    preserved when some synchronised register dependence whose producer
    issues earlier in the row already forces the consumer thread to wait at
@@ -202,6 +223,7 @@ let check_kernel ?claim (k : Ts_modsched.Kernel.t) =
       @ dependence_violations k.g ~ii:k.ii k.time
       @ resource_violations k.g ~ii:k.ii k.time
       @ dker_violations k
+      @ floor_violations k
       @ (match claim with None -> [] | Some c -> claim_violations k c)
 
 let check_kernel_exn ?claim k =

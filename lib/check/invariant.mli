@@ -16,6 +16,10 @@
       every edge (paper Section 2);
     - [d_ker >= 0] for every edge (Definition 1 — no dependence may travel
       backwards in thread order);
+    - the [C_delay] floor: the largest [sync - c_reg_com] over the
+      inter-iteration register dependences is at least
+      {!Ts_ddg.Mii.reg_rec_ii}, so [C_delay] never falls below the TMS
+      search's floor;
     - resource feasibility: per-row issue-slot usage and per-cell
       functional-unit occupancy (including multi-cycle [busy] wrap-around)
       recounted from scratch against the machine description;

@@ -25,14 +25,13 @@ let estimate p ~ii ~c_delay ~p_m ~n =
    row is exhausted). F does not decrease along a row, so the smallest
    head key is the next group's, and each row's share of that group is
    the run of cursors from its head that keep the key. *)
-let f_frontier (p : t) ~mii ~ii_max ~cd_max =
+let f_frontier (p : t) ~mii ~ii_max ~cd_min ~cd_max =
   let scale = float_of_int p.ncore in
   let key ii cd =
     if cd > cd_max then max_int
     else int_of_float (Float.round (f_value p ~ii ~c_delay:cd *. scale))
   in
   let rows = max 0 (ii_max - mii + 1) in
-  let cd_min = 1 + p.c_reg_com in
   let cd = Array.make rows cd_min in
   let head = Array.init rows (fun r -> key (mii + r) cd_min) in
   let rec group () =

@@ -41,16 +41,23 @@ val estimate : t -> ii:int -> c_delay:int -> p_m:float -> n:int -> float
     kernel, comparable against the simulator's measurement. *)
 
 val f_frontier :
-  t -> mii:int -> ii_max:int -> cd_max:int -> (float * (int * int) list) Seq.t
+  t ->
+  mii:int ->
+  ii_max:int ->
+  cd_min:int ->
+  cd_max:int ->
+  (float * (int * int) list) Seq.t
 (** The Figure 3 "for every (II, C_delay) s.t. F = F_min" enumeration,
     walked by every thread-sensitive scheduler: the candidate
-    [(II, C_delay)] points of [\[mii, ii_max\] × \[1 + c_reg_com, cd_max\]]
-    grouped by objective value, groups in increasing [F] order. [F] is a
+    [(II, C_delay)] points of [\[mii, ii_max\] × \[cd_min, cd_max\]]
+    grouped by objective value, groups in increasing [F] order. Figure 3
+    starts at [cd_min = 1 + c_reg_com]; the TMS search starts at the
+    larger of that and its [C_delay] floor. [F] is a
     multiple of [1/ncore] (groups are keyed on [round (F · ncore)]), so
     grouping is exact. Within a group only the largest [C_delay] per II
     is kept (identical objective, weakest admission constraints), points
     ordered by increasing II. The grid is empty when [ii_max < mii] or
-    [cd_max < 1 + c_reg_com].
+    [cd_max < cd_min].
 
     Lazy and output-sensitive: one cursor per II row, advanced as groups
     are produced, so a walk that stops after [k] groups pays for the

@@ -17,15 +17,10 @@ let m_slot_c1 = Metrics.counter Metrics.default "tms.slots.c1_reject"
 let m_slot_c2 = Metrics.counter Metrics.default "tms.slots.c2_reject"
 let m_slot_admitted = Metrics.counter Metrics.default "tms.slots.admitted"
 
-(* Grid points a sweep answered from another of its searches' recorded
-   outcome instead of a placement run (see [point]). *)
-let m_warm_hits = Metrics.counter Metrics.default "tms.warm.point_hits"
-
 (* Latency distribution of one grid-point attempt (order repair or the
    IMS post-check included): the unit of work the search repeats
    thousands of times, so its p50/p90/p99 is what tells a slow search
-   from a wide one. Replayed points are not placements and are not
-   observed. *)
+   from a wide one. *)
 let m_attempt_ms = Metrics.histogram Metrics.default "tms.attempt_ms"
 
 type result = {
@@ -211,9 +206,7 @@ let reject_reason r =
 (* Slot-verdict counters are accumulated in a local tally and flushed to
    the shared metrics once per attempt: a fetch_and_add per slot check
    would ping-pong the counters' cache lines across the domains of a
-   sweep's parallel P_max searches. The tally is also what a sweep
-   records with each point, so that a search replaying the point counts
-   the verdicts its placement would have produced (see [point]). *)
+   sweep's parallel P_max searches. *)
 type slot_tally = {
   mutable t_resource : int;
   mutable t_c1 : int;
@@ -280,50 +273,6 @@ let try_schedule ?asap g ~order ~ii ~c_delay ~p_max ~c_reg_com =
   | Ok k -> Some k
   | Error _ -> None
 
-(* ---- point sharing within a sweep ----
-
-   A grid-point attempt is a pure function of (DDG, II, C_delay,
-   c_reg_com, P_max): the swing order, the ASAP table and every placement
-   decision are deterministic. [P_max] enters only through C2's
-   [freq <= p_max + 1e-12] comparisons, so an attempt's outcome recorded
-   at one P_max is valid verbatim at another P_max' whenever every
-   comparison it made keeps its verdict: the first comparison then takes
-   the same branch, which makes the second comparison identical, and so
-   on. The envelope captures exactly that condition — [p_admit_max] is
-   the largest frequency a comparison admitted and [p_reject_min] the
-   smallest it rejected, so the outcome transfers to P_max' iff
-
-     p_admit_max <= p_max' + 1e-12  &&  p_reject_min > p_max' + 1e-12.
-
-   [schedule_sweep]'s per-P_max searches walk the same grid, so the sweep
-   keeps one table of recorded points for its lifetime and each search
-   replays a point whose envelope covers its own P_max. The walk, the
-   attempt counter and the slot tallies then see exactly what a placement
-   run would have produced, which makes sharing bit-identical to
-   searching each P_max alone. *)
-
-type point = {
-  p_res : (K.t, reject) Stdlib.result;
-  p_tally : slot_tally;
-  p_admit_max : float;
-  p_reject_min : float;
-}
-
-type memo = { lock : Mutex.t; points : (int * int, point list) Hashtbl.t }
-
-let covers p p_max =
-  p.p_admit_max <= p_max +. 1e-12 && p.p_reject_min > p_max +. 1e-12
-
-let memo_find m ~ii ~cd ~p_max =
-  Mutex.protect m.lock @@ fun () ->
-  Option.bind (Hashtbl.find_opt m.points (ii, cd))
-    (List.find_opt (fun p -> covers p p_max))
-
-let memo_add m ~ii ~cd p =
-  Mutex.protect m.lock @@ fun () ->
-  let l = Option.value ~default:[] (Hashtbl.find_opt m.points (ii, cd)) in
-  Hashtbl.replace m.points (ii, cd) (p :: l)
-
 let finish ~params ~p_max ~mii ~attempts ~fell_back ~c_delay_threshold ~f_min kernel =
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
   {
@@ -378,8 +327,20 @@ type prepared = {
   params : Ts_isa.Spmt_params.t;  (* effective under the placement *)
   mii : int;
   ii_max : int;
+  cd_floor : int;
   cd_max : int;
 }
+
+(* The C1 analogue of RecMII. Around a register recurrence with total
+   latency L and total distance D, the edges' slacks
+   s_e = t_dst - t_src - lat_src + II * distance sum to II * D - L, and
+   sync_e = c_reg_com + II * d_ker - s_e. Each of the m <= D edges with
+   d_ker >= 1 is synchronised, so sync_e <= C_delay gives
+   s_e >= II * d_ker + c_reg_com - C_delay; the other edges have
+   s_e >= 0. Summing over the cycle, m * (C_delay - c_reg_com) >= L, so
+   C_delay >= c_reg_com + ceil (L / D) at every II. *)
+let c_delay_floor ~c_reg_com g =
+  match Ts_ddg.Mii.reg_rec_ii g with 0 -> 0 | r -> c_reg_com + r
 
 let prepare ~placement ~params g =
   (* Definition 2 under the placement: the search prices the worst
@@ -396,25 +357,23 @@ let prepare ~placement ~params g =
   let max_lat =
     Array.fold_left (fun acc (nd : Ts_ddg.Ddg.node) -> max acc nd.latency) 1 g.nodes
   in
-  let cd_max = ii_max - 1 + max_lat + params.Ts_isa.Spmt_params.c_reg_com in
-  { params; mii; ii_max; cd_max }
-
-type attempt =
-  | Placed of (K.t, string) Stdlib.result
-  | Replayed of (K.t, string) Stdlib.result
+  let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
+  { params; mii; ii_max; cd_floor = c_delay_floor ~c_reg_com g;
+    cd_max = ii_max - 1 + max_lat + c_reg_com }
 
 (* The Figure 3 outer search at [p_max], whichever base scheduler places
    the instructions: [attempt] tries one grid point, [fallback]
    schedules the loop when the grid is exhausted, and [base] names the
    scheduler in trace events.
 
-   F-plateau walk: scan objective groups in ascending F.  After the
-   first feasible point fixes F0, keep scanning until F exceeds
-   F0 + default_f_slack, tie-breaking toward the lowest II seen so far
-   (points at or above the incumbent II are skipped, and within a group
-   the first success is the lowest-F placement for that II). *)
+   F-plateau walk: scan objective groups in ascending F, from the
+   C_delay floor up.  After the first feasible point fixes F0, keep
+   scanning until F exceeds F0 + default_f_slack, tie-breaking toward
+   the lowest II seen so far (points at or above the incumbent II are
+   skipped, and within a group the first success is the lowest-F
+   placement for that II). *)
 let search ~trace ~base ~p_max prep g ~attempt ~fallback =
-  let { params; mii; ii_max; cd_max } = prep in
+  let { params; mii; ii_max; cd_floor; cd_max } = prep in
   if Trace.enabled trace then
     Trace.begin_span trace ~ts:(Trace.tick trace) "tms.search"
       ~args:
@@ -423,6 +382,7 @@ let search ~trace ~base ~p_max prep g ~attempt ~fallback =
           ("p_max", Ts_obs.Json.Float p_max);
           ("mii", Ts_obs.Json.Int mii);
           ("ii_max", Ts_obs.Json.Int ii_max);
+          ("c_delay_floor", Ts_obs.Json.Int cd_floor);
         ];
   let attempts = ref 0 in
   let f0 = ref None in
@@ -435,15 +395,8 @@ let search ~trace ~base ~p_max prep g ~attempt ~fallback =
       incr attempts;
       Metrics.incr m_attempts;
       let t0 = Unix.gettimeofday () in
-      let outcome =
-        match attempt ~ii ~c_delay:cd with
-        | Placed o ->
-            Metrics.observe m_attempt_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
-            o
-        | Replayed o ->
-            Metrics.incr m_warm_hits;
-            o
-      in
+      let outcome = attempt ~ii ~c_delay:cd in
+      Metrics.observe m_attempt_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
       match outcome with
       | Ok kernel ->
           attempt_event trace ~base ~ii ~c_delay:cd ~f ~reason:"scheduled" true;
@@ -466,7 +419,8 @@ let search ~trace ~base ~p_max prep g ~attempt ~fallback =
           walk rest
         end
   in
-  walk (Cost_model.f_frontier params ~mii ~ii_max ~cd_max);
+  let cd_min = max (1 + params.Ts_isa.Spmt_params.c_reg_com) cd_floor in
+  walk (Cost_model.f_frontier params ~mii ~ii_max ~cd_min ~cd_max);
   let r =
     match !best with
     | Some (_, cd, f, kernel) ->
@@ -497,9 +451,8 @@ let search ~trace ~base ~p_max prep g ~attempt ~fallback =
    with bounded order repair. Returns the result and the smallest
    frequency a C2 comparison rejected on any point the walk consumed
    ([infinity] when C2 never rejected): the search's walk is then the
-   walk at every P_max below that floor (see [schedule_sweep]). [memo]
-   is the sweep's shared point table; a lone search has none. *)
-let search_sms ?memo ~trace ~p_max prep ~order g =
+   walk at every P_max below that floor (see [schedule_sweep]). *)
+let search_sms ~trace ~p_max prep ~order g =
   let c_reg_com = prep.params.Ts_isa.Spmt_params.c_reg_com in
   (* The grid revisits each II once per objective group: compute the ASAP
      table (a Bellman-Ford relaxation) once per II, not per grid point. *)
@@ -513,48 +466,28 @@ let search_sms ?memo ~trace ~p_max prep ~order g =
         a
   in
   let c2_floor = ref infinity in
+  let c2obs freq ok = if (not ok) && freq < !c2_floor then c2_floor := freq in
   (* Bounded order repair: when the swing order dead-ends, hoist the
      blocking node to the front (so it gets first pick of the window) and
      re-run the placement from scratch.  Each grid point restarts from
      the pristine swing order. *)
-  let place_point ~ii ~cd =
+  let attempt ~ii ~c_delay =
     let tally = new_tally () in
-    (* C2 comparison envelope (see [point]), recorded across every
-       order-repair retry. *)
-    let admit_max = ref neg_infinity and reject_min = ref infinity in
-    let c2obs freq ok =
-      if ok then (if freq > !admit_max then admit_max := freq)
-      else if freq < !reject_min then reject_min := freq
-    in
     let rec go order k =
-      let res =
+      match
         try_schedule_tallied tally ~c2obs ~asap:(asap_for ii) g ~order ~ii
-          ~c_delay:cd ~p_max ~c_reg_com
-      in
-      match res with
-      | Ok _ -> res
+          ~c_delay ~p_max ~c_reg_com
+      with
       | Error rej when k < default_place_retries ->
           let v = rej.node in
           let entry = List.find (fun (u, _) -> u = v) order in
           let rest = List.filter (fun (u, _) -> u <> v) order in
           go (entry :: rest) (k + 1)
-      | Error _ -> res
+      | res -> res
     in
     let res = go order 0 in
-    let p =
-      { p_res = res; p_tally = tally; p_admit_max = !admit_max;
-        p_reject_min = !reject_min }
-    in
-    Option.iter (fun m -> memo_add m ~ii ~cd p) memo;
-    p
-  in
-  let attempt ~ii ~c_delay:cd =
-    let replayed = Option.bind memo (memo_find ~ii ~cd ~p_max) in
-    let p = match replayed with Some p -> p | None -> place_point ~ii ~cd in
-    flush_tally p.p_tally;
-    if p.p_reject_min < !c2_floor then c2_floor := p.p_reject_min;
-    let outcome = Result.map_error reject_reason p.p_res in
-    if Option.is_some replayed then Replayed outcome else Placed outcome
+    flush_tally tally;
+    Result.map_error reject_reason res
   in
   let r =
     search ~trace ~base:"sms" ~p_max prep g ~attempt ~fallback:(fun g ->
@@ -575,17 +508,13 @@ let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
   if p_maxes = [] then invalid_arg "Tms.schedule_sweep: empty p_max list";
   let p_lo = List.fold_left Float.min infinity p_maxes in
   let p_hi = List.fold_left Float.max neg_infinity p_maxes in
-  (* The per-P_max searches walk the same (II, C_delay) grid, and most
-     points' C2 envelopes cover several of the swept values: one table,
-     shared by the searches and dropped with the sweep. *)
-  let memo = { lock = Mutex.create (); points = Hashtbl.create 256 } in
   (* The setup is charged to the first search's span, so the profile
      still counts one "tms.search" per search. *)
   let prep, order, (r_lo, c2_floor) =
     Ts_obs.Prof.span "tms.search" @@ fun () ->
     let prep = prepare ~placement ~params g in
     let order = swing_order prep g in
-    (prep, order, search_sms ~memo ~trace ~p_max:p_lo prep ~order g)
+    (prep, order, search_sms ~trace ~p_max:p_lo prep ~order g)
   in
   let n = 1000 in
   let cost (r : result) =
@@ -597,7 +526,7 @@ let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
       (* C2 cannot bind: every point the walk at [p_lo] consumed keeps
          each of its C2 verdicts at every swept value (admitted
          frequencies are <= p_lo, rejected ones > p_hi), so every other
-         search would replay this walk and return this kernel at the same
+         search would repeat this walk and return this kernel at the same
          cost. The fold below keeps the first of equal costs: the result
          labelled with the list's first value. *)
       ({ r_lo with p_max = List.hd p_maxes }, 1)
@@ -606,7 +535,7 @@ let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
         if p_max = p_lo then r_lo
         else
           Ts_obs.Prof.span "tms.search" @@ fun () ->
-          fst (search_sms ~memo ~trace ~p_max prep ~order g)
+          fst (search_sms ~trace ~p_max prep ~order g)
       in
       (* One worker domain per P_max. An enabled tracer is a single shared
          sink, so traced sweeps stay sequential (and their event order

@@ -6,7 +6,8 @@
     + instead of minimising II alone, it minimises the cost-model objective
       [F (II, C_delay)] ({!Cost_model.f_value}): candidate
       [(II, C_delay)] pairs are tried in increasing order of [F], starting
-      from [F (MII, 1 + c_reg_com)];
+      from [F (MII, 1 + c_reg_com)] as Figure 3 does, or from the
+      {!c_delay_floor} when that is larger;
     + an issue slot is admitted only if, with respect to the already
       scheduled instructions, (C1) every new inter-iteration register
       dependence has [sync <= C_delay], and (C2) when the node introduces
@@ -92,7 +93,7 @@ val schedule :
     caching results, key on the effective params.
 
     [trace] (default {!Ts_obs.Trace.null}) receives a ["tms.search"] span
-    enclosing one ["tms.attempt"] instant event per [(II, C_delay)] point
+    (args: [loop], [p_max], [mii], [ii_max], [c_delay_floor]) enclosing one ["tms.attempt"] instant event per [(II, C_delay)] point
     tried (args: [ii], [c_delay], objective [f], [accepted], [reason]), a
     ["tms.fallback"] event if the grid is exhausted, and a ["tms.result"]
     event carrying the returned kernel's [II], achieved [C_delay],
@@ -155,7 +156,7 @@ val admit :
     incident to the candidate node.
 
     [c2obs] observes every C2 comparison as [(frequency, admitted)] — the
-    hook the point-sharing envelope of {!schedule_sweep} is built from. *)
+    hook {!schedule_sweep} finds the smallest rejected frequency with. *)
 
 val admissible :
   Ts_modsched.Sched.t ->
@@ -170,10 +171,22 @@ val admissible :
 
 (** {1 The Figure 3 outer search, for any base scheduler} *)
 
+val c_delay_floor : c_reg_com:int -> Ts_ddg.Ddg.t -> int
+(** The smallest [C_delay] any modulo schedule of the loop can achieve, at
+    any II: [c_reg_com + ]{!Ts_ddg.Mii.reg_rec_ii}, or 0 when the loop has
+    no register recurrence. The C1 analogue of RecMII. Around a register
+    recurrence with total latency [L] and total distance [D], at most [D]
+    edges cross a thread boundary, and their synchronisation delays must
+    together cover [L], so one of them is at least
+    [c_reg_com + ceil (L / D)]. Every kernel's {!Ts_modsched.Kernel.c_delay}
+    is at or above the floor, so every grid point below it fails under
+    any base scheduler, and the search never builds those points. *)
+
 type prepared = private {
   params : Ts_isa.Spmt_params.t;  (** effective under the placement *)
   mii : int;
   ii_max : int;  (** last II of the grid *)
+  cd_floor : int;  (** {!c_delay_floor} under the effective params *)
   cd_max : int;  (** last [C_delay] of the grid *)
 }
 (** The per-loop setup of a search: everything that depends on the
@@ -186,14 +199,7 @@ val prepare :
   Ts_ddg.Ddg.t ->
   prepared
 (** [params] passed through {!Ts_isa.Placement.effective_params}, MII,
-    and the grid bounds {!schedule} documents. *)
-
-type attempt =
-  | Placed of (Ts_modsched.Kernel.t, string) Stdlib.result
-  | Replayed of (Ts_modsched.Kernel.t, string) Stdlib.result
-      (** answered from a recorded outcome instead of a placement run *)
-(** One grid point's outcome: the kernel, or the reason the point
-    failed (the ["tms.attempt"] event's [reason]). *)
+    the [C_delay] floor and the grid bounds {!schedule} documents. *)
 
 val search :
   trace:Ts_obs.Trace.t ->
@@ -201,24 +207,27 @@ val search :
   p_max:float ->
   prepared ->
   Ts_ddg.Ddg.t ->
-  attempt:(ii:int -> c_delay:int -> attempt) ->
+  attempt:
+    (ii:int -> c_delay:int -> (Ts_modsched.Kernel.t, string) Stdlib.result) ->
   fallback:(Ts_ddg.Ddg.t -> Ts_modsched.Kernel.t) ->
   result
 (** The Figure 3 outer search, the one grid walk behind {!schedule},
     {!schedule_sweep} and {!Tms_ims.schedule}. It walks the
     [F (II, C_delay)] groups of {!Cost_model.f_frontier} in ascending
-    [F], calling [attempt ~ii ~c_delay] on each point below the
-    incumbent II, and returns the lowest-II success within
-    {!default_f_slack} of the first one. When no point succeeds it
-    returns [fallback g], flagged [fell_back] with the grid's largest
-    [C_delay] as threshold.
+    [F], from [C_delay = max (1 + c_reg_com) cd_floor], calling
+    [attempt ~ii ~c_delay] on each point below the incumbent II. An
+    attempt returns the kernel or the reason the point failed (the
+    ["tms.attempt"] event's [reason]). The search returns the lowest-II
+    success within {!default_f_slack} of the first one. When no point
+    succeeds it returns [fallback g], flagged [fell_back] with the grid's
+    largest [C_delay] as threshold.
 
     The search counts on {!Ts_obs.Metrics.default}: each attempt on
-    [tms.attempts], a placed attempt's latency on [tms.attempt_ms], a
-    replayed one on [tms.warm.point_hits], one [tms.schedules] per
-    search and one [tms.fallbacks] per fallback. [trace] receives the
-    events {!schedule} documents, with [base] naming the scheduler
-    (["sms"], ["ims"]). Slot verdicts are the attempt's to count. *)
+    [tms.attempts] and its latency on [tms.attempt_ms], one
+    [tms.schedules] per search and one [tms.fallbacks] per fallback.
+    [trace] receives the events {!schedule} documents, with [base]
+    naming the scheduler (["sms"], ["ims"]). Slot verdicts are the
+    attempt's to count. *)
 
 val schedule_sweep :
   ?trace:Ts_obs.Trace.t ->
@@ -240,22 +249,16 @@ val schedule_sweep :
     whole sweep: if no C2 comparison on a grid point its walk consumed
     rejected a frequency at or below the largest value [p_hi] (none
     rejected at all, on the paper's loops), then every comparison keeps
-    its verdict at every swept value, so each other search would replay
+    its verdict at every swept value, so each other search would repeat
     the same walk and return the same kernel at the same cost. The sweep
     then returns that result labelled with the list's first value, the
     one the tie-break keeps. Otherwise the remaining values are searched
     (on the pool unless traced) and the walk's result fills [p_lo]'s
     slot.
 
-    Those searches share grid points: each placed [(II, C_delay)] point
-    is recorded with the range of [P_max] values at which every C2
-    comparison it made keeps its verdict, and a search whose [P_max]
-    falls in that range replays the point instead of placing it again.
-    Replays are counted on [tms.warm.point_hits] and still on
-    [tms.attempts]; each search counts once on [tms.schedules]. The
-    counters are therefore those of the searches the sweep ran (one
-    where C2 cannot bind), not one search per value; the result is
-    bit-identical either way. The table lives only as long as the call.
+    Each search counts once on [tms.schedules], so the counters are
+    those of the searches the sweep ran (one where C2 cannot bind), not
+    one search per value; the result is identical either way.
 
     A traced sweep runs its searches in order, [p_lo] first (so a list
     that is not ascending no longer traces in list order), each in its

@@ -46,13 +46,12 @@ let schedule ?(placement = Ts_isa.Placement.Round_robin) ~params g =
       Tms.admissible s v ~cycle ~c_delay ~p_max ~c_reg_com
     in
     let asap, prio = cached ii in
-    Tms.Placed
-      (match Ts_sms.Ims.try_ii ~admissible ~asap ~prio g ~ii with
-      | Some kernel
-        when K.c_delay kernel ~c_reg_com <= c_delay
-             && Overheads.misspec_prob kernel ~c_reg_com <= p_max +. 1e-12 ->
-          Ok kernel
-      | Some _ | None -> Error "placement-failed")
+    match Ts_sms.Ims.try_ii ~admissible ~asap ~prio g ~ii with
+    | Some kernel
+      when K.c_delay kernel ~c_reg_com <= c_delay
+           && Overheads.misspec_prob kernel ~c_reg_com <= p_max +. 1e-12 ->
+        Ok kernel
+    | Some _ | None -> Error "placement-failed"
   in
   Tms.search ~trace:Ts_obs.Trace.null ~base:"ims" ~p_max prep g ~attempt
     ~fallback:(fun g -> (Ts_sms.Ims.schedule g).Ts_sms.Ims.kernel)

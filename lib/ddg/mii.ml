@@ -29,8 +29,8 @@ let res_ii (g : Ddg.t) =
    [ii] is recurrence-feasible iff the graph with those edge weights has no
    positive-weight cycle. Bellman-Ford from a virtual source connected to
    every node with weight 0; if any distance still relaxes after n rounds, a
-   positive cycle exists. [mask] restricts the test to a node subset. *)
-let feasible_masked (g : Ddg.t) ~mask ~ii =
+   positive cycle exists. [keep] restricts the test to an edge subset. *)
+let feasible_filtered (g : Ddg.t) ~keep ~ii =
   let n = Ddg.n_nodes g in
   let dist = Array.make n 0 in
   let changed = ref true in
@@ -40,7 +40,7 @@ let feasible_masked (g : Ddg.t) ~mask ~ii =
     changed := false;
     Array.iter
       (fun (e : Ddg.edge) ->
-        if mask e.src && mask e.dst then begin
+        if keep e then begin
           let w = Ddg.latency g e.src - (ii * e.distance) in
           if dist.(e.src) + w > dist.(e.dst) then begin
             dist.(e.dst) <- dist.(e.src) + w;
@@ -53,29 +53,31 @@ let feasible_masked (g : Ddg.t) ~mask ~ii =
   done;
   !ok
 
-let feasible g ~ii = feasible_masked g ~mask:(fun _ -> true) ~ii
+let feasible g ~ii = feasible_filtered g ~keep:(fun _ -> true) ~ii
 
-let rec_ii_masked (g : Ddg.t) ~mask =
+let rec_ii_filtered (g : Ddg.t) ~keep =
   let upper = Array.fold_left (fun acc (nd : Ddg.node) -> acc + nd.latency) 1 g.nodes in
-  if feasible_masked g ~mask ~ii:0 then 0
+  if feasible_filtered g ~keep ~ii:0 then 0
   else begin
     (* Smallest feasible ii in [1, upper]; upper is always feasible since
        every cycle has distance >= 1. *)
     let lo = ref 1 and hi = ref upper in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if feasible_masked g ~mask ~ii:mid then hi := mid else lo := mid + 1
+      if feasible_filtered g ~keep ~ii:mid then hi := mid else lo := mid + 1
     done;
     !lo
   end
 
-let rec_ii g = rec_ii_masked g ~mask:(fun _ -> true)
+let rec_ii g = rec_ii_filtered g ~keep:(fun _ -> true)
 
 let rec_ii_of_nodes g nodes =
   let n = Ddg.n_nodes g in
   let in_set = Array.make n false in
   List.iter (fun v -> in_set.(v) <- true) nodes;
-  rec_ii_masked g ~mask:(fun v -> in_set.(v))
+  rec_ii_filtered g ~keep:(fun (e : Ddg.edge) -> in_set.(e.src) && in_set.(e.dst))
+
+let reg_rec_ii g = rec_ii_filtered g ~keep:(fun (e : Ddg.edge) -> e.kind = Ddg.Reg)
 
 let mii g = max 1 (max (res_ii g) (rec_ii g))
 

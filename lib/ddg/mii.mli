@@ -24,6 +24,12 @@ val rec_ii_of_nodes : Ddg.t -> int list -> int
 (** RecII of the subgraph induced by the given nodes (used to prioritise
     SCCs in the SMS ordering phase). *)
 
+val reg_rec_ii : Ddg.t -> int
+(** RecII of the register-dependence subgraph; 0 when no register
+    recurrence exists. Every register recurrence forces a synchronisation
+    delay of at least [c_reg_com + reg_rec_ii]: the TMS search's
+    [C_delay] floor. *)
+
 val mii : Ddg.t -> int
 (** [max (res_ii t) (rec_ii t)], at least 1. *)
 

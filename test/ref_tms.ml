@@ -5,7 +5,8 @@
    tracing and metrics stripped. It must NOT be "improved": its whole
    value is that it computes the answer the slow, obviously-correct way.
    The optimised [Ts_tms.Tms] search must return byte-identical kernels,
-   [f_min] and attempt counts. *)
+   [f_min] and attempt counts when both walk the grid from the same first
+   [C_delay]. *)
 
 module K = Ts_modsched.Kernel
 module S = Ts_modsched.Sched
@@ -137,12 +138,11 @@ let try_schedule g ~order ~ii ~c_delay ~p_max ~c_reg_com =
   go order
 
 (* The Figure 3 enumeration, eagerly: hash every point of the
-   [\[mii, ii_max\] × \[1 + c_reg_com, cd_max\]] rectangle by
+   [\[mii, ii_max\] × \[cd_min, cd_max\]] rectangle by
    [round (F · ncore)], sort the groups, and keep the largest [C_delay]
    per II in each, points by increasing II. The optimised search walks
    the same groups lazily ([Cost_model.f_frontier]). *)
-let f_groups (p : Ts_isa.Spmt_params.t) ~mii ~ii_max ~cd_max =
-  let cd_min = 1 + p.c_reg_com in
+let f_groups (p : Ts_isa.Spmt_params.t) ~mii ~ii_max ~cd_min ~cd_max =
   let tbl = Hashtbl.create 64 in
   for ii = mii to ii_max do
     for cd = cd_min to cd_max do
@@ -167,7 +167,9 @@ let f_groups (p : Ts_isa.Spmt_params.t) ~mii ~ii_max ~cd_max =
          in
          (float_of_int key /. float_of_int p.ncore, points))
 
-let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~params g =
+(* [cd_min] is the grid's first [C_delay]: Figure 3's [1 + c_reg_com], or
+   the optimised search's floor. *)
+let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~cd_min ~params g =
   let mii = Ts_ddg.Mii.mii g in
   let ii_max =
     match max_ii with
@@ -180,7 +182,7 @@ let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~params g =
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
   let cd_max = ii_max - 1 + max_lat + c_reg_com in
   let order = Ts_sms.Order.compute_with_dirs g ~ii:mii in
-  let groups = f_groups params ~mii ~ii_max ~cd_max in
+  let groups = f_groups params ~mii ~ii_max ~cd_min ~cd_max in
   let attempts = ref 0 in
   (* Bounded order repair (mirrors [Tms.schedule]): on failure, hoist the
      blocking node to the front of the swing order and retry, up to
@@ -252,9 +254,11 @@ let schedule ?(p_max = Ts_tms.Tms.default_p_max) ?max_ii ~params g =
 (* Every value searched on its own, in list order; the first result of
    the lowest cost estimate wins, labelled with the [P_max] it was
    searched at. *)
-let schedule_sweep ?(p_maxes = [ 0.01; 0.05; 0.25 ]) ~params g =
+let schedule_sweep ?(p_maxes = [ 0.01; 0.05; 0.25 ]) ~cd_min ~params g =
   let n = 1000 in
-  let results = List.map (fun p_max -> schedule ~p_max ~params g) p_maxes in
+  let results =
+    List.map (fun p_max -> schedule ~p_max ~cd_min ~params g) p_maxes
+  in
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
   let cost (r : result) =
     Cost_model.estimate params ~ii:r.kernel.K.ii

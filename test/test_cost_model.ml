@@ -137,19 +137,24 @@ let arb_grid =
     in
     let* mii = int_range 1 30 in
     let* ii_span = int_range (-3) 20 and* cd_span = int_range (-3) 40 in
-    return
-      (params, mii, mii + ii_span, params.Ts_isa.Spmt_params.c_reg_com + cd_span)
+    (* Figure 3's start half the time, otherwise a floor above it. *)
+    let* lift = frequency [ (1, return 0); (1, int_range 1 12) ] in
+    let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
+    return (params, mii, mii + ii_span, 1 + c_reg_com + lift, c_reg_com + cd_span)
   in
-  QCheck.make gen ~print:(fun ((p : Ts_isa.Spmt_params.t), mii, ii_max, cd_max) ->
+  QCheck.make gen
+    ~print:(fun ((p : Ts_isa.Spmt_params.t), mii, ii_max, cd_min, cd_max) ->
       Printf.sprintf
-        "ncore=%d c_spawn=%d c_commit=%d c_reg_com=%d mii=%d ii_max=%d cd_max=%d"
-        p.ncore p.c_spawn p.c_commit p.c_reg_com mii ii_max cd_max)
+        "ncore=%d c_spawn=%d c_commit=%d c_reg_com=%d mii=%d ii_max=%d \
+         cd_min=%d cd_max=%d"
+        p.ncore p.c_spawn p.c_commit p.c_reg_com mii ii_max cd_min cd_max)
 
 let prop_frontier_is_reference =
   QCheck.Test.make ~count:2000 ~name:"F frontier = eager F-group enumeration"
-    arb_grid (fun (params, mii, ii_max, cd_max) ->
-      List.of_seq (Ts_tms.Cost_model.f_frontier params ~mii ~ii_max ~cd_max)
-      = Ref_tms.f_groups params ~mii ~ii_max ~cd_max)
+    arb_grid (fun (params, mii, ii_max, cd_min, cd_max) ->
+      List.of_seq
+        (Ts_tms.Cost_model.f_frontier params ~mii ~ii_max ~cd_min ~cd_max)
+      = Ref_tms.f_groups params ~mii ~ii_max ~cd_min ~cd_max)
 
 let suite =
   [

@@ -455,6 +455,34 @@ let test_regress_missing_leaf () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The sim bench's cache block: a faster cold pass raises the warm/cold
+   ratio, which must not fail the gate; only a slower warm pass may. *)
+let cache_doc ~cold ~warm =
+  J.Obj
+    [
+      ( "cache",
+        J.Obj
+          [
+            ("cold_wall_s", J.Float cold);
+            ("warm_wall_s", J.Float warm);
+            ("warm_over_cold", J.Float (warm /. cold));
+          ] );
+    ]
+
+let test_regress_cache_ratio () =
+  let baseline = cache_doc ~cold:2.0 ~warm:0.01 in
+  let compare fresh =
+    Regress.compare_json ~what:"sim" ~tolerance:1.5 ~baseline ~fresh
+  in
+  let faster_cold = compare (cache_doc ~cold:0.5 ~warm:0.01) in
+  check_bool "faster cold, same warm passes" true (Regress.ok faster_cold);
+  check_bool "the ratio is not compared" true
+    (List.for_all
+       (fun (v : Regress.verdict) -> not (contains v.Regress.path "warm_over_cold"))
+       faster_cold.Regress.verdicts);
+  check_bool "slower warm fails" false
+    (Regress.ok (compare (cache_doc ~cold:2.0 ~warm:0.02)))
+
 let suite =
   [
     Alcotest.test_case "hist quantiles uniform" `Quick test_hist_quantiles;
@@ -478,4 +506,6 @@ let suite =
       test_progress_overshoot_clamps;
     Alcotest.test_case "regress pass/fail" `Quick test_regress_pass_and_fail;
     Alcotest.test_case "regress missing leaf" `Quick test_regress_missing_leaf;
+    Alcotest.test_case "regress cache ratio one-sided" `Quick
+      test_regress_cache_ratio;
   ]

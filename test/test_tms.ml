@@ -173,9 +173,8 @@ let test_doacross_c_delay_regression () =
 
 (* Pin the sweep's counters over equake's suite loops plus one loop with
    high dependence probabilities (the only one here where C2 rejects
-   slots): a change that skips or reorders slot checks, or a replayed
-   point that flushes the wrong tally, moves them, and any move must be
-   deliberate. *)
+   slots): a change that skips or reorders slot checks, or flushes the
+   wrong tally, moves them, and any move must be deliberate. *)
 let high_prob_loop () =
   let rng = Ts_base.Rng.of_string "pinned-counters/4" in
   Ts_workload.Gen.generate rng
@@ -193,10 +192,10 @@ let test_search_counters_pinned () =
   in
   let pinned =
     [
-      ("tms.attempts", 1168);
-      ("tms.slots.admitted", 24403);
-      ("tms.slots.resource_reject", 2665);
-      ("tms.slots.c1_reject", 108591);
+      ("tms.attempts", 345);
+      ("tms.slots.admitted", 9598);
+      ("tms.slots.resource_reject", 2587);
+      ("tms.slots.c1_reject", 24584);
       ("tms.slots.c2_reject", 1774);
     ]
   in
@@ -210,38 +209,30 @@ let cval name =
   Ts_obs.Metrics.counter_value
     (Ts_obs.Metrics.counter Ts_obs.Metrics.default name)
 
-(* A point one search of a sweep replays from another's recorded outcome
-   counts on [tms.attempts] and [tms.warm.point_hits], but it was looked
-   up, not placed: [tms.attempt_ms] must time placements only. Only
-   sweeps where C2 binds run more than one search, so the loops are the
-   C2 ones. *)
+(* Every grid point a sweep tries is placed, so [tms.attempt_ms] has
+   exactly one sample per attempt. The loops are the C2 ones, where a
+   sweep runs every P_max. *)
 let test_sweep_attempt_ms_times_placements () =
   let h = Ts_obs.Metrics.histogram Ts_obs.Metrics.default "tms.attempt_ms" in
-  let a0 = cval "tms.attempts" and h0 = cval "tms.warm.point_hits" in
+  let a0 = cval "tms.attempts" in
   let n0 = Ts_obs.Metrics.histogram_count h in
   List.iter
     (fun g -> ignore (Ts_tms.Tms.schedule_sweep ~params g))
     (Fixtures.c2_loops ());
-  let attempts = cval "tms.attempts" - a0
-  and hits = cval "tms.warm.point_hits" - h0 in
-  check_bool "the sweeps replayed points" true (hits > 0);
-  check_int "attempt_ms samples = attempts - point_hits" (attempts - hits)
+  check_int "attempt_ms samples = attempts" (cval "tms.attempts" - a0)
     (Ts_obs.Metrics.histogram_count h - n0)
 
 (* Where C2 cannot bind, a sweep is one search: the walk at the smallest
-   P_max is the walk at every other, so nothing is replayed. Where it
-   binds, every swept value is still searched. *)
+   P_max is the walk at every other. Where it binds, every swept value
+   is still searched. *)
 let test_sweep_one_search_where_c2_cannot_bind () =
   let searches g =
-    let s0 = cval "tms.schedules" and h0 = cval "tms.warm.point_hits" in
+    let s0 = cval "tms.schedules" in
     ignore (Ts_tms.Tms.schedule_sweep ~params g);
-    (cval "tms.schedules" - s0, cval "tms.warm.point_hits" - h0)
+    cval "tms.schedules" - s0
   in
   List.iter
-    (fun g ->
-      let n, hits = searches g in
-      check_int (g.Ts_ddg.Ddg.name ^ ": one search") 1 n;
-      check_int (g.Ts_ddg.Ddg.name ^ ": no replays") 0 hits)
+    (fun g -> check_int (g.Ts_ddg.Ddg.name ^ ": one search") 1 (searches g))
     (List.init 4 (fun i -> Fixtures.generated ~seed:(200 + i) ()));
   let kernel p_max g = (Ts_tms.Tms.schedule ~p_max ~params g).Ts_tms.Tms.kernel in
   let binding =
@@ -253,25 +244,16 @@ let test_sweep_one_search_where_c2_cannot_bind () =
   in
   check_bool "some C2 loop binds" true (binding <> []);
   List.iter
-    (fun g -> check_int (g.Ts_ddg.Ddg.name ^ ": every P_max") 3 (fst (searches g)))
+    (fun g -> check_int (g.Ts_ddg.Ddg.name ^ ": every P_max") 3 (searches g))
     binding
 
-(* Where C2 binds, a point recorded at one P_max often does not transfer
-   to another: the sweep must replay some points and place the rest
-   (the exactness of every replay is checked against the reference
-   search in [Test_equiv]). *)
-let test_sweep_sharing_where_c2_binds () =
+(* The C2 loops are what the sweep tests above rely on: C2 rejects slots
+   on them, and P_max changes some loop's kernel. *)
+let test_sweep_c2_binds () =
   let loops = Fixtures.c2_loops () in
-  let a0 = cval "tms.attempts" and h0 = cval "tms.warm.point_hits" in
   let c0 = cval "tms.slots.c2_reject" in
   List.iter (fun g -> ignore (Ts_tms.Tms.schedule_sweep ~params g)) loops;
-  let attempts = cval "tms.attempts" - a0
-  and hits = cval "tms.warm.point_hits" - h0 in
   check_bool "C2 rejected slots" true (cval "tms.slots.c2_reject" - c0 > 0);
-  check_bool
-    (Printf.sprintf "0 < point_hits (%d) < 2/3 attempts (%d)" hits attempts)
-    true
-    (hits > 0 && 3 * hits < 2 * attempts);
   let kernel p_max g = (Ts_tms.Tms.schedule ~p_max ~params g).Ts_tms.Tms.kernel in
   check_bool "P_max 0.01 and 0.25 schedule some loop differently" true
     (List.exists
@@ -279,6 +261,148 @@ let test_sweep_sharing_where_c2_binds () =
          let a = kernel 0.01 g and b = kernel 0.25 g in
          (a.K.ii, a.K.time) <> (b.K.ii, b.K.time))
        loops)
+
+(* --- the C_delay floor ([Tms.c_delay_floor]) --- *)
+
+let floor_fixtures () =
+  [
+    Fixtures.chain 4; Fixtures.accumulator (); Fixtures.diamond ();
+    Fixtures.two_scc (); Fixtures.spec_loop (); Fixtures.motivating ();
+  ]
+  @ Fixtures.c2_loops ()
+
+let floor_params =
+  [ params; two_core; { params with Ts_isa.Spmt_params.ncore = 8; c_reg_com = 8 } ]
+
+let floor ~c_reg_com g = Ts_tms.Tms.c_delay_floor ~c_reg_com g
+
+(* Every kernel the four schedulers return: SMS and IMS at their own II
+   and at each of the first four IIs from MII, TMS and TMS-IMS on each
+   machine of [floor_params]. Paired with the c_reg_com it was priced
+   at. *)
+let kernels_of g =
+  let mii = Ts_ddg.Mii.mii g in
+  let at_ii =
+    List.concat_map
+      (fun ii ->
+        let order = Ts_sms.Order.compute_with_dirs g ~ii in
+        [ Ts_sms.Sms.try_ii g ~ii ~order; Ts_sms.Ims.try_ii g ~ii ])
+      (List.init 4 (fun d -> mii + d))
+    |> List.filter_map Fun.id
+  in
+  let base =
+    (Ts_sms.Sms.schedule g).Ts_sms.Sms.kernel
+    :: (match Ts_sms.Ims.schedule g with
+       | r -> [ r.Ts_sms.Ims.kernel ]
+       | exception Ts_sms.Ims.No_schedule _ -> [])
+  in
+  List.map (fun k -> (k, params.Ts_isa.Spmt_params.c_reg_com)) (at_ii @ base)
+  @ List.concat_map
+      (fun (p : Ts_isa.Spmt_params.t) ->
+        let tms = (Ts_tms.Tms.schedule_sweep ~params:p g).Ts_tms.Tms.kernel in
+        let ims =
+          match Ts_tms.Tms_ims.schedule ~params:p g with
+          | r -> [ r.Ts_tms.Tms_ims.kernel ]
+          | exception Ts_sms.Ims.No_schedule _ -> []
+        in
+        List.map (fun k -> (k, p.c_reg_com)) (tms :: ims))
+      floor_params
+
+let floor_violations g =
+  List.filter_map
+    (fun (k, c_reg_com) ->
+      let f = floor ~c_reg_com g in
+      let c = K.c_delay k ~c_reg_com in
+      if c >= f then None
+      else Some (Printf.sprintf "%s: ii=%d C_delay %d < floor %d" g.Ts_ddg.Ddg.name k.K.ii c f))
+    (kernels_of g)
+
+let prop_floor_bounds_generated =
+  QCheck.Test.make ~count:20 ~name:"C_delay floor bounds every kernel (generated)"
+    Fixtures.arb_loop (fun arb ->
+      match floor_violations (Fixtures.loop_of_arb arb) with
+      | [] -> true
+      | vs -> QCheck.Test.fail_report (String.concat "\n" vs))
+
+let test_floor_bounds_fixtures () =
+  List.iter
+    (fun g ->
+      Alcotest.(check (list string)) (g.Ts_ddg.Ddg.name ^ ": kernels at or above the floor")
+        [] (floor_violations g))
+    (floor_fixtures ())
+
+(* The soundness half of the floor, tried directly: on small loops, every
+   grid point below it fails under both base schedulers. For SMS, the
+   swing order and each single-node hoist of it (the orders order repair
+   tries); for IMS, the pass plus TMS-IMS's post-check. *)
+let test_below_floor_fails () =
+  let loops =
+    floor_fixtures ()
+    @ List.init 6 (fun i -> Fixtures.generated ~seed:(400 + i) ~n_inst:(8 + i) ())
+  in
+  let tried = ref 0 in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun (p : Ts_isa.Spmt_params.t) ->
+          let c_reg_com = p.c_reg_com in
+          let mii = Ts_ddg.Mii.mii g in
+          let swing = Ts_sms.Order.compute_with_dirs g ~ii:mii in
+          let orders =
+            swing
+            :: List.map
+                 (fun ((v, _) as entry) ->
+                   entry :: List.filter (fun (u, _) -> u <> v) swing)
+                 swing
+          in
+          for ii = mii to mii + 3 do
+            for c_delay = 1 + c_reg_com to floor ~c_reg_com g - 1 do
+              List.iter
+                (fun p_max ->
+                  incr tried;
+                  let name =
+                    Printf.sprintf "%s ii=%d c_delay=%d p_max=%g c_reg_com=%d"
+                      g.Ts_ddg.Ddg.name ii c_delay p_max c_reg_com
+                  in
+                  List.iter
+                    (fun order ->
+                      check_bool (name ^ ": SMS attempt fails") true
+                        (Ts_tms.Tms.try_schedule g ~order ~ii ~c_delay ~p_max
+                           ~c_reg_com
+                        = None))
+                    orders;
+                  let admissible s v ~cycle =
+                    Ts_tms.Tms.admissible s v ~cycle ~c_delay ~p_max ~c_reg_com
+                  in
+                  check_bool (name ^ ": IMS attempt fails") true
+                    (match Ts_sms.Ims.try_ii ~admissible g ~ii with
+                    | None -> true
+                    | Some k -> K.c_delay k ~c_reg_com > c_delay))
+                [ 0.05; 1.0 ]
+            done
+          done)
+        floor_params)
+    loops;
+  check_bool (Printf.sprintf "points below a floor tried (%d)" !tried) true
+    (!tried > 0)
+
+(* The floor is tight: TMS ends at exactly the floor on the motivating
+   example (register RecII 1, so the floor is Figure 3's first C_delay)
+   and on the accumulator (register RecII 3, two cycles above it). A
+   floor one cycle too high fails here and in the properties above. *)
+let test_floor_tight () =
+  List.iter
+    (fun (g, expect) ->
+      let name = g.Ts_ddg.Ddg.name in
+      check_int (name ^ ": floor") expect (floor ~c_reg_com:3 g);
+      let r = Ts_tms.Tms.schedule_sweep ~params:two_core g in
+      check_int (name ^ ": threshold at the floor") expect
+        r.Ts_tms.Tms.c_delay_threshold;
+      check_int (name ^ ": achieved at the floor") expect
+        r.Ts_tms.Tms.achieved_c_delay)
+    [ (Fixtures.motivating (), 4); (Fixtures.accumulator (), 6) ];
+  check_int "no floor without a register recurrence" 0
+    (floor ~c_reg_com:3 (Fixtures.chain 4))
 
 let suite =
   [
@@ -301,8 +425,15 @@ let suite =
       test_search_counters_pinned;
     Alcotest.test_case "sweep: attempt_ms times placements only" `Quick
       test_sweep_attempt_ms_times_placements;
-    Alcotest.test_case "sweep: points shared where C2 binds" `Quick
-      test_sweep_sharing_where_c2_binds;
+    Alcotest.test_case "sweep: C2 binds on the C2 loops" `Quick
+      test_sweep_c2_binds;
     Alcotest.test_case "sweep: one search where C2 cannot bind" `Quick
       test_sweep_one_search_where_c2_cannot_bind;
+    QCheck_alcotest.to_alcotest prop_floor_bounds_generated;
+    Alcotest.test_case "C_delay floor bounds every kernel (fixtures)" `Quick
+      test_floor_bounds_fixtures;
+    Alcotest.test_case "C_delay floor: points below it fail" `Quick
+      test_below_floor_fails;
+    Alcotest.test_case "C_delay floor: TMS ends at it" `Quick
+      test_floor_tight;
   ]

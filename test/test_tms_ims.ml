@@ -5,7 +5,9 @@
    achieved C_delay, the attempt count, F_min and the fallback flag — on
    the fixtures and 30 generated loops (8 of them C2-binding), under
    round-robin and locality placement. It was recorded before TMS-over-IMS
-   was rebuilt on {!Ts_tms.Tms}'s grid walk and must hold unchanged. *)
+   was rebuilt on {!Ts_tms.Tms}'s grid walk; only the attempt column was
+   re-recorded since, when the walk began at the C_delay floor
+   ({!Ts_tms.Tms.c_delay_floor}) and stopped trying the points below it. *)
 
 module K = Ts_modsched.Kernel
 module P = Ts_isa.Spmt_params
