@@ -50,6 +50,11 @@ val gauge : registry -> string -> gauge
 (** A last-value-wins instantaneous measurement. *)
 
 val set_gauge : gauge -> float -> unit
+
+val max_gauge : gauge -> float -> unit
+(** Raise the gauge to [v] if [v] is larger: a high-water mark that
+    concurrent writers cannot lower. *)
+
 val gauge_value : gauge -> float
 
 val histogram : registry -> string -> histogram

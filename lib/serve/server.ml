@@ -68,7 +68,7 @@ type config = {
 let default_config addr =
   {
     addr;
-    max_inflight = Ts_base.Pool.get_jobs ();
+    max_inflight = Ts_base.Parallel.get_jobs ();
     queue_depth = 64;
     max_frame = Protocol.default_max_frame;
     drain_timeout_s = 10.0;
@@ -440,7 +440,7 @@ let dispatch t c (req : Protocol.request) =
   Atomic.incr c.pending;
   Metrics.incr m_accepted;
   ignore
-    (Ts_base.Pool.submit (fun () ->
+    (Ts_base.Parallel.submit (fun () ->
          let t0 = Unix.gettimeofday () in
          let resp = exec_request req in
          Metrics.observe m_request_ms ((Unix.gettimeofday () -. t0) *. 1000.0);

@@ -3,7 +3,7 @@
 
     One event-loop domain owns the listening socket, every connection's
     read side and all admission control; the actual scheduling and
-    simulation runs as tasks on the resident {!Ts_base.Pool} — no
+    simulation runs as tasks on the resident {!Ts_base.Parallel} pool — no
     [Domain.spawn] per request, ever. Control ops ([metrics], [health],
     [ping]) are answered inline by the loop so a saturated server still
     answers its health checks.

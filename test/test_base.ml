@@ -1,4 +1,4 @@
-(* Stats, Intmath, Tablefmt and the Parallel/Pool engine. *)
+(* Stats, Intmath, Tablefmt and the Parallel pool. *)
 
 let feq = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -123,7 +123,7 @@ let test_cells () =
   Alcotest.(check string) "f2" "1.46" (Ts_base.Tablefmt.cell_f2 1.456);
   Alcotest.(check string) "pct" "12.5%" (Ts_base.Tablefmt.cell_pct 12.49)
 
-(* --- Parallel / Pool --- *)
+(* --- Parallel --- *)
 
 (* Variable-length pure work keyed on the input, so task completion order
    (and hence steal order) varies run to run while the value is fixed. *)
@@ -139,7 +139,7 @@ let spin seed =
    spawning, so the resident domain count must not grow past the batch
    size no matter how deep the nesting. *)
 let test_pool_nested () =
-  let bound = max (Ts_base.Pool.size_now ()) 4 in
+  let bound = max (Ts_base.Parallel.size_now ()) 4 in
   let expected =
     List.init 6 (fun a ->
         List.init 5 (fun b ->
@@ -158,7 +158,7 @@ let test_pool_nested () =
   in
   Alcotest.(check bool) "depth-3 nested results" true (got = expected);
   Alcotest.(check bool) "no domain explosion" true
-    (Ts_base.Pool.size_now () <= bound)
+    (Ts_base.Parallel.size_now () <= bound)
 
 (* Whatever order thieves drain the deques in, results come back in input
    order with input-indexed values. *)
@@ -214,19 +214,19 @@ let test_pool_worker_exit_zero () =
   let total = List.fold_left (fun a (_, t) -> a + t) 0 exits in
   check_int "task accounting sums to n" 2 total;
   check_int "one exit per pool slot (caller included)"
-    (Ts_base.Pool.size_now () + 1)
+    (Ts_base.Parallel.size_now () + 1)
     (List.length exits);
   Alcotest.(check bool) "zero-task workers reported" true
     (List.exists (fun (_, t) -> t = 0) exits)
 
 let test_pool_futures () =
-  let futs = List.init 10 (fun i -> Ts_base.Pool.submit (fun () -> spin i)) in
+  let futs = List.init 10 (fun i -> Ts_base.Parallel.submit (fun () -> spin i)) in
   Alcotest.(check (list int)) "futures resolve in submission order"
     (List.init 10 spin)
-    (List.map Ts_base.Pool.await futs);
-  let bad = Ts_base.Pool.submit (fun () -> failwith "nope") in
+    (List.map Ts_base.Parallel.await futs);
+  let bad = Ts_base.Parallel.submit (fun () -> failwith "nope") in
   Alcotest.check_raises "await re-raises" (Failure "nope") (fun () ->
-      ignore (Ts_base.Pool.await bad))
+      ignore (Ts_base.Parallel.await bad))
 
 let suite =
   [
