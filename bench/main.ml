@@ -291,7 +291,7 @@ let sim_bench ~limit ~repeat ~out () =
   Printf.printf "  wrote %s\n%!" out
 
 (* ------------------------------------------------------------------ *)
-(* The `pool` group: resident work-stealing pool vs spawn-per-call on
+(* The `pool` group: the resident pool's run queue vs spawn-per-call on
    fine-grained tasks — the per-map overhead the pool removes.
    [spawn_map] replicates the pre-pool Parallel.map shape (Domain.spawn
    per call, one shared Atomic cursor); the pool side is Parallel.map

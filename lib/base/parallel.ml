@@ -1,30 +1,23 @@
-(* Deterministic parallel map over a resident work-stealing domain pool.
+(* Deterministic parallel map over a resident domain pool with one run
+   queue.
 
    Worker domains are spawned once per process (lazily, at the first
    parallel batch) and live until exit; nothing on the hot path calls
-   [Domain.spawn].  Each worker owns an SPMC deque: the owner pushes and
-   pops at the back (LIFO — the freshest task is cache-warm, and nested
-   children run before their siblings' parents), thieves take from the
-   front (FIFO — they get the oldest, coarsest task, which is the one
-   most worth moving to another core).  There is deliberately no central run queue and no shared task
-   cursor: the classic scaling bottleneck of a mutex/counter-protected
-   central task list is exactly what this module replaces.  Each deque
-   has its own tiny mutex; thieves use [try_lock], so a busy victim is a
-   reason to scan on, never a convoy to queue behind.
+   [Domain.spawn].  All pool state — the queue, the worker count, the
+   stop flag — sits under one mutex.  The traffic is coarse (the
+   harness submits one task per loop, a few milliseconds each), so a
+   lock taken a few times per task is never the bottleneck, and a
+   single lock leaves no racy access to reason about.
 
-   Nested parallelism is help-first: a task that opens a parallel batch
-   from inside a worker pushes the children onto its own deque and then
-   works — popping its own children, stealing others' tasks — until the
-   batch drains.  Nothing ever blocks a worker on a condition variable
-   while tasks are runnable, and no nested batch spawns a domain, so the
-   live domain count is bounded by the pool size at any nesting depth.
-
-   Sleep/wake: a worker that finds nothing to run anywhere goes to sleep
-   on the pool condition variable.  Submissions bump an epoch counter
-   before checking for sleepers; sleepers register themselves before
-   re-checking the epoch under the pool lock — the classic
-   ticket/re-check pairing that closes the lost-wakeup race without
-   taking the pool lock on the (common) no-sleeper submission path. *)
+   The queue has two ends.  Submissions from outside the pool join the
+   back (FIFO).  A worker's own submissions — a nested batch or a
+   future — go to the front, so a worker that helps while it waits runs
+   its own children before older work.  Idle workers sleep on [work];
+   each queued task signals one of them.  A pool worker that waits for a
+   batch or a future runs queued tasks meanwhile and sleeps on [work]
+   too; any other caller blocks on [finished] without running tasks, so
+   at most [jobs] domains run tasks.  Whoever finishes a batch or a
+   future broadcasts both conditions. *)
 
 (* ---- pool sizing ----------------------------------------------------- *)
 
@@ -66,97 +59,27 @@ let cap = 64
 type event =
   | Task_done of { worker : int; index : int; wall_s : float }
   | Worker_exit of { worker : int; busy_s : float; tasks : int }
-  | Steal of { thief : int; victim : int }
   | Idle of { worker : int; wait_s : float }
 
 let observer : (event -> unit) option Atomic.t = Atomic.make None
 let set_observer f = Atomic.set observer f
 let get_observer () = Atomic.get observer
 
-(* ---- SPMC deque ------------------------------------------------------ *)
+(* ---- the pool -------------------------------------------------------- *)
 
 type task = unit -> unit
 
-module Deque = struct
-  (* Circular buffer under a per-deque mutex.  [head] is the steal end
-     (oldest task), [head + len - 1] the owner end (newest).  The mutex
-     is held for a handful of loads/stores — contention is per-victim,
-     not process-global. *)
-  type t = {
-    mutable buf : task array;
-    mutable head : int;
-    mutable len : int;
-    lock : Mutex.t;
-  }
-
-  let nop () = ()
-
-  let create () =
-    { buf = Array.make 32 nop; head = 0; len = 0; lock = Mutex.create () }
-
-  let grow d =
-    let old = Array.length d.buf in
-    let buf = Array.make (2 * old) nop in
-    for i = 0 to d.len - 1 do
-      buf.(i) <- d.buf.((d.head + i) mod old)
-    done;
-    d.buf <- buf;
-    d.head <- 0
-
-  let push d t =
-    Mutex.lock d.lock;
-    if d.len = Array.length d.buf then grow d;
-    d.buf.((d.head + d.len) mod Array.length d.buf) <- t;
-    d.len <- d.len + 1;
-    Mutex.unlock d.lock
-
-  (* Owner end: newest first (LIFO). *)
-  let pop d =
-    Mutex.lock d.lock;
-    let r =
-      if d.len = 0 then None
-      else begin
-        d.len <- d.len - 1;
-        let i = (d.head + d.len) mod Array.length d.buf in
-        let t = d.buf.(i) in
-        d.buf.(i) <- nop;
-        Some t
-      end
-    in
-    Mutex.unlock d.lock;
-    r
-
-  (* Thief end: oldest first (FIFO).  Non-blocking: a locked victim is
-     skipped, the thief scans on. *)
-  let steal d =
-    if d.len = 0 || not (Mutex.try_lock d.lock) then None
-    else begin
-      let r =
-        if d.len = 0 then None
-        else begin
-          let t = d.buf.(d.head) in
-          d.buf.(d.head) <- nop;
-          d.head <- (d.head + 1) mod Array.length d.buf;
-          d.len <- d.len - 1;
-          Some t
-        end
-      in
-      Mutex.unlock d.lock;
-      r
-    end
-end
-
-(* ---- the pool -------------------------------------------------------- *)
-
+(* Every mutable field is guarded by [lock].  The queue is [front]
+   followed by [back]: a worker's submissions are consed onto [front],
+   outside ones added to [back], and tasks are taken from [front] first. *)
 type t = {
-  deques : Deque.t array;  (* cap + 1 slots; index 0 (the caller) unused *)
-  size : int Atomic.t;  (* spawned workers, ids 1..size; grow-only *)
-  lock : Mutex.t;  (* guards growth, [doms] and the sleep condition *)
-  wake : Condition.t;
-  sleepers : int Atomic.t;
-  epoch : int Atomic.t;  (* bumped on every submission *)
-  stop : bool Atomic.t;
-  rr : int Atomic.t;  (* round-robin injection cursor *)
+  lock : Mutex.t;
+  work : Condition.t;  (* a task was queued, a batch finished, or stop *)
+  finished : Condition.t;  (* a batch or a future finished *)
+  mutable front : task list;
+  back : task Queue.t;
+  mutable size : int;  (* spawned workers, ids 1..size; grow-only *)
+  mutable stop : bool;
   mutable doms : unit Domain.t list;
 }
 
@@ -164,212 +87,143 @@ type t = {
 let wid_key = Domain.DLS.new_key (fun () -> 0)
 let worker_id () = Domain.DLS.get wid_key
 
-(* Own deque first (LIFO), then steal round the other workers starting
-   just past ourselves (FIFO victims, deterministic scan order — the
-   randomness that load-balances is the timing itself). *)
-let find_task p w =
-  match Deque.pop p.deques.(w) with
-  | Some _ as t -> t
-  | None ->
-      let sz = Atomic.get p.size in
-      let rec scan k =
-        if k >= sz then None
-        else
-          let v = (((w - 1) + k) mod sz) + 1 in
-          match Deque.steal p.deques.(v) with
-          | Some _ as t ->
-              (match Atomic.get observer with
-              | Some f -> f (Steal { thief = w; victim = v })
-              | None -> ());
-              t
-          | None -> scan (k + 1)
-      in
-      scan 1
+(* Under [p.lock]. *)
+let take p =
+  match p.front with
+  | t :: rest ->
+      p.front <- rest;
+      Some t
+  | [] -> Queue.take_opt p.back
+
+let queued p = p.front <> [] || not (Queue.is_empty p.back)
 
 (* Tasks are wrapped by their submitters and do not raise; the catch-all
    is a backstop so a bug in a wrapper can never kill a resident worker. *)
 let run_task t = try t () with _ -> ()
 
 let rec worker_loop p w =
-  if not (Atomic.get p.stop) then begin
-    (match find_task p w with
-    | Some t -> run_task t
-    | None -> (
-        (* Read the epoch, look once more (a submission may have landed
-           between the failed scan and the epoch read), then sleep until
-           the epoch moves. *)
-        let e = Atomic.get p.epoch in
-        match find_task p w with
-        | Some t -> run_task t
-        | None ->
-            let obs = Atomic.get observer in
-            let t0 =
-              match obs with Some _ -> Unix.gettimeofday () | None -> 0.0
-            in
-            Mutex.lock p.lock;
-            Atomic.incr p.sleepers;
-            while Atomic.get p.epoch = e && not (Atomic.get p.stop) do
-              Condition.wait p.wake p.lock
-            done;
-            Atomic.decr p.sleepers;
-            Mutex.unlock p.lock;
-            (match obs with
-            | Some f -> f (Idle { worker = w; wait_s = Unix.gettimeofday () -. t0 })
-            | None -> ())));
-    worker_loop p w
-  end
+  Mutex.lock p.lock;
+  if p.stop then Mutex.unlock p.lock
+  else
+    match take p with
+    | Some t ->
+        Mutex.unlock p.lock;
+        run_task t;
+        worker_loop p w
+    | None ->
+        let obs = Atomic.get observer in
+        let t0 = match obs with Some _ -> Unix.gettimeofday () | None -> 0.0 in
+        while not (queued p || p.stop) do
+          Condition.wait p.work p.lock
+        done;
+        Mutex.unlock p.lock;
+        (match obs with
+        | Some f -> f (Idle { worker = w; wait_s = Unix.gettimeofday () -. t0 })
+        | None -> ());
+        worker_loop p w
 
-let spawn_locked p w =
-  let d =
-    Domain.spawn (fun () ->
-        Domain.DLS.set wid_key w;
-        worker_loop p w)
-  in
-  p.doms <- d :: p.doms
-
-let ensure p n =
-  let n = min n cap in
-  if Atomic.get p.size < n then begin
-    Mutex.lock p.lock;
-    while Atomic.get p.size < n && not (Atomic.get p.stop) do
-      let w = Atomic.get p.size + 1 in
-      spawn_locked p w;
-      Atomic.set p.size w
-    done;
-    Mutex.unlock p.lock
-  end
-
-let create () =
+let the_pool =
   {
-    deques = Array.init (cap + 1) (fun _ -> Deque.create ());
-    size = Atomic.make 0;
     lock = Mutex.create ();
-    wake = Condition.create ();
-    sleepers = Atomic.make 0;
-    epoch = Atomic.make 0;
-    stop = Atomic.make false;
-    rr = Atomic.make 0;
+    work = Condition.create ();
+    finished = Condition.create ();
+    front = [];
+    back = Queue.create ();
+    size = 0;
+    stop = false;
     doms = [];
   }
 
 let shutdown p =
-  Atomic.set p.stop true;
   Mutex.lock p.lock;
-  Condition.broadcast p.wake;
+  p.stop <- true;
+  Condition.broadcast p.work;
   let doms = p.doms in
   p.doms <- [];
   Mutex.unlock p.lock;
   List.iter Domain.join doms
 
-let the_pool : t option Atomic.t = Atomic.make None
-let init_lock = Mutex.create ()
-
-let get () =
-  match Atomic.get the_pool with
-  | Some p -> p
-  | None ->
-      Mutex.lock init_lock;
-      let p =
-        match Atomic.get the_pool with
-        | Some p -> p
-        | None ->
-            let p = create () in
-            Atomic.set the_pool (Some p);
-            (* Workers never outlive the process: wake and join them so
-               exit cannot race a domain mid-GC. *)
-            at_exit (fun () -> shutdown p);
-            p
-      in
-      Mutex.unlock init_lock;
-      p
+let ensure n =
+  let p = the_pool in
+  Mutex.lock p.lock;
+  while p.size < min n cap && not p.stop do
+    (* Workers never outlive the process: wake and join them so exit
+       cannot race a domain mid-GC. *)
+    if p.size = 0 then at_exit (fun () -> shutdown p);
+    let w = p.size + 1 in
+    p.doms <-
+      Domain.spawn (fun () ->
+          Domain.DLS.set wid_key w;
+          worker_loop p w)
+      :: p.doms;
+    p.size <- w
+  done;
+  Mutex.unlock p.lock
 
 let size_now () =
-  match Atomic.get the_pool with Some p -> Atomic.get p.size | None -> 0
+  let p = the_pool in
+  Mutex.lock p.lock;
+  let n = p.size in
+  Mutex.unlock p.lock;
+  n
 
-(* ---- submission ------------------------------------------------------ *)
+(* Queue [ts] in order — at the front from a pool worker, at the back
+   from anywhere else — and wake one sleeper per task. *)
+let push ts =
+  let p = the_pool in
+  Mutex.lock p.lock;
+  if worker_id () > 0 then p.front <- ts @ p.front
+  else List.iter (fun t -> Queue.add t p.back) ts;
+  List.iter (fun _ -> Condition.signal p.work) ts;
+  Mutex.unlock p.lock
 
-let wake_sleepers p =
-  if Atomic.get p.sleepers > 0 then begin
-    Mutex.lock p.lock;
-    Condition.broadcast p.wake;
-    Mutex.unlock p.lock
-  end
+(* A batch or a future has finished: wake its waiter, whichever kind. *)
+let finish () =
+  let p = the_pool in
+  Mutex.lock p.lock;
+  Condition.broadcast p.work;
+  Condition.broadcast p.finished;
+  Mutex.unlock p.lock
 
-(* From outside the pool: round-robin over the worker deques — initial
-   balance without a central queue; stealing corrects the rest. *)
-let inject p t =
-  let sz = max 1 (Atomic.get p.size) in
-  let k = (Atomic.fetch_and_add p.rr 1 mod sz) + 1 in
-  Deque.push p.deques.(k) t;
-  Atomic.incr p.epoch;
-  wake_sleepers p
-
-(* From a worker: own deque (LIFO — help-first nesting). *)
-let push_self p w t =
-  Deque.push p.deques.(w) t;
-  Atomic.incr p.epoch;
-  wake_sleepers p
-
-let submit_task p t =
-  let w = worker_id () in
-  if w > 0 then push_self p w t else inject p t
-
-(* Spin briefly, then sleep in sub-millisecond slices: on a machine with
-   fewer cores than domains (CI runners, the 1-CPU container) a helper
-   that busy-waits would starve the very worker it is waiting on. *)
-let idle_backoff misses =
-  if misses < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002
-
-(* Return once [finished ()]. A pool worker helps meanwhile (help-first:
-   it runs whatever is runnable); any other domain blocks on [c], which
-   whoever finishes the work broadcasts under [m]. *)
-let wait_until p m c finished =
-  let w = worker_id () in
-  let rec help misses =
-    if not (finished ()) then
-      match find_task p w with
+(* Return once [finished ()], which the finisher makes true before it
+   calls [finish].  A pool worker runs queued tasks meanwhile; any other
+   domain just blocks. *)
+let wait_until finished =
+  let p = the_pool in
+  let helping = worker_id () > 0 in
+  Mutex.lock p.lock;
+  while not (finished ()) do
+    if not helping then Condition.wait p.finished p.lock
+    else
+      match take p with
       | Some t ->
+          Mutex.unlock p.lock;
           run_task t;
-          help 0
-      | None ->
-          idle_backoff misses;
-          help (misses + 1)
-  in
-  if w > 0 then help 0
-  else begin
-    Mutex.lock m;
-    while not (finished ()) do
-      Condition.wait c m
-    done;
-    Mutex.unlock m
-  end
+          Mutex.lock p.lock
+      | None -> Condition.wait p.work p.lock
+  done;
+  Mutex.unlock p.lock
 
 (* ---- futures --------------------------------------------------------- *)
 
 type 'a state = Pending | Done of 'a | Failed of exn
-
-type 'a future = { st : 'a state Atomic.t; m : Mutex.t; c : Condition.t }
-
-let fulfilled fut =
-  match Atomic.get fut.st with Pending -> false | Done _ | Failed _ -> true
+type 'a future = 'a state Atomic.t
 
 let submit f =
-  let p = get () in
-  ensure p (max 1 (min (get_jobs ()) cap));
-  let fut =
-    { st = Atomic.make Pending; m = Mutex.create (); c = Condition.create () }
-  in
-  submit_task p (fun () ->
-      let r = match f () with v -> Done v | exception e -> Failed e in
-      Atomic.set fut.st r;
-      Mutex.lock fut.m;
-      Condition.broadcast fut.c;
-      Mutex.unlock fut.m);
+  ensure (get_jobs ());
+  let fut = Atomic.make Pending in
+  push
+    [
+      (fun () ->
+        Atomic.set fut (match f () with v -> Done v | exception e -> Failed e);
+        finish ());
+    ];
   fut
 
 let await fut =
-  wait_until (get ()) fut.m fut.c (fun () -> fulfilled fut);
-  match Atomic.get fut.st with
+  wait_until (fun () ->
+      match Atomic.get fut with Pending -> false | Done _ | Failed _ -> true);
+  match Atomic.get fut with
   | Done v -> v
   | Failed e -> raise e
   | Pending -> assert false
@@ -382,9 +236,9 @@ let await fut =
    [jobs <= 1] or [n = 1] runs inline on the calling domain — the strict
    sequential path the golden equivalence suite compares against.
    Otherwise the batch rides the pool: a caller that is itself a pool
-   worker pushes the children onto its own deque and helps until the
-   batch drains (no new domains at any nesting depth); an outside caller
-   injects round-robin and blocks on the batch condition.
+   worker queues the children at the front and helps until the batch
+   drains (no new domains at any nesting depth); an outside caller
+   queues them at the back and blocks.
 
    Telemetry (only when an observer is installed): one [Task_done] per
    item on the domain that ran it, then — from the joining caller — one
@@ -414,10 +268,8 @@ let run_batch ~jobs ~n body =
           f (Worker_exit { worker = w; busy_s = !busy; tasks = n })
     end
     else begin
-      let p = get () in
-      ensure p (min jobs cap);
+      ensure jobs;
       let remaining = Atomic.make n in
-      let bm = Mutex.create () and bc = Condition.create () in
       (* Per-slot accounting: each index is written only by the domain
          that owns that worker id, and read after the join. *)
       let busy = Array.make (cap + 1) 0.0 in
@@ -433,27 +285,14 @@ let run_batch ~jobs ~n body =
             busy.(w) <- busy.(w) +. dt;
             f (Task_done { worker = w; index = i; wall_s = dt }));
         ran.(w) <- ran.(w) + 1;
-        if Atomic.fetch_and_add remaining (-1) = 1 then begin
-          Mutex.lock bm;
-          Condition.broadcast bc;
-          Mutex.unlock bm
-        end
+        if Atomic.fetch_and_add remaining (-1) = 1 then finish ()
       in
-      let w0 = worker_id () in
-      if w0 > 0 then
-        for i = n - 1 downto 0 do
-          push_self p w0 (task i)
-        done
-      else
-        for i = 0 to n - 1 do
-          inject p (task i)
-        done;
-      wait_until p bm bc (fun () -> Atomic.get remaining <= 0);
+      push (List.init n task);
+      wait_until (fun () -> Atomic.get remaining <= 0);
       match obs with
       | None -> ()
       | Some f ->
-          let sz = Atomic.get p.size in
-          for w = 0 to sz do
+          for w = 0 to size_now () do
             f (Worker_exit { worker = w; busy_s = busy.(w); tasks = ran.(w) })
           done
     end

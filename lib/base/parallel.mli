@@ -1,19 +1,19 @@
 (** Deterministic parallel map over the resident domain pool.
 
-    Independent units of work — the per-[P_max] TMS searches of a sweep,
-    the per-benchmark rows of Table 2, the per-loop simulations of the
-    DOACROSS studies — run on a process-wide work-stealing pool while
-    results come back in input order, so every caller stays bit-for-bit
-    deterministic at any pool size.
+    Independent units of work — the per-loop rows of a sweep, the
+    per-[P_max] TMS searches of a C2-binding sweep, the per-loop
+    simulations of the DOACROSS studies — run on a process-wide pool
+    while results come back in input order, so every caller stays
+    bit-for-bit deterministic at any pool size.
 
     Worker domains are spawned once per process (lazily, on first use)
     and reused for every parallel batch; nothing on the hot path calls
-    [Domain.spawn]. Each worker owns an SPMC deque — owner pushes/pops
-    at the back (LIFO), thieves take from the front (FIFO). Nested
-    [map]s parallelize too: a map reached from inside a pool worker
-    enqueues its items on that worker's own deque and helps drain them
-    (help-first), so the live domain count stays bounded by the pool
-    size at any nesting depth. *)
+    [Domain.spawn]. The workers share one run queue under one mutex:
+    submissions from outside the pool join the back, a worker's own
+    submissions go to the front. Nested [map]s parallelize too: a map
+    reached from inside a pool worker queues its items at the front and
+    helps run queued tasks until they drain, so the live domain count
+    stays bounded by the pool size at any nesting depth. *)
 
 (** {1 Pool sizing}
 
@@ -59,12 +59,10 @@ type event =
           every slot including workers that ran zero tasks; worker 0 is
           the (non-pool) caller, and the sequential path reports as
           worker 0 too. *)
-  | Steal of { thief : int; victim : int }
-      (** Worker [thief] took a task from the front of [victim]'s
-          deque. *)
   | Idle of { worker : int; wait_s : float }
-      (** A pool worker found nothing to run anywhere and slept for
-          [wait_s] seconds until new work arrived. *)
+      (** A pool worker found the run queue empty and slept for
+          [wait_s] seconds until new work arrived (or the pool
+          stopped). *)
 
 val set_observer : (event -> unit) option -> unit
 (** Install (or clear) the process-global pool telemetry hook. The
@@ -85,8 +83,8 @@ val submit : (unit -> 'a) -> 'a future
 (** Enqueue [f] on the pool (growing it to the configured size on first
     use), for callers that want overlapping heterogeneous work rather
     than a fork-join {!map}. From inside a worker the task goes to the
-    caller's own deque (help-first nesting); from outside it is injected
-    round-robin. *)
+    front of the run queue, so a worker that awaits it soon runs it
+    itself; from outside it joins the back. *)
 
 val await : 'a future -> 'a
 (** Block until the future resolves, re-raising if the task raised.

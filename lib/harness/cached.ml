@@ -143,11 +143,14 @@ let tms_of_plain g (p : tms_plain) : Ts_tms.Tms.result =
 
 (* ---- cached computations ----
 
-   [cached] adds a reconstruction layer over {!Ts_persist.memo}: values
-   are stored as plain projections and rebuilt per hit; a reconstruction
-   failure (stale entry whose times no longer validate against today's
-   generator output, or an injected cached.reconstruct fault) falls back
-   to recomputing and overwriting. *)
+   [cached] is the one path from a request to the LRU front, the store
+   and the computation: values are stored as plain projections and
+   rebuilt per hit; a reconstruction failure (stale entry whose times no
+   longer validate against today's generator output, or an injected
+   cached.reconstruct fault) falls back to recomputing and overwriting.
+   Simulator stats are plain records already, so [sim] and [sim_single]
+   pass identity projections, and their store hits pass the
+   cached.reconstruct fault point too. *)
 
 let m_reconstruct_failed =
   Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.reconstruct_failed"
@@ -236,23 +239,6 @@ let tms_ims ~params g =
     ~of_plain:(tms_of_plain g)
     (fun () -> Ts_tms.Tms_ims.schedule ~params g)
 
-(* Simulator stats are plain records: no projection needed, so the LRU
-   front wraps the persist memo directly. *)
-let lru_memo ~key:k f =
-  let compute () =
-    let v = f () in
-    lru_put k (Marshal.to_string v []);
-    v
-  in
-  match lru_find k with
-  | None -> compute ()
-  | Some s -> (
-      match Marshal.from_string s 0 with
-      | v -> v
-      | exception _ ->
-          Ts_obs.Metrics.incr m_reconstruct_failed;
-          compute ())
-
 (* [warmup] defaults to {!Defaults.warmup}, NOT 0: every harness driver
    wants the warmed measurement, and a caller that forgets the argument
    must not silently publish cold-cache numbers (a fig2 run did exactly
@@ -273,10 +259,8 @@ let sim ?(sync_mem = false) ?seed ?(warmup = Defaults.warmup) cfg (k : K.t)
         string_of_int trip;
       ]
   in
-  Ts_obs.Prof.span "cached.sim" @@ fun () ->
-  lru_memo ~key:k' (fun () ->
-      Ts_persist.memo !store ~key:k' (fun () ->
-          Ts_spmt.Sim.run ~seed ~sync_mem ~warmup ~fast:true cfg k ~trip))
+  cached ~span:"cached.sim" ~key:k' ~to_plain:Fun.id ~of_plain:Fun.id
+    (fun () -> Ts_spmt.Sim.run ~seed ~sync_mem ~warmup ~fast:true cfg k ~trip)
 
 let sim_single ?seed ?(warmup = Defaults.warmup) cfg g ~trip =
   let seed = match seed with Some s -> s | None -> g.Ts_ddg.Ddg.name in
@@ -284,7 +268,5 @@ let sim_single ?seed ?(warmup = Defaults.warmup) cfg g ~trip =
     key ~kind:"single"
       [ cfg_fp cfg; ddg_fp g; seed; string_of_int warmup; string_of_int trip ]
   in
-  Ts_obs.Prof.span "cached.sim_single" @@ fun () ->
-  lru_memo ~key:k' (fun () ->
-      Ts_persist.memo !store ~key:k' (fun () ->
-          Ts_spmt.Single.run ~seed ~warmup cfg g ~trip))
+  cached ~span:"cached.sim_single" ~key:k' ~to_plain:Fun.id ~of_plain:Fun.id
+    (fun () -> Ts_spmt.Single.run ~seed ~warmup cfg g ~trip)

@@ -388,7 +388,6 @@ let () =
   let task_ms = histogram default "pool.task_ms" in
   let busy_ms = histogram default "pool.worker_busy_ms" in
   let tasks = counter default "pool.tasks" in
-  let steals = counter default "pool.steals" in
   let idle_waits = counter default "pool.idle_waits" in
   let idle_ms = histogram default "pool.idle_ms" in
   Ts_base.Parallel.set_observer
@@ -399,7 +398,6 @@ let () =
              observe task_ms (wall_s *. 1000.0)
          | Ts_base.Parallel.Worker_exit { busy_s; _ } ->
              observe busy_ms (busy_s *. 1000.0)
-         | Ts_base.Parallel.Steal _ -> incr steals
          | Ts_base.Parallel.Idle { wait_s; _ } ->
              incr idle_waits;
              observe idle_ms (wait_s *. 1000.0)))

@@ -184,14 +184,3 @@ let store t ~key v =
       (Printf.sprintf
          "result-cache write failed (%s); continuing uncached"
          (Printexc.to_string e))
-
-let memo t ~key f =
-  match t with
-  | None -> f ()
-  | Some t -> (
-      match find t ~key with
-      | Some v -> v
-      | None ->
-          let v = f () in
-          store t ~key v;
-          v)

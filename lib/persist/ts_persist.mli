@@ -76,7 +76,3 @@ val store : t -> key:string -> 'a -> unit
     this entry — the cache must never take the computation down with
     it. *)
 
-val memo : t option -> key:string -> (unit -> 'a) -> 'a
-(** [memo (Some s) ~key f] is [find]-else-[f ()]-and-[store]; [memo None]
-    is just [f ()] — callers thread an optional store through without
-    branching. *)

@@ -125,8 +125,8 @@ let test_cells () =
 
 (* --- Parallel --- *)
 
-(* Variable-length pure work keyed on the input, so task completion order
-   (and hence steal order) varies run to run while the value is fixed. *)
+(* Variable-length pure work keyed on the input, so the order in which
+   pool workers finish tasks varies run to run while the value is fixed. *)
 let spin seed =
   let rounds = 500 + (seed * 7919 mod 4000) in
   let x = ref seed in
@@ -160,9 +160,9 @@ let test_pool_nested () =
   Alcotest.(check bool) "no domain explosion" true
     (Ts_base.Parallel.size_now () <= bound)
 
-(* Whatever order thieves drain the deques in, results come back in input
+(* Whatever order the workers finish tasks in, results come back in input
    order with input-indexed values. *)
-let test_pool_steal_determinism () =
+let test_pool_completion_determinism () =
   let items = List.init 40 Fun.id in
   let expected = List.map spin items in
   for _ = 1 to 5 do
@@ -170,8 +170,8 @@ let test_pool_steal_determinism () =
     Alcotest.(check bool) "deterministic result order" true (got = expected)
   done
 
-(* Failure indices refer to input positions, not execution order: under
-   stealing the failing tasks finish in arbitrary order, but Map_errors
+(* Failure indices refer to input positions, not execution order: on the
+   pool the failing tasks finish in arbitrary order, but Map_errors
    must list them ascending and identically to the sequential path. *)
 let test_pool_map_errors_fidelity () =
   let f i =
@@ -228,6 +228,27 @@ let test_pool_futures () =
   Alcotest.check_raises "await re-raises" (Failure "nope") (fun () ->
       ignore (Ts_base.Parallel.await bad))
 
+(* A pool worker that awaits a future runs queued tasks while it waits,
+   so every task of a map may submit and await its own future without
+   deadlocking the pool. The tasks first wait (up to 2 s) until every
+   resident worker holds one: a worker that blocked instead of helping
+   would then leave every future queued behind blocked workers. *)
+let test_pool_await_in_task () =
+  let started = Atomic.make 0 in
+  let got =
+    Ts_base.Parallel.map ~jobs:2
+      (fun i ->
+        Atomic.incr started;
+        let all = min 8 (Ts_base.Parallel.size_now ()) in
+        let t0 = Unix.gettimeofday () in
+        while Atomic.get started < all && Unix.gettimeofday () -. t0 < 2.0 do
+          Domain.cpu_relax ()
+        done;
+        Ts_base.Parallel.await (Ts_base.Parallel.submit (fun () -> spin i)))
+      (List.init 8 Fun.id)
+  in
+  Alcotest.(check (list int)) "results in input order" (List.init 8 spin) got
+
 let suite =
   [
     Alcotest.test_case "stats: mean" `Quick test_mean;
@@ -249,11 +270,13 @@ let suite =
     Alcotest.test_case "tablefmt: cell formatters" `Quick test_cells;
     Alcotest.test_case "pool: nested maps, no domain explosion" `Quick
       test_pool_nested;
-    Alcotest.test_case "pool: steal order vs result order" `Quick
-      test_pool_steal_determinism;
+    Alcotest.test_case "pool: completion order vs result order" `Quick
+      test_pool_completion_determinism;
     Alcotest.test_case "pool: Map_errors index fidelity" `Quick
       test_pool_map_errors_fidelity;
     Alcotest.test_case "pool: zero-task Worker_exit" `Quick
       test_pool_worker_exit_zero;
     Alcotest.test_case "pool: futures submit/await" `Quick test_pool_futures;
+    Alcotest.test_case "pool: await inside a task" `Quick
+      test_pool_await_in_task;
   ]

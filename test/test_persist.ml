@@ -87,15 +87,6 @@ let test_version_in_key_invalidates () =
       check_bool "bumped version misses" true
         ((P.find s ~key:(key_v (Cached.code_version + 1)) : string option) = None))
 
-let test_memo_computes_once () =
-  with_store (fun s ->
-      let calls = ref 0 in
-      let f () = incr calls; !calls * 10 in
-      check_int "no store: every call computes" 10 (P.memo None ~key:"k" f);
-      check_int "first memo computes" 20 (P.memo (Some s) ~key:"k" f);
-      check_int "second memo replays" 20 (P.memo (Some s) ~key:"k" f);
-      check_int "f ran twice in total" 2 !calls)
-
 (* A store written by an older binary may hold a journals/ directory next
    to its entries: reopening it must ignore that and keep every entry
    warm. *)
@@ -427,7 +418,6 @@ let suite =
     Alcotest.test_case "lru domain safety" `Quick test_lru_domain_safety;
     Alcotest.test_case "corruption is a miss" `Quick test_corruption_is_a_miss;
     Alcotest.test_case "version bump invalidates" `Quick test_version_in_key_invalidates;
-    Alcotest.test_case "memo computes once" `Quick test_memo_computes_once;
     Alcotest.test_case "old store with stray journals still hits" `Quick
       test_old_store_still_hits;
     Alcotest.test_case "cached: cold = warm = uncached" `Quick
