@@ -1,6 +1,6 @@
 module K = Ts_modsched.Kernel
 
-let code_version = 1
+let code_version = 2
 let store : Ts_persist.t option ref = ref None
 let set_store s = store := s
 let get_store () = !store
@@ -31,8 +31,12 @@ let get_lru () =
 let lru_find k =
   match Atomic.get lru with None -> None | Some l -> Ts_persist.Lru.find l k
 
-let lru_put k s =
-  match Atomic.get lru with None -> () | Some l -> Ts_persist.Lru.put l k s
+(* Marshals only when a front is installed: without one (every run but
+   [tsms serve]) the string would be built and dropped. *)
+let lru_put k plain =
+  match Atomic.get lru with
+  | None -> ()
+  | Some l -> Ts_persist.Lru.put l k (Marshal.to_string plain [])
 
 (* ---- fingerprints ---- *)
 
@@ -172,39 +176,45 @@ let cached ?(span = "cached.driver") ~key:k ~to_plain ~of_plain f =
   match from_lru with
   | Some v -> v
   | None -> (
-      match !store with
+      let from_store =
+        match Option.bind !store (fun s -> Ts_persist.find s ~key:k) with
+        | None -> None
+        | Some p -> (
+            match
+              Ts_resil.Fault.guard "cached.reconstruct";
+              of_plain p
+            with
+            | v ->
+                lru_put k p;
+                Some v
+            | exception _ ->
+                Ts_obs.Metrics.incr m_reconstruct_failed;
+                None)
+      in
+      match from_store with
+      | Some v -> v
       | None ->
           let v = f () in
-          lru_put k (Marshal.to_string (to_plain v) []);
-          v
-      | Some s -> (
-          match Ts_persist.find s ~key:k with
-          | Some p -> (
-              match
-                Ts_resil.Fault.guard "cached.reconstruct";
-                of_plain p
-              with
-              | v ->
-                  lru_put k (Marshal.to_string p []);
-                  v
-              | exception _ ->
-                  Ts_obs.Metrics.incr m_reconstruct_failed;
-                  let v = f () in
-                  Ts_persist.store s ~key:k (to_plain v);
-                  lru_put k (Marshal.to_string (to_plain v) []);
-                  v)
-          | None ->
-              let v = f () in
-              Ts_persist.store s ~key:k (to_plain v);
-              lru_put k (Marshal.to_string (to_plain v) []);
-              v))
+          let p = to_plain v in
+          Option.iter (fun s -> Ts_persist.store s ~key:k p) !store;
+          lru_put k p;
+          v)
 
+(* A loop SMS rejects is cached as [Error msg], so a warm run re-raises
+   the rejection instead of re-running SMS on it. *)
 let sms g =
-  cached ~span:"cached.sms"
-    ~key:(key ~kind:"sms" [ ddg_fp g ])
-    ~to_plain:sms_to_plain
-    ~of_plain:(sms_of_plain g)
-    (fun () -> Ts_sms.Sms.schedule g)
+  match
+    cached ~span:"cached.sms"
+      ~key:(key ~kind:"sms" [ ddg_fp g ])
+      ~to_plain:(Result.map sms_to_plain)
+      ~of_plain:(Result.map (sms_of_plain g))
+      (fun () ->
+        match Ts_sms.Sms.schedule g with
+        | r -> Ok r
+        | exception Ts_sms.Sms.No_schedule msg -> Error msg)
+  with
+  | Ok r -> r
+  | Error msg -> raise (Ts_sms.Sms.No_schedule msg)
 
 let ims g =
   cached ~span:"cached.ims"

@@ -49,6 +49,10 @@ val get_lru : unit -> int option
     result that misses the cache is searched cold. *)
 
 val sms : Ts_ddg.Ddg.t -> Ts_sms.Sms.result
+(** A rejection is cached too: a loop SMS cannot schedule raises
+    [Ts_sms.Sms.No_schedule] on every call, and a warm call runs no
+    SMS. *)
+
 val ims : Ts_ddg.Ddg.t -> Ts_sms.Ims.result
 
 val tms_sweep : params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> Ts_tms.Tms.result

@@ -20,7 +20,7 @@ let row ~params bench (loops : Suite.loop list) =
     bench = bench.Ts_workload.Spec_suite.name;
     n_loops = List.length loops;
     avg_inst = favg (fun r -> float_of_int (Ts_ddg.Ddg.n_nodes r.Suite.g));
-    avg_mii = favg (fun r -> float_of_int (Ts_ddg.Mii.mii r.Suite.g));
+    avg_mii = favg (fun r -> float_of_int r.Suite.sms.Ts_sms.Sms.mii);
     sms_ii = favg (fun r -> float_of_int r.Suite.sms.Ts_sms.Sms.kernel.K.ii);
     sms_maxlive =
       favg (fun r -> float_of_int (K.max_live r.Suite.sms.Ts_sms.Sms.kernel));

@@ -24,7 +24,7 @@ let compute (runs : Doacross_runs.t list) =
         avg_inst = favg (fun l -> float_of_int (Ts_ddg.Ddg.n_nodes l.Doacross_runs.g));
         avg_scc =
           favg (fun l -> float_of_int (Ts_ddg.Scc.count_non_trivial l.Doacross_runs.g));
-        avg_mii = favg (fun l -> float_of_int (Ts_ddg.Mii.mii l.Doacross_runs.g));
+        avg_mii = favg (fun l -> float_of_int l.Doacross_runs.sms.Ts_sms.Sms.mii);
         avg_ldp = favg (fun l -> float_of_int (Ts_ddg.Mii.ldp l.Doacross_runs.g));
         tms_ii =
           favg (fun l -> float_of_int l.Doacross_runs.tms.Ts_tms.Tms.kernel.K.ii);

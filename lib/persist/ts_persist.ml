@@ -1,15 +1,15 @@
 (* On-disk layout:
 
-     <dir>/version        human-readable store format stamp
-     <dir>/objects/<k0k1>/<key>.bin
+     <dir>/version                          human-readable format stamp
+     <dir>/packs/<µs time>-<pid>-<seq>.pack  one append-only pack per writer
 
-   Entry format ("tsp1" magic):
+   Record format ("tsp2" magic), appended and flushed one at a time:
 
-     tsp1 <payload-digest-hex>\n<marshalled payload>
+     tsp2 <key> <payload-digest-hex> <payload-length>\n<marshalled payload>
 
-   The magic doubles as the format version: bumping it makes every old
-   entry unreadable, which [find] treats as a miss. Any other file under
-   <dir> (such as a [journals/] directory left by older binaries) is
+   The magic doubles as the format version: a header that does not parse
+   ends the scan of its pack. Any other file under <dir> (such as the
+   [objects/] or [journals/] directories older binaries wrote) is
    ignored. *)
 
 module Lru = Lru
@@ -21,12 +21,20 @@ let m_stores = Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.stores"
 let m_degraded =
   Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.degraded"
 
-(* [tmp_seq] must be atomic, not a plain field: under the resident
-   domain pool every worker shares one pid, so the pid alone cannot
-   distinguish two concurrent [store]s of different keys — a raced
-   plain counter could hand both the same temp path and let their
-   atomic renames corrupt each other. *)
-type t = { root : string; tmp_seq : int Atomic.t }
+(* [index] maps a key to the bytes holding its payload and the payload's
+   offset there: a chunk read from a pack, or the marshalled string this
+   handle stored. [scanned] maps a pack's file name to the offset its
+   scan has consumed; this handle's own packs and packs whose header
+   failed to parse sit at [max_int] and are never read again. One lock
+   guards both tables and [out]. *)
+type t = {
+  root : string;
+  lock : Mutex.t;
+  index : (string, string * int) Hashtbl.t;
+  scanned : (string, int) Hashtbl.t;
+  mutable loaded : bool;
+  mutable out : out_channel option;
+}
 
 let rec mkdir_p path =
   if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path)
@@ -36,18 +44,26 @@ let rec mkdir_p path =
      with Sys_error _ when Sys.file_exists path -> ())
   end
 
-let entry_magic = "tsp1"
+let magic = "tsp2"
+let packs_dir t = Filename.concat t.root "packs"
 
 let open_store ~dir =
   Ts_resil.Fault.guard "persist.open";
-  mkdir_p (Filename.concat dir "objects");
+  mkdir_p (Filename.concat dir "packs");
   let vfile = Filename.concat dir "version" in
   if not (Sys.file_exists vfile) then begin
     let oc = open_out vfile in
-    output_string oc "tsms result store, entry format tsp1\n";
+    output_string oc "tsms result store, pack format tsp2\n";
     close_out oc
   end;
-  { root = dir; tmp_seq = Atomic.make 0 }
+  {
+    root = dir;
+    lock = Mutex.create ();
+    index = Hashtbl.create 4096;
+    scanned = Hashtbl.create 8;
+    loaded = false;
+    out = None;
+  }
 
 let dir t = t.root
 
@@ -77,99 +93,167 @@ let default_dir () =
 
 let digest_hex s = Digest.to_hex (Digest.string s)
 
-let entry_path t key =
-  let shard = if String.length key >= 2 then String.sub key 0 2 else "xx" in
-  Filename.concat
-    (Filename.concat (Filename.concat t.root "objects") shard)
-    (key ^ ".bin")
-
-(* I/O latency distributions: [find] (open+read+digest+unmarshal) and
-   [store_exn] (marshal+digest+write+rename) wall time. *)
+(* I/O latency distributions: [find] (lookup, any pack refresh and
+   unmarshal) and [store_exn] (marshal+digest+append) wall time. *)
 let m_read_ms =
   Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.read_ms"
 
 let m_write_ms =
   Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.write_ms"
 
-let read_file path =
-  Ts_resil.Fault.guard "persist.read";
+(* A header this long with no newline yet is garbage, not a record
+   still being written. *)
+let max_header = 256
+
+(* Index the records of [chunk], the bytes of a pack from file offset
+   [base] on. Returns the file offset the scan consumed, or [max_int]
+   when a header does not parse (the rest of the pack is ignored). An
+   incomplete record ends the scan before it, so the next refresh
+   resumes there; a record whose digest fails is skipped. *)
+let index_chunk t chunk ~base =
+  let n = String.length chunk in
+  let rec go p =
+    match String.index_from_opt chunk p '\n' with
+    | None -> if n - p > max_header then max_int else base + p
+    | Some nl -> (
+        match String.split_on_char ' ' (String.sub chunk p (nl - p)) with
+        | [ m; key; sum; len ] when m = magic -> (
+            match int_of_string_opt len with
+            | Some len when len >= 0 ->
+                let off = nl + 1 in
+                if len > n - off then base + p
+                else begin
+                  if Digest.to_hex (Digest.substring chunk off len) = sum then
+                    Hashtbl.replace t.index key (chunk, off);
+                  go (off + len)
+                end
+            | _ -> max_int)
+        | _ -> max_int)
+  in
+  go 0
+
+(* The bytes of [path] from offset [from] on. *)
+let read_tail path ~from =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      let size = in_channel_length ic in
+      if size <= from then ""
+      else begin
+        seek_in ic from;
+        really_input_string ic (size - from)
+      end)
 
-(* Every failure mode — missing file, bad magic, digest mismatch,
-   truncated marshal — is a miss; a cache must never take the computation
-   down with it. *)
+(* Index whatever other writers appended since the last refresh: packs
+   not seen yet and the unscanned tails of those seen, in name order.
+   Caller holds [t.lock]. Unreadable packs and listings are skipped. *)
+let refresh t =
+  t.loaded <- true;
+  let pdir = packs_dir t in
+  let names = try Sys.readdir pdir with Sys_error _ -> [||] in
+  Array.sort compare names;
+  Array.iter
+    (fun name ->
+      let from = Option.value (Hashtbl.find_opt t.scanned name) ~default:0 in
+      if from < max_int then
+        match read_tail (Filename.concat pdir name) ~from with
+        | "" -> ()
+        | chunk -> Hashtbl.replace t.scanned name (index_chunk t chunk ~base:from)
+        | exception (Sys_error _ | End_of_file) -> ())
+    names
+
+(* Every failure mode — injected read fault, unreadable pack, payload
+   that does not unmarshal — is a miss; a cache must never take the
+   computation down with it. *)
 let find (type a) t ~key : a option =
   Ts_obs.Prof.span "persist.read" @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let path = entry_path t key in
+  let lookup () =
+    Mutex.protect t.lock (fun () ->
+        let fresh = not t.loaded in
+        if fresh then refresh t;
+        match Hashtbl.find_opt t.index key with
+        | None when not fresh ->
+            refresh t;
+            Hashtbl.find_opt t.index key
+        | r -> r)
+  in
   let parsed =
     try
-      let s = read_file path in
-      (* "tsp1 " ^ 32 hex ^ "\n" *)
-      let hdr = String.length entry_magic + 1 + 32 + 1 in
-      if
-        String.length s >= hdr
-        && String.sub s 0 (String.length entry_magic) = entry_magic
-        && s.[hdr - 1] = '\n'
-      then begin
-        let want = String.sub s (String.length entry_magic + 1) 32 in
-        let payload = String.sub s hdr (String.length s - hdr) in
-        if Digest.to_hex (Digest.string payload) = want then
-          Some (Marshal.from_string payload 0 : a)
-        else None
-      end
-      else None
+      Ts_resil.Fault.guard "persist.read";
+      Option.map (fun (s, off) -> (Marshal.from_string s off : a)) (lookup ())
     with _ -> None
   in
-  (match parsed with
-  | Some _ -> Ts_obs.Metrics.incr m_hits
-  | None ->
-      Ts_obs.Metrics.incr m_misses;
-      if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ()));
+  Ts_obs.Metrics.incr (if Option.is_none parsed then m_misses else m_hits);
   Ts_obs.Metrics.observe m_read_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
   parsed
+
+let pack_seq = Atomic.make 0
+
+(* A fresh pack of this handle's own, created exclusively: the name
+   cannot collide with another writer's. Caller holds [t.lock]. *)
+let open_pack t =
+  let name =
+    Printf.sprintf "%016d-%d-%d.pack"
+      (int_of_float (Unix.gettimeofday () *. 1e6))
+      (Unix.getpid ())
+      (Atomic.fetch_and_add pack_seq 1)
+  in
+  let fd =
+    Unix.openfile
+      (Filename.concat (packs_dir t) name)
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_APPEND; Unix.O_CLOEXEC ]
+      0o644
+  in
+  Hashtbl.replace t.scanned name max_int;
+  let oc = Unix.out_channel_of_descr fd in
+  t.out <- Some oc;
+  oc
+
+let close_pack t =
+  Option.iter close_out_noerr t.out;
+  t.out <- None
 
 let store_exn t ~key v =
   Ts_obs.Prof.span "persist.write" @@ fun () ->
   let t0 = Unix.gettimeofday () in
+  if key = "" || String.exists (fun c -> c = ' ' || c = '\n') key then
+    invalid_arg "Ts_persist.store: key must be one non-empty word";
   let payload = Marshal.to_string v [] in
-  (* A torn fault simulates a crash or short write that still left a file
-     behind: the truncated payload fails its digest check on the next
-     [find], which must treat it as a miss and delete it. *)
-  let torn =
+  (* Both write faults close the pack, as a failed append does: [exn]
+     fails the append before it writes a byte, [torn] writes the header
+     and half the payload and returns normally (a crash mid-record,
+     unnoticed by the writer). No reader indexes an incomplete record,
+     and the next [store] opens a new pack, so the records after one
+     stay reachable. *)
+  let fault =
     match Ts_resil.Fault.check "persist.write" with
-    | None -> false
-    | Some Ts_resil.Fault.Torn -> true
     | Some (Ts_resil.Fault.Slow ms) ->
         Ts_resil.Fault.sleep (float_of_int ms /. 1000.0);
-        false
-    | Some Ts_resil.Fault.Exn -> raise (Ts_resil.Fault.Injected "persist.write")
+        None
+    | f -> f
   in
-  let path = entry_path t key in
-  mkdir_p (Filename.dirname path);
-  let tmp =
-    let seq = Atomic.fetch_and_add t.tmp_seq 1 in
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) seq
+  let torn = fault = Some Ts_resil.Fault.Torn in
+  let len = String.length payload in
+  let header =
+    Printf.sprintf "%s %s %s %d\n" magic key
+      (Digest.to_hex (Digest.string payload))
+      len
   in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc entry_magic;
-     output_char oc ' ';
-     output_string oc (Digest.to_hex (Digest.string payload));
-     output_char oc '\n';
-     if torn then
-       output_string oc (String.sub payload 0 (String.length payload / 2))
-     else output_string oc payload;
-     close_out oc;
-     Ts_resil.Fault.guard "persist.rename";
-     Sys.rename tmp path
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
+  Mutex.protect t.lock (fun () ->
+      if not t.loaded then refresh t;
+      try
+        if fault = Some Ts_resil.Fault.Exn then
+          raise (Ts_resil.Fault.Injected "persist.write");
+        let oc = match t.out with Some oc -> oc | None -> open_pack t in
+        output_string oc header;
+        output_substring oc payload 0 (if torn then len / 2 else len);
+        flush oc;
+        if torn then close_pack t else Hashtbl.replace t.index key (payload, 0)
+      with e ->
+        close_pack t;
+        raise e);
   Ts_obs.Metrics.observe m_write_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
   Ts_obs.Metrics.incr m_stores
 

@@ -12,8 +12,8 @@
 
     - {b counter points} ({!check}, {!guard}): each call consumes one
       occurrence of the point, numbered from 1 in call order. Used by the
-      persist layer ([persist.write], [persist.read], [persist.rename],
-      [persist.open]) and the cached
+      persist layer ([persist.write], [persist.read], [persist.open])
+      and the cached
       reconstruction path ([cached.reconstruct]). Occurrence numbering is
       deterministic for sequential callers (tests run with [--jobs 1]);
       under a domain pool only [*]-keyed entries are order-independent.
@@ -33,11 +33,11 @@
     Examples: [persist.write@*] (every cache write fails),
     [worker@3] (sweep task 3 fails every attempt),
     [worker@*#1] (every task fails its first attempt, retries succeed),
-    [persist.write@2:torn] (the second write leaves a torn entry). *)
+    [persist.write@2:torn] (the second write leaves a torn record). *)
 
 type kind =
   | Exn  (** raise {!Injected} at the point *)
-  | Torn  (** persist writes only: write a truncated payload "successfully" *)
+  | Torn  (** persist writes only: write half the payload "successfully" *)
   | Slow of int  (** sleep this many milliseconds, then proceed *)
 
 type entry = {

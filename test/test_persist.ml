@@ -29,12 +29,38 @@ let with_store f =
       rm dir)
     (fun () -> f (P.open_store ~dir))
 
-(* objects/<shard>/<key>.bin — the documented layout, relied on here to
-   corrupt entries in place. *)
-let object_path store key =
-  Filename.concat
-    (Filename.concat (Filename.concat (P.dir store) "objects") (String.sub key 0 2))
-    (key ^ ".bin")
+(* packs/<name>.pack — the documented layout, relied on here to corrupt
+   records in place. *)
+let packs root =
+  let d = Filename.concat root "packs" in
+  Sys.readdir d |> Array.to_list |> List.sort compare
+  |> List.map (Filename.concat d)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The records of a pack body, by the documented header
+   "tsp2 <key> <digest> <len>\n": key, payload offset, payload length. *)
+let records body =
+  let rec go p acc =
+    match String.index_from_opt body p '\n' with
+    | None -> List.rev acc
+    | Some nl -> (
+        match String.split_on_char ' ' (String.sub body p (nl - p)) with
+        | [ _; key; _; len ] ->
+            let len = int_of_string len in
+            go (nl + 1 + len) ((key, nl + 1, len) :: acc)
+        | _ -> Alcotest.fail "unparseable pack header")
+  in
+  go 0 []
+
+let pack_keys root =
+  List.concat_map
+    (fun pack -> List.map (fun (key, _, _) -> key) (records (read_file pack)))
+    (packs root)
 
 let test_roundtrip () =
   with_store (fun s ->
@@ -47,35 +73,51 @@ let test_roundtrip () =
         ((P.find s ~key:(P.digest_hex "other") : int option) = None))
 
 let clobber path f =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let s = read_file path in
   let oc = open_out_bin path in
   output_string oc (f s);
   close_out oc
 
+(* Each case writes [key] and then [after] into a pack of its own,
+   corrupts that pack, and reads through fresh handles, which read the
+   pack from disk: the entry misses, nothing raises, and storing the
+   entry again supersedes the corrupt record. *)
 let test_corruption_is_a_miss () =
   with_store (fun s ->
-      let key = P.digest_hex "corrupt" in
-      P.store s ~key [ 1; 2; 3 ];
-      let path = object_path s key in
-      (* Flip a payload byte: digest check fails, entry is dropped. *)
-      clobber path (fun body ->
+      let root = P.dir s in
+      let case what ~after_hits corrupt =
+        let key = P.digest_hex (what ^ "/key")
+        and after = P.digest_hex (what ^ "/after") in
+        let before = packs root in
+        let w = P.open_store ~dir:root in
+        P.store w ~key [ 1; 2; 3 ];
+        P.store w ~key:after "after";
+        let pack = List.find (fun p -> not (List.mem p before)) (packs root) in
+        clobber pack corrupt;
+        let r = P.open_store ~dir:root in
+        check_bool (what ^ ": entry misses") true
+          ((P.find r ~key : int list option) = None);
+        check_bool (what ^ ": the record after it") after_hits
+          (P.find r ~key:after = Some "after");
+        P.store r ~key [ 4 ];
+        check_bool (what ^ ": a re-store supersedes") true
+          (P.find (P.open_store ~dir:root) ~key = Some [ 4 ])
+      in
+      (* A flipped payload byte fails the digest: that record is skipped
+         and the scan goes on. *)
+      case "flipped" ~after_hits:true (fun body ->
+          let _, off, _ = List.hd (records body) in
           let b = Bytes.of_string body in
-          let i = Bytes.length b - 1 in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 1));
           Bytes.to_string b);
-      check_bool "garbled entry misses" true
-        ((P.find s ~key : int list option) = None);
-      check_bool "garbled entry deleted" false (Sys.file_exists path);
-      (* Truncation likewise. *)
-      P.store s ~key [ 1; 2; 3 ];
-      clobber path (fun body -> String.sub body 0 (String.length body / 2));
-      check_bool "truncated entry misses" true
-        ((P.find s ~key : int list option) = None);
-      (* And the store still works after both. *)
-      P.store s ~key [ 4 ];
-      check_bool "recovers" true (P.find s ~key = Some [ 4 ]))
+      (* Truncation mid-payload leaves an incomplete record, and nothing
+         after it. *)
+      case "truncated" ~after_hits:false (fun body ->
+          let _, off, len = List.hd (records body) in
+          String.sub body 0 (off + (len / 2)));
+      (* A header that does not parse ends the scan of its pack. *)
+      case "garbled" ~after_hits:false (fun body ->
+          "tsp9" ^ String.sub body 4 (String.length body - 4)))
 
 let test_version_in_key_invalidates () =
   (* Cached stamps code_version into every key; this is the mechanism. *)
@@ -87,18 +129,22 @@ let test_version_in_key_invalidates () =
       check_bool "bumped version misses" true
         ((P.find s ~key:(key_v (Cached.code_version + 1)) : string option) = None))
 
-(* A store written by an older binary may hold a journals/ directory next
-   to its entries: reopening it must ignore that and keep every entry
-   warm. *)
+(* A store written by older binaries may hold a journals/ directory and
+   an objects/ directory of one-file entries next to its packs:
+   reopening it must ignore both and keep every entry warm. *)
 let test_old_store_still_hits () =
   with_store (fun s ->
       let key = P.digest_hex "old-store" in
       P.store s ~key "entry";
-      let jdir = Filename.concat (P.dir s) "journals" in
-      Sys.mkdir jdir 0o755;
-      let oc = open_out_bin (Filename.concat jdir "fig4.j") in
-      output_string oc "tsj1 stray journal left by an older binary\n";
-      close_out oc;
+      let stray dir file body =
+        let d = Filename.concat (P.dir s) dir in
+        Sys.mkdir d 0o755;
+        let oc = open_out_bin (Filename.concat d file) in
+        output_string oc body;
+        close_out oc
+      in
+      stray "journals" "fig4.j" "tsj1 stray journal left by an older binary\n";
+      stray "objects" (key ^ ".bin") "tsp1 one-file entry left by an older binary\n";
       let hits () =
         Ts_obs.Metrics.counter_value
           (Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.hits")
@@ -155,19 +201,12 @@ let test_cached_reconstruction_guard () =
       with_store (fun s ->
           Cached.set_store (Some s);
           let r1 = Cached.tms_sweep ~params g in
-          (* Overwrite every object with a marshalled value of the wrong
+          (* Overwrite every entry with a marshalled value of the wrong
              type: find will either fail the digest, or reconstruction
              will reject it — both must fall back to recomputation. *)
-          let objects = Filename.concat (P.dir s) "objects" in
-          Array.iter
-            (fun shard ->
-              let sd = Filename.concat objects shard in
-              Array.iter
-                (fun f ->
-                  let key = Filename.chop_suffix f ".bin" in
-                  P.store s ~key (( "bogus", [| 3 |] ) : string * int array))
-                (Sys.readdir sd))
-            (Sys.readdir objects);
+          List.iter
+            (fun key -> P.store s ~key (("bogus", [| 3 |]) : string * int array))
+            (pack_keys (P.dir s));
           let r2 = Cached.tms_sweep ~params g in
           check_bool "recomputed result identical" true
             (k_plain r1.Ts_tms.Tms.kernel = k_plain r2.Ts_tms.Tms.kernel
@@ -244,6 +283,88 @@ let test_concurrent_store_same_key () =
       check_int "no degradations under same-key contention" degraded0
         (Ts_obs.Metrics.counter_value
            (Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.degraded")))
+
+(* Two handles on one directory: [b] has indexed the store before [a]
+   writes, and its miss refresh finds [a]'s records, both in a pack it
+   has not seen and in the tail that pack grew afterwards. *)
+let test_two_handles () =
+  with_store (fun a ->
+      let b = P.open_store ~dir:(P.dir a) in
+      let k1 = P.digest_hex "two-1" and k2 = P.digest_hex "two-2" in
+      check_bool "b misses before a stores" true
+        ((P.find b ~key:k1 : string option) = None);
+      P.store a ~key:k1 "one";
+      check_bool "b finds a's new pack" true (P.find b ~key:k1 = Some "one");
+      P.store a ~key:k2 "two";
+      check_bool "b finds the pack's new tail" true (P.find b ~key:k2 = Some "two"))
+
+(* 4 domains store and find on one handle: each finds its own entry right
+   after storing it, and a neighbour's entry either absent or whole. *)
+let test_concurrent_store_and_find () =
+  with_store (fun s ->
+      let n_dom = 4 and per = 50 in
+      let key d i = P.digest_hex (Printf.sprintf "sf-%d-%d" d i) in
+      let doms =
+        List.init n_dom (fun d ->
+            Domain.spawn (fun () ->
+                let bad = ref 0 in
+                for i = 0 to per - 1 do
+                  P.store s ~key:(key d i) (d, i);
+                  if P.find s ~key:(key d i) <> Some (d, i) then incr bad;
+                  let d' = (d + 1) mod n_dom in
+                  match P.find s ~key:(key d' i) with
+                  | None -> ()
+                  | Some v -> if v <> (d', i) then incr bad
+                done;
+                !bad))
+      in
+      check_int "every find saw its own entry or a whole one" 0
+        (List.fold_left (fun acc d -> acc + Domain.join d) 0 doms);
+      let fresh = P.open_store ~dir:(P.dir s) in
+      for d = 0 to n_dom - 1 do
+        for i = 0 to per - 1 do
+          if P.find fresh ~key:(key d i) <> Some (d, i) then
+            Alcotest.failf "entry %d/%d missing from a fresh handle" d i
+        done
+      done)
+
+(* A loop SMS rejects is stored as a rejection: the cold and the warm
+   call both raise [No_schedule], and the warm one runs no SMS. The
+   first draw of sixtrack's loop 32 is one the suite generator redraws. *)
+let test_cached_sms_rejection () =
+  let rejected =
+    let first = ref None in
+    let probe g =
+      if Option.is_none !first then first := Some g;
+      Ts_sms.Sms.schedule g
+    in
+    let module Spec = Ts_workload.Spec_suite in
+    ignore (Spec.loop ~probe (Spec.find "sixtrack") 32);
+    Option.get !first
+  in
+  (* A rejection counts its II attempts, not a schedule. *)
+  let attempts () =
+    Ts_obs.Metrics.counter_value
+      (Ts_obs.Metrics.counter Ts_obs.Metrics.default "sms.attempts")
+  in
+  let rejects () =
+    match Cached.sms rejected with
+    | _ -> false
+    | exception Ts_sms.Sms.No_schedule _ -> true
+  in
+  let saved = Cached.get_store () in
+  Fun.protect
+    ~finally:(fun () -> Cached.set_store saved)
+    (fun () ->
+      with_store (fun s ->
+          Cached.set_store (Some s);
+          let n0 = attempts () in
+          check_bool "cold call rejects" true (rejects ());
+          let n1 = attempts () in
+          check_bool "cold call runs SMS" true (n1 > n0);
+          Cached.set_store (Some (P.open_store ~dir:(P.dir s)));
+          check_bool "warm call rejects" true (rejects ());
+          check_int "warm call runs no SMS" n1 (attempts ())))
 
 (* --- warmup default: harness, CLI and wire must agree --- *)
 
@@ -416,6 +537,9 @@ let suite =
     Alcotest.test_case "lru basics + eviction order" `Quick test_lru_basics;
     Alcotest.test_case "lru matches reference model" `Quick test_lru_matches_model;
     Alcotest.test_case "lru domain safety" `Quick test_lru_domain_safety;
+    Alcotest.test_case "concurrent domains store and find" `Quick
+      test_concurrent_store_and_find;
+    Alcotest.test_case "two handles see each other's stores" `Quick test_two_handles;
     Alcotest.test_case "corruption is a miss" `Quick test_corruption_is_a_miss;
     Alcotest.test_case "version bump invalidates" `Quick test_version_in_key_invalidates;
     Alcotest.test_case "old store with stray journals still hits" `Quick
@@ -424,6 +548,8 @@ let suite =
       test_cached_cold_warm_uncached_equal;
     Alcotest.test_case "cached: bad entry recomputed" `Quick
       test_cached_reconstruction_guard;
+    Alcotest.test_case "cached: SMS rejections are stored" `Quick
+      test_cached_sms_rejection;
     Alcotest.test_case "cached: default warmup = CLI/wire warmup" `Quick
       test_sim_default_warmup_matches_cli;
     Alcotest.test_case "cached: hits share no mutable state" `Quick

@@ -2,7 +2,7 @@
    degradation paths it drives through Ts_persist, Cached and the
    harness: plan parsing, occurrence counters, retry/backoff determinism,
    full failure aggregation, keep-going sweeps, every persist degradation
-   (write, torn, read, rename), resuming a partial sweep by rerunning it
+   (write, torn, read), resuming a partial sweep by rerunning it
    on the same store, and the property that an injected-fault run whose
    retries succeed is bit-identical to a fault-free run. *)
 
@@ -296,6 +296,8 @@ let test_sweep_keep_going () =
 let test_store_write_degrades () =
   with_store (fun s ->
       let got = capture_warnings () in
+      let before = P.digest_hex "w-before" in
+      P.store s ~key:before 1;
       arm_ok "persist.write@1";
       let d0 = cval "persist.degraded" in
       let key = P.digest_hex "w" in
@@ -306,6 +308,13 @@ let test_store_write_degrades () =
       (* The next write (occurrence 2) is clean: the run stays usable. *)
       P.store s ~key 42;
       check_bool "later write lands" true (P.find s ~key = Some 42);
+      (* The failed append closed the pack, so the later write went to a
+         new one; a fresh handle finds the writes on both sides. *)
+      check_int "a new pack after the failure" 2
+        (Array.length (Sys.readdir (Filename.concat (P.dir s) "packs")));
+      let fresh = P.open_store ~dir:(P.dir s) in
+      check_bool "a fresh handle finds both writes" true
+        (P.find fresh ~key:before = Some 1 && P.find fresh ~key = Some 42);
       check_int "no second warning" 1 (List.length (got ())))
 
 let test_store_torn_write () =
@@ -314,13 +323,31 @@ let test_store_torn_write () =
       let d0 = cval "persist.degraded" in
       let key = P.digest_hex "torn" in
       P.store s ~key [ 1; 2; 3 ];
-      (* The torn entry landed on disk but fails its digest: a miss, and
-         the corrupt file is removed. *)
+      (* The torn record landed in the pack but is incomplete: no handle
+         indexes it, so it reads as a miss. *)
       check_bool "torn entry reads as a miss" true
         ((P.find s ~key : int list option) = None);
       check_int "torn is not a degrade" 0 (cval "persist.degraded" - d0);
       P.store s ~key [ 1; 2; 3 ];
       check_bool "rewrite heals" true (P.find s ~key = Some [ 1; 2; 3 ]))
+
+(* A torn write closes its pack, so the 3 clean writes after it land in
+   a new one: a fresh handle hits those 3 and misses the torn entry. *)
+let test_torn_then_clean_writes () =
+  with_store (fun s ->
+      arm_ok "persist.write@1:torn";
+      let key i = P.digest_hex (Printf.sprintf "torn-then-%d" i) in
+      for i = 0 to 3 do
+        P.store s ~key:(key i) i
+      done;
+      F.disarm ();
+      let fresh = P.open_store ~dir:(P.dir s) in
+      check_bool "torn entry misses" true
+        ((P.find fresh ~key:(key 0) : int option) = None);
+      for i = 1 to 3 do
+        check_bool (Printf.sprintf "clean write %d hits" i) true
+          (P.find fresh ~key:(key i) = Some i)
+      done)
 
 let test_read_fault_is_miss () =
   with_store (fun s ->
@@ -329,21 +356,10 @@ let test_read_fault_is_miss () =
       arm_ok "persist.read@1";
       check_bool "injected read error is a miss" true
         ((P.find s ~key : string option) = None);
-      (* The miss deleted the unreadable entry (by design); recompute+store
-         brings it back and the next read is clean. *)
+      (* Only that read failed: recompute+store writes the entry again
+         and the next read is clean. *)
       P.store s ~key "v";
       check_bool "subsequent read hits" true (P.find s ~key = Some "v"))
-
-let test_rename_fault_degrades () =
-  with_store (fun s ->
-      let got = capture_warnings () in
-      arm_ok "persist.rename@1";
-      let d0 = cval "persist.degraded" in
-      let key = P.digest_hex "mv" in
-      P.store s ~key 7;
-      check_bool "failed rename is a miss" true ((P.find s ~key : int option) = None);
-      check_int "persist.degraded" 1 (cval "persist.degraded" - d0);
-      check_int "warned once" 1 (List.length (got ())))
 
 let test_open_fault_raises () =
   arm_ok "persist.open@1";
@@ -643,10 +659,10 @@ let suite =
       (scrub test_store_write_degrades);
     Alcotest.test_case "persist: torn write is a miss" `Quick
       (scrub test_store_torn_write);
+    Alcotest.test_case "persist: torn write, then clean writes" `Quick
+      (scrub test_torn_then_clean_writes);
     Alcotest.test_case "persist: read fault is a miss" `Quick
       (scrub test_read_fault_is_miss);
-    Alcotest.test_case "persist: rename fault degrades" `Quick
-      (scrub test_rename_fault_degrades);
     Alcotest.test_case "persist: open fault raises" `Quick
       (scrub test_open_fault_raises);
     Alcotest.test_case "persist: default_dir absolute" `Quick
