@@ -755,21 +755,12 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N" ~doc)
   in
-  let lru_entries_arg =
-    let doc =
-      "Capacity (entries) of the in-memory LRU in front of the on-disk \
-       result cache; repeat requests are served without touching the \
-       filesystem. 0 disables it."
-    in
-    Arg.(value & opt int 256 & info [ "lru-entries" ] ~docv:"N" ~doc)
-  in
-  let run jobs listen max_inflight queue_depth lru_entries cache_dir no_cache
-      keep_going max_retries task_timeout fault_plan obs =
+  let run jobs listen max_inflight queue_depth cache_dir no_cache keep_going
+      max_retries task_timeout fault_plan obs =
     apply_jobs jobs;
     apply_obs obs;
     apply_cache ~no_cache ~dir:cache_dir;
     apply_resil ~keep_going ~max_retries ~task_timeout ~fault_plan;
-    Ts_harness.Cached.set_lru (if lru_entries > 0 then Some lru_entries else None);
     let addr = addr_conv "--listen" listen in
     let cfg = Ts_serve.Server.default_config addr in
     let cfg =
@@ -796,9 +787,9 @@ let serve_cmd =
     let stop _ = Ts_serve.Server.stop t in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Printf.printf "tsms: serving on %s (max-inflight %d, queue-depth %d, lru %d)\n%!"
+    Printf.printf "tsms: serving on %s (max-inflight %d, queue-depth %d)\n%!"
       (Ts_serve.Server.addr_to_string (Ts_serve.Server.bound_addr t))
-      cfg.Ts_serve.Server.max_inflight queue_depth lru_entries;
+      cfg.Ts_serve.Server.max_inflight queue_depth;
     Ts_serve.Server.run t;
     prerr_endline "tsms: serve: shut down cleanly";
     dump_obs obs
@@ -806,14 +797,14 @@ let serve_cmd =
   let doc =
     "Run the scheduler as a long-lived daemon: schedule/simulate requests \
      over a length-prefixed JSON socket protocol, executed on the resident \
-     worker pool behind admission control, with the LRU + on-disk cache \
-     tier shared across requests (see also $(b,tsms client))."
+     worker pool behind admission control, with the on-disk result store \
+     shared across requests (see also $(b,tsms client))."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ jobs_arg $ listen_arg $ max_inflight_arg $ queue_depth_arg
-      $ lru_entries_arg $ cache_dir_arg $ no_cache_arg $ keep_going_arg
-      $ max_retries_arg $ task_timeout_arg $ fault_plan_arg $ obs_term)
+      $ cache_dir_arg $ no_cache_arg $ keep_going_arg $ max_retries_arg
+      $ task_timeout_arg $ fault_plan_arg $ obs_term)
 
 let client_cmd =
   let connect_arg =

@@ -5,39 +5,6 @@ let store : Ts_persist.t option ref = ref None
 let set_store s = store := s
 let get_store () = !store
 
-(* ---- in-memory LRU front ----
-
-   A size-bounded LRU of marshalled plain projections sits in front of
-   the on-disk store: a repeat request under the serve daemon (or a
-   repeated loop inside one sweep) is answered without touching the
-   filesystem at all — no [persist.read_ms] observation, just an
-   [lru.hits] increment. Values are kept marshalled (the same bytes the
-   store would hold) so the cache is type-agnostic and every hit still
-   goes through the validating [of_plain] reconstruction. *)
-
-let lru : string Ts_persist.Lru.t option Atomic.t = Atomic.make None
-
-let set_lru = function
-  | Some n when n > 0 ->
-      Atomic.set lru
-        (Some (Ts_persist.Lru.create ~metrics_prefix:"lru" ~capacity:n ()))
-  | Some _ | None -> Atomic.set lru None
-
-let get_lru () =
-  match Atomic.get lru with
-  | None -> None
-  | Some l -> Some (Ts_persist.Lru.capacity l)
-
-let lru_find k =
-  match Atomic.get lru with None -> None | Some l -> Ts_persist.Lru.find l k
-
-(* Marshals only when a front is installed: without one (every run but
-   [tsms serve]) the string would be built and dropped. *)
-let lru_put k plain =
-  match Atomic.get lru with
-  | None -> ()
-  | Some l -> Ts_persist.Lru.put l k (Marshal.to_string plain [])
-
 (* ---- fingerprints ---- *)
 
 (* A DDG's machine record holds a closure, so serialise its scalar fields
@@ -147,58 +114,39 @@ let tms_of_plain g (p : tms_plain) : Ts_tms.Tms.result =
 
 (* ---- cached computations ----
 
-   [cached] is the one path from a request to the LRU front, the store
-   and the computation: values are stored as plain projections and
-   rebuilt per hit; a reconstruction failure (stale entry whose times no
-   longer validate against today's generator output, or an injected
-   cached.reconstruct fault) falls back to recomputing and overwriting.
-   Simulator stats are plain records already, so [sim] and [sim_single]
-   pass identity projections, and their store hits pass the
-   cached.reconstruct fault point too. *)
+   [cached] is the one path from a request to the result: look the key
+   up in the store, rebuild the value from its plain projection, and
+   on a miss compute and store it. A reconstruction failure (stale
+   entry whose times no longer validate against today's generator
+   output, or an injected cached.reconstruct fault) falls back to
+   recomputing and overwriting. Simulator stats are plain records
+   already, so [sim] and [sim_single] pass identity projections, and
+   their store hits pass the cached.reconstruct fault point too. *)
 
 let m_reconstruct_failed =
   Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.reconstruct_failed"
 
 let cached ?(span = "cached.driver") ~key:k ~to_plain ~of_plain f =
   Ts_obs.Prof.span span @@ fun () ->
-  let from_lru =
-    match lru_find k with
+  let from_store =
+    match Option.bind !store (fun s -> Ts_persist.find s ~key:k) with
     | None -> None
-    | Some s -> (
-        match of_plain (Marshal.from_string s 0) with
+    | Some p -> (
+        match
+          Ts_resil.Fault.guard "cached.reconstruct";
+          of_plain p
+        with
         | v -> Some v
         | exception _ ->
-            (* A poisoned in-memory entry falls through to the store /
-               recompute path, same as a stale disk entry. *)
             Ts_obs.Metrics.incr m_reconstruct_failed;
             None)
   in
-  match from_lru with
+  match from_store with
   | Some v -> v
-  | None -> (
-      let from_store =
-        match Option.bind !store (fun s -> Ts_persist.find s ~key:k) with
-        | None -> None
-        | Some p -> (
-            match
-              Ts_resil.Fault.guard "cached.reconstruct";
-              of_plain p
-            with
-            | v ->
-                lru_put k p;
-                Some v
-            | exception _ ->
-                Ts_obs.Metrics.incr m_reconstruct_failed;
-                None)
-      in
-      match from_store with
-      | Some v -> v
-      | None ->
-          let v = f () in
-          let p = to_plain v in
-          Option.iter (fun s -> Ts_persist.store s ~key:k p) !store;
-          lru_put k p;
-          v)
+  | None ->
+      let v = f () in
+      Option.iter (fun s -> Ts_persist.store s ~key:k (to_plain v)) !store;
+      v
 
 (* A loop SMS rejects is cached as [Error msg], so a warm run re-raises
    the rejection instead of re-running SMS on it. *)

@@ -15,6 +15,10 @@
     which revalidates every dependence constraint — a corrupt or stale
     entry fails reconstruction and is recomputed.
 
+    The store is the only cache tier: a repeat lookup, within one sweep
+    or across [tsms serve] requests, is a store hit (an in-memory index
+    lookup plus an unmarshal) followed by that reconstruction.
+
     With no store configured every function here is exactly its uncached
     counterpart. Nothing in this module changes results: cache keys
     separate all inputs, and a cold-cache run equals a warm-cache run
@@ -29,17 +33,6 @@ val set_store : Ts_persist.t option -> unit
     caching off). Set once, before spawning parallel work. *)
 
 val get_store : unit -> Ts_persist.t option
-
-val set_lru : int option -> unit
-(** Install an in-memory LRU front of the given capacity (entries) ahead
-    of the store — a repeat lookup is answered without touching the
-    filesystem. [None] or a non-positive capacity disables it (the
-    default). Works with or without a persist store; safe to call from
-    any domain (hits/misses/evictions are exposed as [lru.*] metrics).
-    Calling it again replaces the cache with an empty one. *)
-
-val get_lru : unit -> int option
-(** The installed LRU's capacity, if one is installed. *)
 
 (** {2 Cached schedulers}
 

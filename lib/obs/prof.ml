@@ -2,7 +2,7 @@
 
    Each domain keeps its own stack of open frames in domain-local
    storage, so spans nest correctly inside pool workers without any
-   locking on the hot path; a frame records wall-clock and Gc.quick_stat
+   locking on the hot path; a frame records wall-clock and allocated-word
    baselines at entry, and children report their totals into the parent
    so the parent can subtract them (self = total - children). Closed
    frames are folded into one global table under a mutex — span names
@@ -15,8 +15,6 @@ type agg = {
   mutable total_s : float;
   mutable self_s : float;
   mutable self_words : float; (* allocated words net of children *)
-  mutable minor_gcs : int; (* minor collections during the span *)
-  mutable major_gcs : int;
 }
 
 let enabled_flag = Atomic.make false
@@ -40,8 +38,6 @@ type frame = {
   name : string;
   t0 : float;
   words0 : float;
-  minor0 : int;
-  major0 : int;
   mutable child_s : float;
   mutable child_words : float;
 }
@@ -49,31 +45,34 @@ type frame = {
 let stack_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let words_now (q : Gc.stat) = q.Gc.minor_words +. q.Gc.major_words -. q.Gc.promoted_words
+(* Words allocated so far by the calling domain: its minor words plus
+   what it allocated straight into the major heap. Both calls read this
+   domain's own counters; [Gc.quick_stat] sums every domain's, so a span
+   would be charged whatever the other domains allocated during it. The
+   minor part comes from [Gc.minor_words] because on OCaml 5.1.1
+   [Gc.counters] counts only an eighth of the words in the current
+   minor heap. *)
+let words_now () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
-let account name ~total_s ~self_s ~self_words ~minor_gcs ~major_gcs =
+let account name ~total_s ~self_s ~self_words =
   Mutex.lock table_lock;
   (match Hashtbl.find_opt table name with
   | Some a ->
       a.count <- a.count + 1;
       a.total_s <- a.total_s +. total_s;
       a.self_s <- a.self_s +. self_s;
-      a.self_words <- a.self_words +. self_words;
-      a.minor_gcs <- a.minor_gcs + minor_gcs;
-      a.major_gcs <- a.major_gcs + major_gcs
-  | None ->
-      Hashtbl.add table name
-        { count = 1; total_s; self_s; self_words; minor_gcs; major_gcs });
+      a.self_words <- a.self_words +. self_words
+  | None -> Hashtbl.add table name { count = 1; total_s; self_s; self_words });
   Mutex.unlock table_lock
 
 let span name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let stack = Domain.DLS.get stack_key in
-    let q = Gc.quick_stat () in
     let fr =
-      { name; t0 = Unix.gettimeofday (); words0 = words_now q;
-        minor0 = q.Gc.minor_collections; major0 = q.Gc.major_collections;
+      { name; t0 = Unix.gettimeofday (); words0 = words_now ();
         child_s = 0.0; child_words = 0.0 }
     in
     stack := fr :: !stack;
@@ -88,14 +87,11 @@ let span name f =
               | [] -> []
             in
             stack := pop !stack);
-        let q1 = Gc.quick_stat () in
         let total_s = Unix.gettimeofday () -. fr.t0 in
-        let words = words_now q1 -. fr.words0 in
+        let words = words_now () -. fr.words0 in
         account name ~total_s
           ~self_s:(Float.max 0.0 (total_s -. fr.child_s))
-          ~self_words:(Float.max 0.0 (words -. fr.child_words))
-          ~minor_gcs:(q1.Gc.minor_collections - fr.minor0)
-          ~major_gcs:(q1.Gc.major_collections - fr.major0);
+          ~self_words:(Float.max 0.0 (words -. fr.child_words));
         match !stack with
         | parent :: _ ->
             parent.child_s <- parent.child_s +. total_s;
@@ -109,8 +105,6 @@ type row = {
   total_s : float;
   self_s : float;
   self_mwords : float; (* millions of words allocated, net of children *)
-  minor_gcs : int;
-  major_gcs : int;
 }
 
 type report = { wall_s : float; rows : row list }
@@ -122,8 +116,7 @@ let report () =
     Hashtbl.fold
       (fun name (a : agg) acc ->
         { name; count = a.count; total_s = a.total_s; self_s = a.self_s;
-          self_mwords = a.self_words /. 1e6; minor_gcs = a.minor_gcs;
-          major_gcs = a.major_gcs }
+          self_mwords = a.self_words /. 1e6 }
         :: acc)
       table []
   in
@@ -145,8 +138,7 @@ let render_table r =
   let t =
     create ~title:"profile"
       [ ("span", Left); ("calls", Right); ("total s", Right);
-        ("self s", Right); ("self %", Right); ("alloc Mw", Right);
-        ("minor gc", Right); ("major gc", Right) ]
+        ("self s", Right); ("self %", Right); ("alloc Mw", Right) ]
   in
   List.iter
     (fun row ->
@@ -156,13 +148,12 @@ let render_table r =
           (if r.wall_s > 0.0 then
              Printf.sprintf "%.1f" (100.0 *. row.self_s /. r.wall_s)
            else "-");
-          Printf.sprintf "%.2f" row.self_mwords; string_of_int row.minor_gcs;
-          string_of_int row.major_gcs ])
+          Printf.sprintf "%.2f" row.self_mwords ])
     r.rows;
   add_sep t;
   add_row t
     [ "(wall)"; ""; Printf.sprintf "%.3f" r.wall_s; "";
-      Printf.sprintf "%.1f" (100.0 *. coverage r); ""; ""; "" ];
+      Printf.sprintf "%.1f" (100.0 *. coverage r); "" ];
   render t
 
 let to_json r =
@@ -182,8 +173,6 @@ let to_json r =
                    ("total_s", Json.Float row.total_s);
                    ("self_s", Json.Float row.self_s);
                    ("self_mwords", Json.Float row.self_mwords);
-                   ("minor_gcs", Json.Int row.minor_gcs);
-                   ("major_gcs", Json.Int row.major_gcs);
                  ])
              r.rows) );
     ]

@@ -4,8 +4,11 @@
     span name, subtracting the time spent in spans nested inside it on
     the same domain — so a report line's "self" column is the time truly
     spent in that phase, not double-counted into its callers. Each span
-    also records the allocation (words, via [Gc.quick_stat]) and the
-    minor/major collection counts over its extent.
+    also records the words its own domain allocated over its extent
+    ([Gc.minor_words] and [Gc.counters]), net of its children, so
+    another domain's allocation is never charged to it. There are no
+    per-span collection counts: a minor collection stops every domain,
+    so no one span owns it.
 
     Disabled by default: a [span] call then costs one atomic read plus
     the closure call, which is why instrumentation can stay on
@@ -18,7 +21,7 @@
     domains sums self-times, so under a parallel sweep the per-span
     totals can legitimately exceed the wall clock, and a span on the
     spawning domain does not see worker spans as children (its self time
-    includes the wait at the join). *)
+    includes the wait at the join, its words do not include theirs). *)
 
 val set_enabled : bool -> unit
 (** Turn profiling on (clearing any previous aggregates and starting the
@@ -30,18 +33,17 @@ val reset : unit -> unit
 (** Clear aggregates and restart the report wall clock. *)
 
 val span : string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f], attributing its wall time, allocation and GC
-    counts to [name]. Exception-safe: the frame is closed and accounted
-    even when [f] raises. No-op (beyond one atomic read) when disabled. *)
+(** [span name f] runs [f], attributing its wall time and allocation to
+    [name]. Exception-safe: the frame is closed and accounted even when
+    [f] raises. No-op (beyond one atomic read) when disabled. *)
 
 type row = {
   name : string;
   count : int;  (** completed calls *)
   total_s : float;  (** inclusive wall seconds, summed over calls *)
   self_s : float;  (** [total_s] minus time in same-domain child spans *)
-  self_mwords : float;  (** millions of words allocated, net of children *)
-  minor_gcs : int;
-  major_gcs : int;
+  self_mwords : float;
+      (** millions of words this domain allocated, net of children *)
 }
 
 type report = { wall_s : float; rows : row list }
@@ -55,8 +57,8 @@ val coverage : report -> float
     under a parallel sweep). *)
 
 val render_table : report -> string
-(** Aligned table: span, calls, total/self seconds, self %% of wall,
-    allocation and GC counts, with a closing wall-clock/coverage row. *)
+(** Aligned table: span, calls, total/self seconds, self %% of wall and
+    allocation, with a closing wall-clock/coverage row. *)
 
 val to_json : report -> Json.t
 (** [{"version": 1, "wall_s": ..., "coverage": ..., "spans": [...]}] in

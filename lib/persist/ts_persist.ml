@@ -12,8 +12,6 @@
    [objects/] or [journals/] directories older binaries wrote) is
    ignored. *)
 
-module Lru = Lru
-
 let m_hits = Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.hits"
 let m_misses = Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.misses"
 let m_stores = Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.stores"

@@ -57,10 +57,6 @@
     value for {!store}, digesting it and unmarshalling a hit run outside
     it. *)
 
-module Lru = Lru
-(** The in-memory LRU front for this store (re-exported:
-    [Ts_persist.Lru]). See {!Lru}. *)
-
 type t
 (** An open store rooted at a directory. *)
 

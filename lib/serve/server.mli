@@ -23,9 +23,9 @@
     write failures, fault plans, warn-once) applies per request instead
     of per sweep.
 
-    Results are served from the shared cache tier: the in-memory LRU
-    front (see {!Ts_harness.Cached.set_lru}) first, then the
-    content-addressed {!Ts_persist} store, then computed on the pool.
+    Results are served from the shared content-addressed {!Ts_persist}
+    store (see {!Ts_harness.Cached}), or computed on the pool and
+    stored there on a miss.
 
     Server metrics (on {!Ts_obs.Metrics.default}, so the [metrics] op's
     Prometheus exposition includes them): [serve.connections],

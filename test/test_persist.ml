@@ -410,18 +410,14 @@ let test_cached_hits_share_no_mutable_state () =
   let g, _cfg, params, _ = sim_setup () in
   let saved = Cached.get_store () in
   Fun.protect
-    ~finally:(fun () ->
-      Cached.set_store saved;
-      Cached.set_lru None)
+    ~finally:(fun () -> Cached.set_store saved)
     (fun () ->
       with_store (fun s ->
           Cached.set_store (Some s);
-          Cached.set_lru (Some 32);
           let pristine = k_plain (Cached.tms_sweep ~params g).Ts_tms.Tms.kernel in
           (* 4 workers hammer the same cache entry and scribble over every
-             kernel they get back: if either tier (LRU front, store)
-             handed out a shared mutable array, a later fetch would see
-             the scribbles. *)
+             kernel they get back: if a store hit handed out a shared
+             mutable array, a later fetch would see the scribbles. *)
           let doms =
             List.init 4 (fun d ->
                 Domain.spawn (fun () ->
@@ -445,88 +441,6 @@ let test_cached_hits_share_no_mutable_state () =
           check_bool "entry still pristine after the hammer" true
             (k_plain (Cached.tms_sweep ~params g).Ts_tms.Tms.kernel = pristine)))
 
-(* --- the in-memory LRU front --- *)
-
-let test_lru_basics () =
-  let l : int P.Lru.t = P.Lru.create ~capacity:3 () in
-  check_int "capacity" 3 (P.Lru.capacity l);
-  check_bool "miss on empty" true (P.Lru.find l "a" = None);
-  P.Lru.put l "a" 1;
-  P.Lru.put l "b" 2;
-  P.Lru.put l "c" 3;
-  check_bool "hit after put" true (P.Lru.find l "a" = Some 1);
-  (* "a" was just refreshed, so "b" is now least recently used. *)
-  P.Lru.put l "d" 4;
-  check_bool "LRU entry evicted" true (P.Lru.find l "b" = None);
-  check_bool "refreshed entry survives" true (P.Lru.find l "a" = Some 1);
-  check_int "capacity bound holds" 3 (P.Lru.length l);
-  P.Lru.put l "a" 10;
-  check_bool "put replaces in place" true (P.Lru.find l "a" = Some 10);
-  check_int "replace does not grow" 3 (P.Lru.length l);
-  P.Lru.clear l;
-  check_int "clear empties" 0 (P.Lru.length l);
-  check_bool "capacity >= 1 enforced" true
-    (match P.Lru.create ~capacity:0 () with
-    | (_ : int P.Lru.t) -> false
-    | exception Invalid_argument _ -> true)
-
-(* Model-based property: random put/find traffic against a naive
-   reference implementation, comparing contents and exact eviction
-   order at every step. *)
-let test_lru_matches_model () =
-  let cap = 4 in
-  let l : int P.Lru.t = P.Lru.create ~capacity:cap () in
-  (* model: (key, value) list, MRU first *)
-  let model = ref [] in
-  let model_find k =
-    match List.assoc_opt k !model with
-    | None -> None
-    | Some v ->
-        model := (k, v) :: List.remove_assoc k !model;
-        Some v
-  in
-  let model_put k v =
-    model := (k, v) :: List.remove_assoc k !model;
-    if List.length !model > cap then
-      model := List.filteri (fun i _ -> i < cap) !model
-  in
-  let st = ref 0x2545F491 in
-  let rand m = st := (!st * 1103515245 + 12345) land 0x3FFFFFFF; !st mod m in
-  for step = 1 to 2000 do
-    let k = Printf.sprintf "k%d" (rand 7) in
-    if rand 2 = 0 then begin
-      let v = rand 1000 in
-      P.Lru.put l k v;
-      model_put k v
-    end
-    else begin
-      let got = P.Lru.find l k and expect = model_find k in
-      if got <> expect then
-        Alcotest.failf "step %d: find %s diverged from model" step k
-    end;
-    if P.Lru.keys_mru_first l <> List.map fst !model then
-      Alcotest.failf "step %d: recency order diverged from model" step;
-    if P.Lru.length l > cap then Alcotest.failf "step %d: capacity exceeded" step
-  done
-
-let test_lru_domain_safety () =
-  let l : int P.Lru.t = P.Lru.create ~capacity:64 () in
-  let doms =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to 999 do
-              let k = Printf.sprintf "k%d" ((d * 37 + i) mod 128) in
-              if i land 1 = 0 then P.Lru.put l k i else ignore (P.Lru.find l k)
-            done))
-  in
-  List.iter Domain.join doms;
-  check_bool "capacity bound under contention" true (P.Lru.length l <= 64);
-  (* The intrusive list is still consistent: walkable and put/find work. *)
-  check_int "key walk matches length" (P.Lru.length l)
-    (List.length (P.Lru.keys_mru_first l));
-  P.Lru.put l "after" 1;
-  check_bool "still usable" true (P.Lru.find l "after" = Some 1)
-
 let suite =
   [
     Alcotest.test_case "store roundtrip" `Quick test_roundtrip;
@@ -534,9 +448,6 @@ let suite =
       test_concurrent_store_distinct_keys;
     Alcotest.test_case "concurrent stores, same key" `Quick
       test_concurrent_store_same_key;
-    Alcotest.test_case "lru basics + eviction order" `Quick test_lru_basics;
-    Alcotest.test_case "lru matches reference model" `Quick test_lru_matches_model;
-    Alcotest.test_case "lru domain safety" `Quick test_lru_domain_safety;
     Alcotest.test_case "concurrent domains store and find" `Quick
       test_concurrent_store_and_find;
     Alcotest.test_case "two handles see each other's stores" `Quick test_two_handles;

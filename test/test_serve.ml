@@ -195,10 +195,9 @@ let rec rm p =
     end
     else Sys.remove p
 
-let with_server ?(max_inflight = 2) ?(queue_depth = 8) ?lru ?(store = false) f =
+let with_server ?(max_inflight = 2) ?(queue_depth = 8) ?(store = false) f =
   let dir = fresh_dir () in
   let sock = Filename.concat dir "s.sock" in
-  Cached.set_lru lru;
   if store then
     Cached.set_store (Some (Ts_persist.open_store ~dir:(Filename.concat dir "cache")));
   let cfg =
@@ -215,7 +214,6 @@ let with_server ?(max_inflight = 2) ?(queue_depth = 8) ?lru ?(store = false) f =
     ~finally:(fun () ->
       Server.stop t;
       Domain.join d;
-      Cached.set_lru None;
       Cached.set_store None;
       rm dir)
     (fun () -> f (Server.bound_addr t))
@@ -265,16 +263,17 @@ let test_e2e_schedule_matches_direct () =
   check_int "reconstructed kernel agrees" direct.Ts_tms.Tms.kernel.Ts_modsched.Kernel.ii
     k.Ts_modsched.Kernel.ii
 
-let test_e2e_repeat_served_from_lru () =
-  with_server ~lru:32 ~store:true @@ fun addr ->
+let test_e2e_repeat_served_from_store () =
+  with_server ~store:true @@ fun addr ->
   let r1 = expect_ok "first" (Client.round_trip addr (sched_req ())) in
-  let hits0 = cval "lru.hits" in
-  let p_hits0 = cval "persist.hits" and p_miss0 = cval "persist.misses" in
+  let hits0 = cval "persist.hits"
+  and miss0 = cval "persist.misses"
+  and stores0 = cval "persist.stores" in
   let r2 = expect_ok "second" (Client.round_trip addr (sched_req ())) in
   check_bool "responses identical" true (J.to_string r1 = J.to_string r2);
-  check_int "exactly one LRU hit" (hits0 + 1) (cval "lru.hits");
-  check_int "no store read on the repeat" p_hits0 (cval "persist.hits");
-  check_int "no store miss on the repeat" p_miss0 (cval "persist.misses")
+  check_int "exactly one store hit" (hits0 + 1) (cval "persist.hits");
+  check_int "no store miss on the repeat" miss0 (cval "persist.misses");
+  check_int "no store write on the repeat" stores0 (cval "persist.stores")
 
 let test_e2e_malformed_json_structured_error () =
   with_server @@ fun addr ->
@@ -523,8 +522,8 @@ let suite =
     Alcotest.test_case "addr parsing" `Quick test_addr_parsing;
     Alcotest.test_case "e2e: schedule = direct result" `Quick
       test_e2e_schedule_matches_direct;
-    Alcotest.test_case "e2e: repeat served from LRU" `Quick
-      test_e2e_repeat_served_from_lru;
+    Alcotest.test_case "e2e: repeat served from store" `Quick
+      test_e2e_repeat_served_from_store;
     Alcotest.test_case "e2e: malformed JSON structured error" `Quick
       test_e2e_malformed_json_structured_error;
     Alcotest.test_case "e2e: oversized frame answered then closed" `Quick

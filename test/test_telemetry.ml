@@ -281,6 +281,54 @@ let test_prof_parallel () =
   | Some row -> check_int "all worker spans counted" 8 row.count
   | None -> Alcotest.fail "no worker row"
 
+(* Every span is charged only its own domain's words: an outer span
+   around a pooled map is not charged the workers' allocation, and a
+   task's words do not depend on how many domains run beside it. *)
+let test_prof_words_domain_local () =
+  (* Minor words allocated so far by every domain. Each minor
+     collection stops every domain; another domain's count is sampled
+     before its minor heap is flushed, so the second one brings it up to
+     date. The tasks allocate only small blocks, so every word they
+     allocate starts in a minor heap. *)
+  let process_words () =
+    Gc.minor ();
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.minor_words
+  in
+  let task i =
+    Prof.span "task" @@ fun () ->
+    ignore (Sys.opaque_identity (List.init 20_000 (fun j -> i + j)))
+  in
+  let run jobs =
+    Prof.set_enabled true;
+    Fun.protect ~finally:(fun () -> Prof.set_enabled false) @@ fun () ->
+    let w0 = process_words () in
+    Prof.span "outer" (fun () ->
+        ignore (Ts_base.Parallel.map ~jobs task (List.init 16 Fun.id)));
+    let w1 = process_words () in
+    let rows = (Prof.report ()).rows in
+    let words (r : Prof.row) = r.self_mwords *. 1e6 in
+    let task_words =
+      match List.find_opt (fun (r : Prof.row) -> r.name = "task") rows with
+      | Some r -> words r
+      | None -> Alcotest.fail "no task row"
+    in
+    let span_words = List.fold_left (fun acc r -> acc +. words r) 0.0 rows in
+    (task_words, span_words, w1 -. w0)
+  in
+  let seq_tasks, _, _ = run 1 in
+  let par_tasks, par_spans, par_process = run 2 in
+  check_bool
+    (Printf.sprintf "task words at jobs 2 (%.0f) within 1%% of jobs 1 (%.0f)"
+       par_tasks seq_tasks)
+    true
+    (Float.abs (par_tasks -. seq_tasks) <= 0.01 *. seq_tasks);
+  check_bool
+    (Printf.sprintf "span words (%.0f) within the process's (%.0f)" par_spans
+       par_process)
+    true
+    (par_spans <= par_process)
+
 (* --- Progress --- *)
 
 let test_progress_heartbeat () =
@@ -497,6 +545,8 @@ let suite =
     Alcotest.test_case "prof exception safe" `Quick test_prof_exception_safe;
     Alcotest.test_case "prof disabled noop" `Quick test_prof_disabled_noop;
     Alcotest.test_case "prof parallel workers" `Quick test_prof_parallel;
+    Alcotest.test_case "prof words are the span's domain's" `Quick
+      test_prof_words_domain_local;
     Alcotest.test_case "progress heartbeat" `Quick test_progress_heartbeat;
     Alcotest.test_case "progress disabled silent" `Quick
       test_progress_disabled_silent;
