@@ -417,12 +417,14 @@ let schedule_cmd =
     or_invalid @@ fun () ->
     supervised ~obs @@ fun () ->
     with_trace ~format:Ts_obs.Trace.Jsonl search_log (fun trace ->
-        let sms = Ts_sms.Sms.schedule ~trace g in
+        let swing = lazy (Ts_sms.Sms.swing g) in
+        let sms = Ts_sms.Sms.schedule ~trace ~swing g in
         print_kernel "SMS" sms.Ts_sms.Sms.kernel ~c_reg_com:params.c_reg_com;
+        let sms = (sms, swing) in
         let tms =
           match p_max with
-          | Some p -> Ts_tms.Tms.schedule ~trace ~placement ~p_max:p ~params g
-          | None -> Ts_tms.Tms.schedule_sweep ~trace ~placement ~params g
+          | Some p -> Ts_tms.Tms.schedule ~trace ~placement ~p_max:p ~sms ~params g
+          | None -> Ts_tms.Tms.schedule_sweep ~trace ~placement ~sms ~params g
         in
         print_kernel "TMS" tms.Ts_tms.Tms.kernel ~c_reg_com:params.c_reg_com;
         Printf.printf
@@ -470,8 +472,9 @@ let simulate_cmd =
     or_invalid @@ fun () ->
     supervised ~obs @@ fun () ->
     let plan = Ts_spmt.Address_plan.create g in
-    let sms = Ts_sms.Sms.schedule g in
-    let tms = Ts_tms.Tms.schedule_sweep ~placement ~params g in
+    let swing = lazy (Ts_sms.Sms.swing g) in
+    let sms = Ts_sms.Sms.schedule ~swing g in
+    let tms = Ts_tms.Tms.schedule_sweep ~placement ~sms:(sms, swing) ~params g in
     let report tag (st : Ts_spmt.Sim.stats) =
       Printf.printf
         "%-6s %8d cycles (%6.2f/iter)  sync stalls %7d  SEND/RECV %6d  squashes %4d (%.3f%%)\n"
@@ -572,14 +575,14 @@ let compare_cmd =
     let ncore = params.Ts_isa.Spmt_params.ncore in
     let plan = Ts_spmt.Address_plan.create g in
     let trip = 2000 and warmup = 512 in
+    let swing = lazy (Ts_sms.Sms.swing g) in
+    let sms = Ts_sms.Sms.schedule ~swing g and ims = Ts_sms.Ims.schedule g in
     let variants =
       [
-        ("sms", (Ts_sms.Sms.schedule g).Ts_sms.Sms.kernel);
-        ("ims", (Ts_sms.Ims.schedule g).Ts_sms.Ims.kernel);
-        ( "ts-sms",
-          (Ts_tms.Tms.schedule_sweep ~placement ~params g).Ts_tms.Tms.kernel );
-        ( "ts-ims",
-          (Ts_tms.Tms_ims.schedule ~placement ~params g).Ts_tms.Tms.kernel );
+        ("sms", sms.Ts_sms.Sms.kernel);
+        ("ims", ims.Ts_sms.Ims.kernel);
+        ("ts-sms", (Ts_tms.Tms.schedule_sweep ~placement ~sms:(sms, swing) ~params g).kernel);
+        ("ts-ims", (Ts_tms.Tms_ims.schedule ~placement ~ims ~params g).kernel);
       ]
     in
     print_placement placement params;

@@ -342,12 +342,11 @@ type prepared = {
 let c_delay_floor ~c_reg_com g =
   match Ts_ddg.Mii.reg_rec_ii g with 0 -> 0 | r -> c_reg_com + r
 
-let prepare ~placement ~params g =
+let prepare ~placement ~params ~mii g =
   (* Definition 2 under the placement: the search prices the worst
      distance-1 hop cost and target-core speed of the compiled map
      ([effective_params] is the identity for round-robin). *)
   let params = Ts_isa.Placement.effective_params placement params in
-  let mii = Ts_ddg.Mii.mii g in
   (* II rarely exceeds the longest dependence path (Section 4.3); cap the
      search grid there and rely on the fallback for the pathological
      remainder. *)
@@ -452,7 +451,7 @@ let search ~trace ~base ~p_max prep g ~attempt ~fallback =
    frequency a C2 comparison rejected on any point the walk consumed
    ([infinity] when C2 never rejected): the search's walk is then the
    walk at every P_max below that floor (see [schedule_sweep]). *)
-let search_sms ~trace ~p_max prep ~order g =
+let search_sms ~trace ~p_max prep ~order ~fallback g =
   let c_reg_com = prep.params.Ts_isa.Spmt_params.c_reg_com in
   (* The grid revisits each II once per objective group: compute the ASAP
      table (a Bellman-Ford relaxation) once per II, not per grid point. *)
@@ -489,32 +488,41 @@ let search_sms ~trace ~p_max prep ~order g =
     flush_tally tally;
     Result.map_error reject_reason res
   in
-  let r =
-    search ~trace ~base:"sms" ~p_max prep g ~attempt ~fallback:(fun g ->
-        (Ts_sms.Sms.schedule g).Ts_sms.Sms.kernel)
-  in
+  let r = search ~trace ~base:"sms" ~p_max prep g ~attempt ~fallback in
   (r, !c2_floor)
 
-let swing_order prep g = Ts_sms.Order.compute_with_dirs g ~ii:prep.mii
+(* The per-loop setup over SMS: the swing analysis gives the MII and the
+   order, and the SMS kernel is the fallback (placed here only if the
+   caller holds no SMS result). The analysis is forced here, on the
+   calling domain, before any search goes to the pool. *)
+let setup ?sms ~placement ~params g =
+  let swing, fallback =
+    match sms with
+    | Some ((r : Ts_sms.Sms.result), swing) -> (swing, fun _ -> r.kernel)
+    | None ->
+        let swing = lazy (Ts_sms.Sms.swing g) in
+        (swing, fun g -> (Ts_sms.Sms.schedule ~swing g).kernel)
+  in
+  let { Ts_sms.Sms.mii; order } = Lazy.force swing in
+  (prepare ~placement ~params ~mii g, order, fallback)
 
 let schedule ?(trace = Trace.null) ?(p_max = default_p_max)
-    ?(placement = Ts_isa.Placement.Round_robin) ~params g =
+    ?(placement = Ts_isa.Placement.Round_robin) ?sms ~params g =
   Ts_obs.Prof.span "tms.search" @@ fun () ->
-  let prep = prepare ~placement ~params g in
-  fst (search_sms ~trace ~p_max prep ~order:(swing_order prep g) g)
+  let prep, order, fallback = setup ?sms ~placement ~params g in
+  fst (search_sms ~trace ~p_max prep ~order ~fallback g)
 
 let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
-    ?(placement = Ts_isa.Placement.Round_robin) ~params g =
+    ?(placement = Ts_isa.Placement.Round_robin) ?sms ~params g =
   if p_maxes = [] then invalid_arg "Tms.schedule_sweep: empty p_max list";
   let p_lo = List.fold_left Float.min infinity p_maxes in
   let p_hi = List.fold_left Float.max neg_infinity p_maxes in
   (* The setup is charged to the first search's span, so the profile
      still counts one "tms.search" per search. *)
-  let prep, order, (r_lo, c2_floor) =
+  let prep, order, fallback, (r_lo, c2_floor) =
     Ts_obs.Prof.span "tms.search" @@ fun () ->
-    let prep = prepare ~placement ~params g in
-    let order = swing_order prep g in
-    (prep, order, search_sms ~trace ~p_max:p_lo prep ~order g)
+    let prep, order, fallback = setup ?sms ~placement ~params g in
+    (prep, order, fallback, search_sms ~trace ~p_max:p_lo prep ~order ~fallback g)
   in
   let n = 1000 in
   let cost (r : result) =
@@ -535,7 +543,7 @@ let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
         if p_max = p_lo then r_lo
         else
           Ts_obs.Prof.span "tms.search" @@ fun () ->
-          fst (search_sms ~trace ~p_max prep ~order g)
+          fst (search_sms ~trace ~p_max prep ~order ~fallback g)
       in
       (* One worker domain per P_max. An enabled tracer is a single shared
          sink, so traced sweeps stay sequential (and their event order

@@ -76,6 +76,7 @@ val schedule :
   ?trace:Ts_obs.Trace.t ->
   ?p_max:float ->
   ?placement:Ts_isa.Placement.policy ->
+  ?sms:Ts_sms.Sms.result * Ts_sms.Sms.swing Lazy.t ->
   params:Ts_isa.Spmt_params.t ->
   Ts_ddg.Ddg.t ->
   result
@@ -83,6 +84,14 @@ val schedule :
     at each grid point and SMS as the fallback. The II grid ends at the
     longest dependence path or MII, whichever is larger, plus 8 (capped
     at {!Ts_ddg.Mii.ii_upper_bound}).
+
+    [sms] is the loop's SMS result [Ts_sms.Sms.schedule ~swing g] with
+    its [swing = lazy (Ts_sms.Sms.swing g)], when the caller holds them.
+    Its analysis gives the MII and the order ([Q_0]) and its kernel the
+    fallback, so TMS runs no part of SMS again; the result is the same.
+    The lazy is forced at the start, on the calling domain; two domains
+    must not force it at once. Without [sms], TMS builds the analysis
+    with {!Ts_sms.Sms.swing}.
 
     [placement] (default {!Ts_isa.Placement.Round_robin}) makes the
     search price Definition 2 under the given thread-to-core map: the
@@ -196,10 +205,12 @@ type prepared = private {
 val prepare :
   placement:Ts_isa.Placement.policy ->
   params:Ts_isa.Spmt_params.t ->
+  mii:int ->
   Ts_ddg.Ddg.t ->
   prepared
-(** [params] passed through {!Ts_isa.Placement.effective_params}, MII,
-    the [C_delay] floor and the grid bounds {!schedule} documents. *)
+(** [params] passed through {!Ts_isa.Placement.effective_params}, the
+    base scheduler's [mii], the [C_delay] floor and the grid bounds
+    {!schedule} documents. *)
 
 val search :
   trace:Ts_obs.Trace.t ->
@@ -233,6 +244,7 @@ val schedule_sweep :
   ?trace:Ts_obs.Trace.t ->
   ?p_maxes:float list ->
   ?placement:Ts_isa.Placement.policy ->
+  ?sms:Ts_sms.Sms.result * Ts_sms.Sms.swing Lazy.t ->
   params:Ts_isa.Spmt_params.t ->
   Ts_ddg.Ddg.t ->
   result
@@ -243,8 +255,10 @@ val schedule_sweep :
     on a tie. The result is the one {!schedule} would give at the value
     it is labelled with.
 
-    The per-loop setup (effective params, MII, grid bounds, swing order)
-    is built once and shared by the sweep's searches. The smallest value
+    [sms] is as for {!schedule}, forced before the searches go to the
+    pool. The per-loop setup (effective params, grid bounds, and the
+    swing analysis, SMS's when [sms] is given) is shared by the sweep's
+    searches. The smallest value
     [p_lo] is searched first. {b When C2 cannot bind}, that search is the
     whole sweep: if no C2 comparison on a grid point its walk consumed
     rejected a frequency at or below the largest value [p_hi] (none

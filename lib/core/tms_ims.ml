@@ -12,9 +12,11 @@ type result = Tms.result = {
   fell_back : bool;
 }
 
-let schedule ?(placement = Ts_isa.Placement.Round_robin) ~params g =
+let schedule ?(placement = Ts_isa.Placement.Round_robin) ?ims ~params g =
   Ts_obs.Prof.span "tms_ims.search" @@ fun () ->
-  let prep = Tms.prepare ~placement ~params g in
+  (* IMS gives the MII and, if the grid is exhausted, the kernel. *)
+  let ims = match ims with Some r -> r | None -> Ts_sms.Ims.schedule g in
+  let prep = Tms.prepare ~placement ~params ~mii:ims.mii g in
   let c_reg_com = prep.Tms.params.Ts_isa.Spmt_params.c_reg_com in
   let p_max = Tms.default_p_max in
   (* Per-II caches: the grid revisits an II once per objective group, and
@@ -54,4 +56,4 @@ let schedule ?(placement = Ts_isa.Placement.Round_robin) ~params g =
     | Some _ | None -> Error "placement-failed"
   in
   Tms.search ~trace:Ts_obs.Trace.null ~base:"ims" ~p_max prep g ~attempt
-    ~fallback:(fun g -> (Ts_sms.Ims.schedule g).Ts_sms.Ims.kernel)
+    ~fallback:(fun _ -> ims.kernel)

@@ -24,12 +24,14 @@ type result = Tms.result = {
 
 val schedule :
   ?placement:Ts_isa.Placement.policy ->
+  ?ims:Ts_sms.Ims.result ->
   params:Ts_isa.Spmt_params.t ->
   Ts_ddg.Ddg.t ->
   result
 (** TMS-over-IMS at {!Tms.default_p_max}, on the grid {!Tms.schedule}
     walks. Each grid point is one {!Ts_sms.Ims.try_ii} pass under
     {!Tms.admissible}; a kernel whose IMS evictions broke its C1 or C2
-    claim is rejected. Falls back to plain IMS if the grid is exhausted.
+    claim is rejected. The loop's IMS result [ims] (computed here when
+    not given) gives the MII and the fallback kernel.
     Counts on the [tms.*] search counters like {!Tms.schedule}, except
     the [tms.slots.*] verdicts, which IMS does not report. *)

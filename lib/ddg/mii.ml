@@ -28,10 +28,13 @@ let res_ii (g : Ddg.t) =
 (* Positive-cycle test: with t(dst) >= t(src) + lat(src) - ii * distance,
    [ii] is recurrence-feasible iff the graph with those edge weights has no
    positive-weight cycle. Bellman-Ford from a virtual source connected to
-   every node with weight 0; if any distance still relaxes after n rounds, a
-   positive cycle exists. [keep] restricts the test to an edge subset. *)
-let feasible_filtered (g : Ddg.t) ~keep ~ii =
+   every node with weight 0 over [edges]. A simple path has fewer edges
+   than the graph has nodes and no more than [edges] holds, so if any
+   distance still relaxes after that many rounds, a positive cycle exists.
+   (A two-node SCC settles in two rounds, not in n + 1.) *)
+let feasible_on (g : Ddg.t) edges ~ii =
   let n = Ddg.n_nodes g in
+  let k = min n (Array.length edges) in
   let dist = Array.make n 0 in
   let changed = ref true in
   let rounds = ref 0 in
@@ -40,31 +43,31 @@ let feasible_filtered (g : Ddg.t) ~keep ~ii =
     changed := false;
     Array.iter
       (fun (e : Ddg.edge) ->
-        if keep e then begin
-          let w = Ddg.latency g e.src - (ii * e.distance) in
-          if dist.(e.src) + w > dist.(e.dst) then begin
-            dist.(e.dst) <- dist.(e.src) + w;
-            changed := true
-          end
+        let w = Ddg.latency g e.src - (ii * e.distance) in
+        if dist.(e.src) + w > dist.(e.dst) then begin
+          dist.(e.dst) <- dist.(e.src) + w;
+          changed := true
         end)
-      g.edges;
+      edges;
     incr rounds;
-    if !changed && !rounds > n then ok := false
+    if !changed && !rounds > k then ok := false
   done;
   !ok
 
-let feasible g ~ii = feasible_filtered g ~keep:(fun _ -> true) ~ii
+let feasible (g : Ddg.t) ~ii = feasible_on g g.edges ~ii
 
 let rec_ii_filtered (g : Ddg.t) ~keep =
+  let edges = Array.of_list (List.filter keep (Array.to_list g.edges)) in
+  let feasible ii = feasible_on g edges ~ii in
   let upper = Array.fold_left (fun acc (nd : Ddg.node) -> acc + nd.latency) 1 g.nodes in
-  if feasible_filtered g ~keep ~ii:0 then 0
+  if feasible 0 then 0
   else begin
     (* Smallest feasible ii in [1, upper]; upper is always feasible since
        every cycle has distance >= 1. *)
     let lo = ref 1 and hi = ref upper in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if feasible_filtered g ~keep ~ii:mid then hi := mid else lo := mid + 1
+      if feasible mid then hi := mid else lo := mid + 1
     done;
     !lo
   end

@@ -13,8 +13,9 @@ let compute ~cfg (runs : Doacross_runs.t list) =
       let trip = r.sel.trip in
       let nospec_cycles =
         List.fold_left
-          (fun acc l ->
-            let tms0 = Cached.tms ~p_max:0.0 ~params l.Doacross_runs.g in
+          (fun acc { Doacross_runs.g; sms; _ } ->
+            let sms = (sms, lazy (Ts_sms.Sms.swing g)) in
+            let tms0 = Cached.tms ~sms ~p_max:0.0 ~params g in
             let st =
               Cached.sim ~sync_mem:true ~warmup:Defaults.warmup cfg
                 tms0.Ts_tms.Tms.kernel ~trip

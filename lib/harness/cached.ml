@@ -149,19 +149,21 @@ let cached ?(span = "cached.driver") ~key:k ~to_plain ~of_plain f =
       v
 
 (* A loop SMS rejects is cached as [Error msg], so a warm run re-raises
-   the rejection instead of re-running SMS on it. *)
+   the rejection instead of re-running SMS on it. The swing analysis is
+   built only on a miss of SMS or of a TMS search given this result. *)
 let sms g =
+  let swing = lazy (Ts_sms.Sms.swing g) in
   match
     cached ~span:"cached.sms"
       ~key:(key ~kind:"sms" [ ddg_fp g ])
       ~to_plain:(Result.map sms_to_plain)
       ~of_plain:(Result.map (sms_of_plain g))
       (fun () ->
-        match Ts_sms.Sms.schedule g with
+        match Ts_sms.Sms.schedule ~swing g with
         | r -> Ok r
         | exception Ts_sms.Sms.No_schedule msg -> Error msg)
   with
-  | Ok r -> r
+  | Ok r -> (r, swing)
   | Error msg -> raise (Ts_sms.Sms.No_schedule msg)
 
 let ims g =
@@ -173,14 +175,14 @@ let ims g =
 
 let params_fp (p : Ts_isa.Spmt_params.t) = Marshal.to_string p []
 
-let tms_sweep ~params g =
+let tms_sweep ?sms ~params g =
   cached ~span:"cached.tms_sweep"
     ~key:(key ~kind:"tms_sweep" [ params_fp params; ddg_fp g ])
     ~to_plain:tms_to_plain
     ~of_plain:(tms_of_plain g)
-    (fun () -> Ts_tms.Tms.schedule_sweep ~params g)
+    (fun () -> Ts_tms.Tms.schedule_sweep ?sms ~params g)
 
-let tms ?p_max ~params g =
+let tms ?sms ?p_max ~params g =
   let pm =
     match p_max with None -> "default" | Some x -> Printf.sprintf "%h" x
   in
@@ -188,14 +190,14 @@ let tms ?p_max ~params g =
     ~key:(key ~kind:"tms" [ pm; params_fp params; ddg_fp g ])
     ~to_plain:tms_to_plain
     ~of_plain:(tms_of_plain g)
-    (fun () -> Ts_tms.Tms.schedule ?p_max ~params g)
+    (fun () -> Ts_tms.Tms.schedule ?sms ?p_max ~params g)
 
-let tms_ims ~params g =
+let tms_ims ?ims ~params g =
   cached ~span:"cached.tms_ims"
     ~key:(key ~kind:"tms_ims" [ params_fp params; ddg_fp g ])
     ~to_plain:tms_to_plain
     ~of_plain:(tms_of_plain g)
-    (fun () -> Ts_tms.Tms_ims.schedule ~params g)
+    (fun () -> Ts_tms.Tms_ims.schedule ?ims ~params g)
 
 (* [warmup] defaults to {!Defaults.warmup}, NOT 0: every harness driver
    wants the warmed measurement, and a caller that forgets the argument

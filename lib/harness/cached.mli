@@ -41,19 +41,33 @@ val get_store : unit -> Ts_persist.t option
     its own per-[P_max] searches and drops them when it returns, so a
     result that misses the cache is searched cold. *)
 
-val sms : Ts_ddg.Ddg.t -> Ts_sms.Sms.result
-(** A rejection is cached too: a loop SMS cannot schedule raises
-    [Ts_sms.Sms.No_schedule] on every call, and a warm call runs no
-    SMS. *)
+val sms : Ts_ddg.Ddg.t -> Ts_sms.Sms.result * Ts_sms.Sms.swing Lazy.t
+(** The loop's SMS result and the lazy swing analysis it shares with the
+    [sms] argument of {!tms_sweep} and {!tms}: only a miss forces it, so
+    a warm run builds none, and nothing stores it. Keep the pair on the
+    domain that made it (one pool task): two domains must not force it
+    at once. A rejection is cached too: a loop SMS cannot schedule raises
+    [Ts_sms.Sms.No_schedule] on every call, and a warm call runs no SMS. *)
 
 val ims : Ts_ddg.Ddg.t -> Ts_sms.Ims.result
 
-val tms_sweep : params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> Ts_tms.Tms.result
+val tms_sweep :
+  ?sms:Ts_sms.Sms.result * Ts_sms.Sms.swing Lazy.t ->
+  params:Ts_isa.Spmt_params.t ->
+  Ts_ddg.Ddg.t ->
+  Ts_tms.Tms.result
+(** [sms] goes to the search on a miss; it changes no result, so it is
+    not part of the key. *)
 
 val tms :
-  ?p_max:float -> params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> Ts_tms.Tms.result
+  ?sms:Ts_sms.Sms.result * Ts_sms.Sms.swing Lazy.t ->
+  ?p_max:float ->
+  params:Ts_isa.Spmt_params.t ->
+  Ts_ddg.Ddg.t ->
+  Ts_tms.Tms.result
 
-val tms_ims : params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> Ts_tms.Tms.result
+val tms_ims :
+  ?ims:Ts_sms.Ims.result -> params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> Ts_tms.Tms.result
 
 (** {2 Cached simulations}
 

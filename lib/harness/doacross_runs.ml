@@ -12,12 +12,12 @@ type t = { sel : Ts_workload.Doacross.selected; loops : loop_data list }
 let compute_loop ~cfg ~params ~trip g =
   let warmup = Defaults.warmup in
   let sms = Cached.sms g in
-  let tms = Cached.tms_sweep ~params g in
+  let tms = Cached.tms_sweep ~sms ~params g in
   {
     g;
-    sms;
+    sms = fst sms;
     tms;
-    sim_sms = Cached.sim ~warmup cfg sms.Ts_sms.Sms.kernel ~trip;
+    sim_sms = Cached.sim ~warmup cfg (fst sms).Ts_sms.Sms.kernel ~trip;
     sim_tms = Cached.sim ~warmup cfg tms.Ts_tms.Tms.kernel ~trip;
     sim_single = Cached.sim_single ~warmup cfg g ~trip;
   }

@@ -30,12 +30,13 @@ let compute ?(ncores = [ 2; 4; 8; 16 ]) () =
       match first_loop ~where:"Scaling.compute" sel with
       | None -> []
       | Some g ->
-          let sms = (Cached.sms g).Ts_sms.Sms.kernel in
+          let with_swing = Cached.sms g in
+          let sms = (fst with_swing).Ts_sms.Sms.kernel in
           List.map
             (fun ncore ->
               let cfg = Ts_spmt.Config.with_ncore Ts_spmt.Config.default ncore in
               let params = cfg.Ts_spmt.Config.params in
-              let tms = Cached.tms_sweep ~params g in
+              let tms = Cached.tms_sweep ~sms:with_swing ~params g in
               let tk = tms.Ts_tms.Tms.kernel in
               let s_sms = Cached.sim ~warmup cfg sms ~trip in
               let s_tms = Cached.sim ~warmup cfg tk ~trip in
@@ -101,6 +102,7 @@ let compute_hetero ?(mixes = default_mixes) ?(policies = P.all) () =
       match first_loop ~where:"Scaling.compute_hetero" sel with
       | None -> []
       | Some g ->
+          let with_swing = Cached.sms g in
           List.concat_map
             (fun mix ->
               let params =
@@ -118,7 +120,7 @@ let compute_hetero ?(mixes = default_mixes) ?(policies = P.all) () =
                      cache keys on the effective params), then simulate
                      under the policy itself. *)
                   let eff = P.effective_params pol params in
-                  let tms = Cached.tms_sweep ~params:eff g in
+                  let tms = Cached.tms_sweep ~sms:with_swing ~params:eff g in
                   let k = tms.Ts_tms.Tms.kernel in
                   let cfg = Ts_spmt.Config.with_placement base_cfg pol in
                   let st = Cached.sim ~warmup cfg k ~trip in

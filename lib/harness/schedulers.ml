@@ -19,13 +19,14 @@ let compute ~cfg =
       match Scaling.first_loop ~where:"Schedulers.compute" sel with
       | None -> []
       | Some g ->
+      let sms = Cached.sms g and ims = Cached.ims g in
       let variants =
         [
-          ("sms", (Cached.sms g).Ts_sms.Sms.kernel);
-          ("ims", (Cached.ims g).Ts_sms.Ims.kernel);
-          ("ts-sms", (Cached.tms_sweep ~params g).Ts_tms.Tms.kernel);
-          ("ts-sms-c1", (Cached.tms ~p_max:1.0 ~params g).Ts_tms.Tms.kernel);
-          ("ts-ims", (Cached.tms_ims ~params g).Ts_tms.Tms.kernel);
+          ("sms", (fst sms).Ts_sms.Sms.kernel);
+          ("ims", ims.Ts_sms.Ims.kernel);
+          ("ts-sms", (Cached.tms_sweep ~sms ~params g).Ts_tms.Tms.kernel);
+          ("ts-sms-c1", (Cached.tms ~sms ~p_max:1.0 ~params g).Ts_tms.Tms.kernel);
+          ("ts-ims", (Cached.tms_ims ~ims ~params g).Ts_tms.Tms.kernel);
         ]
       in
       List.map

@@ -9,9 +9,9 @@ type loop_run = {
 type loop = { run : loop_run; sim_sms : Ts_spmt.Sim.stats; sim_tms : Ts_spmt.Sim.stats }
 
 let schedule_loop ?sms ~params g =
-  let sms = match sms with Some r -> r | None -> Cached.sms g in
-  let tms = Cached.tms_sweep ~params g in
-  { g; sms; tms }
+  let sms = match sms with Some s -> s | None -> Cached.sms g in
+  let tms = Cached.tms_sweep ~sms ~params g in
+  { g; sms = fst sms; tms }
 
 let compute ?limit ?(benches = Spec.benchmarks) ~cfg () =
   let params = cfg.Ts_spmt.Config.params in
@@ -22,13 +22,14 @@ let compute ?limit ?(benches = Spec.benchmarks) ~cfg () =
     ~label:string_of_int
     (fun (b : Spec.bench) i ->
       (* The generator's SMS probe is the loop's SMS: a probe that
-         accepts a draw records its result, which is then the accepted
-         loop's. Only the unprobed last-resort draw leaves it empty. *)
+         accepts a draw records its result and swing analysis, which are
+         then the accepted loop's. Only the unprobed last-resort draw
+         leaves them empty. *)
       let probed = ref None in
       let probe g =
-        let r = Cached.sms g in
-        probed := Some r;
-        r
+        let s = Cached.sms g in
+        probed := Some s;
+        fst s
       in
       let g = Spec.loop ~probe b i in
       let run = schedule_loop ?sms:!probed ~params g in

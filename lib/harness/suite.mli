@@ -15,10 +15,13 @@ type loop = {
 }
 
 val schedule_loop :
-  ?sms:Ts_sms.Sms.result -> params:Ts_isa.Spmt_params.t -> Ts_ddg.Ddg.t -> loop_run
-(** SMS plus the TMS [P_max] sweep on one loop. [sms], when given, is
-    the loop's SMS result already in hand (the generator's probe), and
-    {!Cached.sms} is not asked again. *)
+  ?sms:Ts_sms.Sms.result * Ts_sms.Sms.swing Lazy.t ->
+  params:Ts_isa.Spmt_params.t ->
+  Ts_ddg.Ddg.t ->
+  loop_run
+(** SMS plus the TMS [P_max] sweep on one loop, sharing one swing
+    analysis. [sms], when given, is the loop's {!Cached.sms} already in
+    hand (the generator's probe), and it is not asked again. *)
 
 val compute :
   ?limit:int ->

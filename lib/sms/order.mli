@@ -6,10 +6,11 @@
     that recurrence nodes — which have the least scheduling freedom — come
     first.
 
-    TMS reuses this order verbatim as its [Q_0] (Figure 3, line 3). *)
+    TMS reuses this order verbatim as its [Q_0] (Figure 3, line 3): one
+    {!Sms.swing} per loop builds it for both. *)
 
 type prio = {
-  asap : int array;  (** earliest start at the given II *)
+  asap : int array;  (** {!Ts_modsched.Sched.asap_table} at the given II *)
   alap : int array;  (** latest start at the given II *)
   mob : int array;  (** mobility: [alap - asap] *)
   height : int array;  (** latency height over distance-0 edges *)
@@ -26,16 +27,13 @@ val partition : Ts_ddg.Ddg.t -> int list list
     it to the already-covered sets, then all remaining nodes. The sets are
     disjoint and cover the graph. *)
 
-val compute : Ts_ddg.Ddg.t -> ii:int -> int list
+val compute_with_dirs :
+  Ts_ddg.Ddg.t -> ii:int -> (int * Ts_modsched.Sched.direction) list
 (** Step 2: the full node order, alternating bottom-up (highest depth
     first, extending through predecessors) and top-down (highest height
     first, extending through successors) sweeps inside each set. Ties are
-    broken by lower mobility, then lower node id. *)
-
-val compute_with_dirs :
-  Ts_ddg.Ddg.t -> ii:int -> (int * Ts_modsched.Sched.direction) list
-(** Like {!compute}, also reporting for each node the direction of the
-    sweep that emitted it: nodes found bottom-up should be placed as late
-    as possible ([Down]), nodes found top-down as early as possible
-    ([Up]). The scheduling phase feeds this to
+    broken by lower mobility, then lower node id. Each node comes with
+    the direction of the sweep that emitted it: nodes found bottom-up
+    should be placed as late as possible ([Down]), nodes found top-down
+    as early as possible ([Up]). The scheduling phase feeds this to
     {!Ts_modsched.Sched.window}. *)

@@ -40,14 +40,20 @@ let phase_span trace name f =
     Fun.protect ~finally:(fun () -> Trace.end_span trace ~ts:(Trace.tick trace) name) f
   end
 
-let schedule ?(trace = Trace.null) ?max_ii g =
-  Ts_obs.Prof.span "sms.schedule" @@ fun () ->
+type swing = { mii : int; order : (int * Ts_modsched.Sched.direction) list }
+
+let swing g =
   let mii = Ts_ddg.Mii.mii g in
+  { mii; order = Order.compute_with_dirs g ~ii:mii }
+
+let schedule ?(trace = Trace.null) ?max_ii ?swing:given g =
+  Ts_obs.Prof.span "sms.schedule" @@ fun () ->
+  let { mii; order } =
+    phase_span trace "sms.order" (fun () ->
+        match given with Some s -> Lazy.force s | None -> swing g)
+  in
   let max_ii =
     match max_ii with Some m -> m | None -> Ts_ddg.Mii.ii_upper_bound g
-  in
-  let order =
-    phase_span trace "sms.order" (fun () -> Order.compute_with_dirs g ~ii:mii)
   in
   let rec go ii attempts =
     if ii > max_ii then

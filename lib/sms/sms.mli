@@ -1,7 +1,7 @@
 (** Swing modulo scheduling (the paper's baseline).
 
     For each candidate II starting at MII, walk the nodes in the
-    {!Order.compute} order and place each at the first resource-feasible
+    {!Order.compute_with_dirs} order (the {!swing} analysis) and place each at the first resource-feasible
     cycle of its scheduling window ({!Ts_modsched.Sched.window}) — the
     "lifetime-minimal" strategy whose inter-thread behaviour TMS improves.
     If any node cannot be placed the II is increased and the schedule
@@ -18,8 +18,20 @@ exception No_schedule of string
     malformed machine/loop pair; cannot happen for loops our generators
     emit). *)
 
-val schedule : ?trace:Ts_obs.Trace.t -> ?max_ii:int -> Ts_ddg.Ddg.t -> result
+type swing = { mii : int; order : (int * Ts_modsched.Sched.direction) list }
+(** The swing analysis: MII and {!Order.compute_with_dirs} at it. TMS
+    takes the same order as its [Q_0] (Figure 3, line 3). *)
+
+val swing : Ts_ddg.Ddg.t -> swing
+(** The one function SMS and TMS build the analysis with. *)
+
+val schedule :
+  ?trace:Ts_obs.Trace.t -> ?max_ii:int -> ?swing:swing Lazy.t -> Ts_ddg.Ddg.t -> result
 (** Schedule a loop. [max_ii] defaults to {!Ts_ddg.Mii.ii_upper_bound}.
+
+    [swing] is [lazy (swing g)], shared with {!Ts_tms.Tms.schedule} so
+    that the loop builds it once; it changes no result. It is forced on
+    the calling domain; two domains must not force it at once.
 
     [trace] (default {!Ts_obs.Trace.null}) receives ["sms.order"] and
     ["sms.placement"] phase spans on the tracer's logical clock, plus one
@@ -31,6 +43,6 @@ val try_ii :
   ii:int ->
   order:(int * Ts_modsched.Sched.direction) list ->
   Ts_modsched.Kernel.t option
-(** One SMS attempt at a fixed II with a precomputed order (exposed for
-    TMS, which wraps the same inner loop with extra admission checks, and
-    for tests). *)
+(** One SMS attempt at a fixed II with a precomputed order, exposed for
+    tests. {!Ts_tms.Tms.try_schedule} is the same inner loop with the
+    C1/C2 admission checks. *)

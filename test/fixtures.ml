@@ -87,3 +87,10 @@ let c2_loops () =
         { Ts_workload.Gen.default_profile with
           n_inst = 10 + (3 * i); mem_dep_rate = 1.0; mem_prob = (0.02, 0.3);
           mem_rec = i mod 2 = 0 })
+
+(* A TMS result field by field, its kernel as (II, issue times): kernels
+   hold the machine's closures, so [=] cannot compare them whole. *)
+let tms_fields (r : Ts_tms.Tms.result) =
+  ( (r.kernel.ii, r.kernel.time),
+    (r.mii, r.c_delay_threshold, r.achieved_c_delay, r.p_max),
+    (r.misspec, r.f_min, r.attempts, r.fell_back) )

@@ -38,14 +38,14 @@ let test_partition_priority () =
 
 let test_order_is_permutation () =
   let g = Fixtures.motivating () in
-  let order = Ts_sms.Order.compute g ~ii:8 in
+  let order = List.map fst (Ts_sms.Order.compute_with_dirs g ~ii:8) in
   Alcotest.(check (list int)) "permutation"
     (List.init (Ts_ddg.Ddg.n_nodes g) Fun.id)
     (List.sort compare order)
 
 let test_order_recurrence_first () =
   let g = Fixtures.motivating () in
-  match Ts_sms.Order.compute g ~ii:8 with
+  match List.map fst (Ts_sms.Order.compute_with_dirs g ~ii:8) with
   | first :: _ -> check_int "starts inside the critical SCC (n5)" 5 first
   | [] -> Alcotest.fail "empty order"
 
@@ -56,7 +56,7 @@ let test_order_neighbourhood_property () =
      already-ordered neighbour -> the order never strands a connected
      node. *)
   let g = Fixtures.motivating () in
-  let order = Ts_sms.Order.compute g ~ii:8 in
+  let order = List.map fst (Ts_sms.Order.compute_with_dirs g ~ii:8) in
   let seen = Hashtbl.create 16 in
   List.iteri
     (fun i v ->
@@ -130,7 +130,32 @@ let prop_order_deterministic =
     Fixtures.arb_loop (fun arb ->
       let g = Fixtures.loop_of_arb arb in
       let ii = Ts_ddg.Mii.mii g in
-      Ts_sms.Order.compute g ~ii = Ts_sms.Order.compute g ~ii)
+      Ts_sms.Order.compute_with_dirs g ~ii = Ts_sms.Order.compute_with_dirs g ~ii)
+
+(* The array [Order] against the list-based reference it replaced: the
+   partition, and the priorities and the order at MII and above it. *)
+let same_as_ref g =
+  let mii = Ts_ddg.Mii.mii g in
+  Ts_sms.Order.partition g = Ref_order.partition g
+  && List.for_all
+       (fun ii ->
+         Ts_sms.Order.priorities g ~ii = Ref_order.priorities g ~ii
+         && Ts_sms.Order.compute_with_dirs g ~ii = Ref_order.compute_with_dirs g ~ii)
+       [ mii; mii + 1; mii + 5 ]
+
+let prop_order_matches_ref =
+  QCheck.Test.make ~count:100 ~name:"order = reference order"
+    Fixtures.arb_loop (fun arb -> same_as_ref (Fixtures.loop_of_arb arb))
+
+let test_order_matches_ref_fixtures () =
+  List.iter
+    (fun (g : Ts_ddg.Ddg.t) -> check_bool g.name true (same_as_ref g))
+    ([ Fixtures.chain 6; Fixtures.accumulator (); Fixtures.diamond ();
+       Fixtures.two_scc (); Fixtures.spec_loop (); Fixtures.motivating () ]
+    @ Fixtures.c2_loops ()
+    @ List.concat_map
+        (fun (s : Ts_workload.Doacross.selected) -> s.loops)
+        Ts_workload.Doacross.all)
 
 let suite =
   [
@@ -148,4 +173,7 @@ let suite =
     Alcotest.test_case "sms: try_ii at RecII" `Quick test_try_ii_below_mii;
     QCheck_alcotest.to_alcotest prop_sms_ii_at_least_mii;
     QCheck_alcotest.to_alcotest prop_order_deterministic;
+    QCheck_alcotest.to_alcotest prop_order_matches_ref;
+    Alcotest.test_case "order = reference order (fixtures, DOACROSS)" `Quick
+      test_order_matches_ref_fixtures;
   ]

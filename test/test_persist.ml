@@ -176,7 +176,7 @@ let test_cached_cold_warm_uncached_equal () =
       Cached.set_store None;
       let run () =
         let tms = Cached.tms_sweep ~params g in
-        let sms = Cached.sms g in
+        let sms = fst (Cached.sms g) in
         ( k_plain tms.Ts_tms.Tms.kernel,
           k_plain sms.Ts_sms.Sms.kernel,
           Cached.sim ~warmup:64 cfg tms.Ts_tms.Tms.kernel ~trip:256 )
@@ -188,6 +188,37 @@ let test_cached_cold_warm_uncached_equal () =
           let warm = run () in
           check_bool "cold = uncached" true (cold = uncached);
           check_bool "warm = uncached" true (warm = uncached)))
+
+(* The swing analysis is built only on a miss. On a store that a cold
+   pass filled, a second pass hits SMS and the TMS sweep, so the lazy
+   analysis [Cached.sms] hands out is never forced: the warm
+   path builds no order. The cold pass forces its own once, shared by
+   SMS and TMS. *)
+let test_cached_warm_builds_no_swing () =
+  let g, _cfg, params, _ = sim_setup () in
+  let saved = Cached.get_store () in
+  Fun.protect
+    ~finally:(fun () -> Cached.set_store saved)
+    (fun () ->
+      with_store (fun s ->
+          Cached.set_store (Some s);
+          let ((_, cold_swing) as cold_sms) = Cached.sms g in
+          check_bool "a cold SMS builds the analysis" true (Lazy.is_val cold_swing);
+          let cold = Ts_harness.Suite.schedule_loop ~sms:cold_sms ~params g in
+          let count name = Ts_obs.Metrics.(counter_value (counter default name)) in
+          let runs () = (count "sms.schedules", count "tms.schedules") in
+          let before = runs () in
+          let warm_sms = Cached.sms g in
+          let warm = Ts_harness.Suite.schedule_loop ~sms:warm_sms ~params g in
+          check_bool "warm: no analysis" false (Lazy.is_val (snd warm_sms));
+          let unprobed = Ts_harness.Suite.schedule_loop ~params g in
+          check_bool "warm: no SMS, no TMS" true (runs () = before);
+          check_bool "warm = cold" true
+            (List.for_all
+               (fun (r : Ts_harness.Suite.loop_run) ->
+                 k_plain r.sms.kernel = k_plain cold.sms.kernel
+                 && Fixtures.tms_fields r.tms = Fixtures.tms_fields cold.tms)
+               [ warm; unprobed ])))
 
 let test_cached_reconstruction_guard () =
   (* A stored schedule that no longer fits its loop (here: a kernel for a
@@ -457,6 +488,8 @@ let suite =
       test_old_store_still_hits;
     Alcotest.test_case "cached: cold = warm = uncached" `Quick
       test_cached_cold_warm_uncached_equal;
+    Alcotest.test_case "cached: warm run builds no swing analysis" `Quick
+      test_cached_warm_builds_no_swing;
     Alcotest.test_case "cached: bad entry recomputed" `Quick
       test_cached_reconstruction_guard;
     Alcotest.test_case "cached: SMS rejections are stored" `Quick

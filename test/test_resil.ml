@@ -408,17 +408,17 @@ let test_cached_reconstruct_fault () =
   with_store (fun s ->
       Ts_harness.Cached.set_store (Some s);
       let g = Ts_workload.Motivating.ddg () in
-      let first = Ts_harness.Cached.sms g in
+      let first = fst (Ts_harness.Cached.sms g) in
       arm_ok "cached.reconstruct@1";
       let r0 = cval "persist.reconstruct_failed" in
-      let second = Ts_harness.Cached.sms g in
+      let second = fst (Ts_harness.Cached.sms g) in
       check_int "reconstruction failure counted" 1
         (cval "persist.reconstruct_failed" - r0);
       check_bool "recompute returns the same schedule" true
         (second.Ts_sms.Sms.kernel.Ts_modsched.Kernel.time
         = first.Ts_sms.Sms.kernel.Ts_modsched.Kernel.time);
       F.disarm ();
-      let third = Ts_harness.Cached.sms g in
+      let third = fst (Ts_harness.Cached.sms g) in
       check_bool "cache healed" true
         (third.Ts_sms.Sms.kernel.Ts_modsched.Kernel.time
         = first.Ts_sms.Sms.kernel.Ts_modsched.Kernel.time))

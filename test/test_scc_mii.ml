@@ -145,6 +145,45 @@ let prop_scc_partition =
       let all = List.concat comps |> List.sort compare in
       all = List.init (Ts_ddg.Ddg.n_nodes g) Fun.id)
 
+(* Bellman-Ford as it stood before its rounds followed the kept
+   subgraph: up to n + 1 rounds over every edge of the loop, by linear
+   search on II. *)
+let ref_rec_ii (g : Ts_ddg.Ddg.t) ~keep =
+  let n = Ts_ddg.Ddg.n_nodes g in
+  let feasible ii =
+    let dist = Array.make n 0 in
+    let rec round k =
+      let changed = ref false in
+      Array.iter
+        (fun (e : Ts_ddg.Ddg.edge) ->
+          let w = Ts_ddg.Ddg.latency g e.src - (ii * e.distance) in
+          if keep e && dist.(e.src) + w > dist.(e.dst) then begin
+            dist.(e.dst) <- dist.(e.src) + w;
+            changed := true
+          end)
+        g.edges;
+      (not !changed) || (k <= n && round (k + 1))
+    in
+    round 1
+  in
+  let rec first ii = if feasible ii then ii else first (ii + 1) in
+  first 0
+
+let prop_rec_ii_bounded_rounds =
+  QCheck.Test.make ~count:100
+    ~name:"rec_ii, reg_rec_ii, per-SCC rec_ii = the n + 1 round reference"
+    Fixtures.arb_loop (fun arb ->
+      let g = Fixtures.loop_of_arb arb in
+      Ts_ddg.Mii.rec_ii g = ref_rec_ii g ~keep:(fun _ -> true)
+      && Ts_ddg.Mii.reg_rec_ii g
+         = ref_rec_ii g ~keep:(fun e -> e.Ts_ddg.Ddg.kind = Ts_ddg.Ddg.Reg)
+      && List.for_all
+           (fun c ->
+             Ts_ddg.Mii.rec_ii_of_nodes g c
+             = ref_rec_ii g ~keep:(fun (e : Ts_ddg.Ddg.edge) ->
+                   List.mem e.src c && List.mem e.dst c))
+           (Ts_ddg.Scc.non_trivial g))
+
 let suite =
   [
     Alcotest.test_case "scc: chain is trivial" `Quick test_scc_chain;
@@ -169,4 +208,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mii_bounds;
     QCheck_alcotest.to_alcotest prop_feasible_monotone;
     QCheck_alcotest.to_alcotest prop_scc_partition;
+    QCheck_alcotest.to_alcotest prop_rec_ii_bounded_rounds;
   ]

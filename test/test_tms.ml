@@ -96,19 +96,88 @@ let test_sweep_picks_lowest_cost () =
   in
   List.iter (fun r -> check_bool "sweep minimal" true (cost best <= cost r)) rs
 
-let test_fallback_on_impossible () =
-  (* a probability-1 memory recurrence with P_max 0 that no register sync
-     can preserve within the tiny grid: TMS must fall back to SMS *)
+(* A probability-1 memory recurrence that no register sync can
+   preserve. *)
+let impossible () =
   let b = Ts_ddg.Ddg.Builder.create Ts_isa.Machine.spmt_core in
   let st = Ts_ddg.Ddg.Builder.add b Ts_isa.Opcode.Store in
   let ld = Ts_ddg.Ddg.Builder.add b Ts_isa.Opcode.Load in
   Ts_ddg.Ddg.Builder.dep b ld st;
   Ts_ddg.Ddg.Builder.mem_dep b ~dist:1 ~prob:1.0 st ld;
-  let g = Ts_ddg.Ddg.Builder.build b in
+  Ts_ddg.Ddg.Builder.build b
+
+let test_fallback_on_impossible () =
+  (* with P_max 0 nothing preserves it within the tiny grid: TMS must
+     fall back to SMS *)
+  let g = impossible () in
   let r = Ts_tms.Tms.schedule ~p_max:0.0 ~params g in
   check_bool "fell back or preserved" true
     (r.Ts_tms.Tms.fell_back || r.Ts_tms.Tms.misspec = 0.0);
   K.validate r.Ts_tms.Tms.kernel
+
+(* TMS given the loop's SMS result and swing analysis returns what it
+   returns deriving them itself, field by field, attempts included: the
+   sweep with the analysis SMS already forced, single searches with an
+   unforced one that TMS forces. [None] when SMS rejects the loop. *)
+let same_given_sms g =
+  let shared = lazy (Ts_sms.Sms.swing g) in
+  match Ts_sms.Sms.schedule ~swing:shared g with
+  | exception Ts_sms.Sms.No_schedule _ -> None
+  | sms ->
+      let same a b = Fixtures.tms_fields a = Fixtures.tms_fields b in
+      Some
+        (List.for_all
+           (fun params ->
+             same
+               (Ts_tms.Tms.schedule_sweep ~sms:(sms, shared) ~params g)
+               (Ts_tms.Tms.schedule_sweep ~params g)
+             && List.for_all
+                  (fun p_max ->
+                    same
+                      (Ts_tms.Tms.schedule
+                         ~sms:(sms, lazy (Ts_sms.Sms.swing g))
+                         ~p_max ~params g)
+                      (Ts_tms.Tms.schedule ~p_max ~params g))
+                  [ 0.0; 0.25 ])
+           [ params; two_core ])
+
+let prop_tms_given_sms_same =
+  QCheck.Test.make ~count:30 ~name:"TMS given the SMS result = TMS alone"
+    Fixtures.arb_loop (fun arb ->
+      match same_given_sms (Fixtures.loop_of_arb arb) with
+      | None -> QCheck.assume_fail ()
+      | Some same -> same)
+
+(* A store that every later iteration's load depends on with
+   probability 1, carried by memory alone: no register dependence can
+   preserve it, so no grid point passes C2 at P_max 0. *)
+let doomed () =
+  let b = Ts_ddg.Ddg.Builder.create Ts_isa.Machine.spmt_core in
+  let st = Ts_ddg.Ddg.Builder.add b Ts_isa.Opcode.Store in
+  let ld = Ts_ddg.Ddg.Builder.add b Ts_isa.Opcode.Load in
+  Ts_ddg.Ddg.Builder.mem_dep b ~dist:0 ~prob:1.0 st ld;
+  Ts_ddg.Ddg.Builder.mem_dep b ~dist:1 ~prob:1.0 st ld;
+  Ts_ddg.Ddg.Builder.build b
+
+(* On the fixtures, and on a loop whose grid is exhausted: the fallback
+   returns the given SMS kernel and runs no SMS. *)
+let test_tms_given_sms_fixtures () =
+  List.iter
+    (fun (g : Ts_ddg.Ddg.t) ->
+      check_bool g.name true (same_given_sms g = Some true))
+    ([ Fixtures.chain 6; Fixtures.accumulator (); Fixtures.diamond ();
+       Fixtures.two_scc (); Fixtures.spec_loop (); Fixtures.motivating ();
+       impossible (); doomed () ]
+    @ Fixtures.c2_loops ());
+  let g = doomed () in
+  let swing = lazy (Ts_sms.Sms.swing g) in
+  let sms = Ts_sms.Sms.schedule ~swing g in
+  let runs () = Ts_obs.Metrics.(counter_value (counter default "sms.schedules")) in
+  let before = runs () in
+  let r = Ts_tms.Tms.schedule ~sms:(sms, swing) ~p_max:0.0 ~params g in
+  check_bool "fell back" true r.Ts_tms.Tms.fell_back;
+  check_bool "the given kernel" true (r.Ts_tms.Tms.kernel == sms.Ts_sms.Sms.kernel);
+  check_int "no SMS run" before (runs ())
 
 let prop_tms_valid_and_bounded =
   QCheck.Test.make ~count:25 ~name:"TMS kernels valid; II >= MII; C1 respected"
@@ -418,6 +487,9 @@ let suite =
     Alcotest.test_case "fallback on impossible constraints" `Quick
       test_fallback_on_impossible;
     QCheck_alcotest.to_alcotest prop_tms_valid_and_bounded;
+    QCheck_alcotest.to_alcotest prop_tms_given_sms_same;
+    Alcotest.test_case "given the SMS result: same result, no SMS rerun" `Quick
+      test_tms_given_sms_fixtures;
     Alcotest.test_case "IMS eviction cannot break C1/C2 claims" `Quick
       test_ims_eviction_keeps_claims;
     Alcotest.test_case "DOACROSS loops: C_delay regression" `Slow
