@@ -363,20 +363,35 @@ let c1_boundary_selftest ~c_reg_com (k : K.t) =
                (Ts_ddg.Ddg.node g v).name s_max (s_max - 1))
       | true, false -> None)
 
-(* Two simulations: the realistic configuration exercises the runtime
-   invariants (including the cache/MDT reference mirroring) and runs the
-   steady-state fast path beside the checked exact engine, which must
-   agree on every stats field; a uniform-memory configuration — every
-   access at the L1 hit cost — is compared against the analytic cost
-   model, which knows nothing about cache misses. With memory flattened
-   the model's median error is zero and its worst observed ratio stays
-   under 2x either way, so the multiplicative band below has real
-   teeth. *)
+(* The big.LITTLE ring under the two placements whose period differs from
+   round-robin's: [Locality] weights fast cores (period 6), [Sync_aware]
+   uses the fast tier only (period 2). *)
+let hetero_cfgs (sim_cfg : Ts_spmt.Config.t) =
+  match Ts_isa.Spmt_params.mix_of_string "2fast+2slow" with
+  | Error e -> invalid_arg e
+  | Ok mix ->
+      let params = Ts_isa.Spmt_params.apply_mix sim_cfg.params mix in
+      List.map
+        (Ts_spmt.Config.with_placement { sim_cfg with params })
+        [ Ts_isa.Placement.Locality; Ts_isa.Placement.Sync_aware ]
+
+(* Simulations: the realistic configuration, and the same kernel on
+   [hetero_cfgs], exercise the runtime invariants (including the
+   cache/MDT reference mirroring) and run the steady-state fast path
+   beside the checked exact engine, which must agree on every stats
+   field; a uniform-memory configuration — every access at the L1 hit
+   cost — is compared against the analytic cost model, which knows
+   nothing about cache misses. With memory flattened the model's median
+   error is zero and its worst observed ratio stays under 2x either way,
+   so the multiplicative band below has real teeth. *)
 let sim_band cfg sim_cfg (params : Ts_isa.Spmt_params.t) (k : K.t) =
-  let (_ : Ts_spmt.Sim.stats) =
-    Ts_spmt.Sim.run ~warmup:cfg.warmup ~fast:true ~check:true sim_cfg k
-      ~trip:cfg.trip
-  in
+  List.iter
+    (fun c ->
+      ignore
+        (Ts_spmt.Sim.run ~warmup:cfg.warmup ~fast:true ~check:true c k
+           ~trip:cfg.trip
+          : Ts_spmt.Sim.stats))
+    (sim_cfg :: hetero_cfgs sim_cfg);
   let flat_cfg =
     { sim_cfg with l2_hit = sim_cfg.Ts_spmt.Config.l1_hit; mem_latency = sim_cfg.l1_hit }
   in
@@ -400,6 +415,41 @@ let sim_band cfg sim_cfg (params : Ts_isa.Spmt_params.t) (k : K.t) =
          stats.Ts_spmt.Sim.cycles cfg.trip est lo hi cfg.tol_rel cfg.tol_abs
          cfg.tol_rel cfg.tol_abs)
   else None
+
+(* [sim_band]'s heterogeneous runs cross-check the fast path only where it
+   engages, and a window that ignores the placement period never does
+   (thread timings on slow and fast cores differ, so its windows never
+   repeat): every [hetero_cfgs] placement must extrapolate some threads of
+   the first fuzz loops, each run 1,000 iterations after a 64-iteration
+   warmup. *)
+let check_fast_path_live () =
+  let extrapolated () =
+    Ts_obs.Metrics.counter_value
+      (Ts_obs.Metrics.counter Ts_obs.Metrics.default
+         "sim.fastpath.extrapolated_threads")
+  in
+  let kernels =
+    List.filter_map
+      (fun seed ->
+        try Some (Ts_sms.Sms.schedule (loop_for_seed seed)).kernel
+        with Ts_sms.Sms.No_schedule _ -> None)
+      (List.init 8 Fun.id)
+  in
+  List.find_map
+    (fun (c : Ts_spmt.Config.t) ->
+      let x0 = extrapolated () in
+      List.iter
+        (fun k -> ignore (Ts_spmt.Sim.run ~warmup:64 ~fast:true c k ~trip:1000))
+        kernels;
+      if extrapolated () > x0 then None
+      else
+        Some
+          (Printf.sprintf
+             "the fast path extrapolated no thread of %d fuzz loops on \
+              2fast+2slow under %s placement"
+             (List.length kernels)
+             (Ts_isa.Placement.policy_to_string c.placement)))
+    (hetero_cfgs Ts_spmt.Config.default)
 
 let test_loop cfg point g =
   let params =
@@ -554,7 +604,9 @@ let shrink ?(budget = 150) still_fails g0 =
   !cur
 
 let run ?jobs ?(log = ignore) cfg =
-  log "phase 0: reference-model differential streams (mdt, cache, mrt)";
+  log
+    "phase 0: reference-model differential streams (mdt, cache, mrt), \
+     fast-path liveness";
   let unit_failure subject = function
     | Some reason -> Some { seed = -1; subject; point = None; reason; ddg = None }
     | None -> None
@@ -565,6 +617,7 @@ let run ?jobs ?(log = ignore) cfg =
         unit_failure "mdt-model" (check_mdt_model ~rounds:cfg.unit_rounds);
         unit_failure "cache-model" (check_cache_model ~rounds:cfg.unit_rounds);
         unit_failure "mrt-model" (check_mrt_model ~rounds:cfg.unit_rounds);
+        unit_failure "fast-path" (check_fast_path_live ());
       ]
   with
   | Some _ as f -> f

@@ -23,13 +23,20 @@ let m_degraded =
    offset there: a chunk read from a pack, or the marshalled string this
    handle stored. [scanned] maps a pack's file name to the offset its
    scan has consumed; this handle's own packs and packs whose header
-   failed to parse sit at [max_int] and are never read again. One lock
-   guards both tables and [out]. *)
+   failed to parse sit at [max_int] and are never read again. [sizes]
+   maps each other pack the last listing read, and still scans, to the
+   size it read,
+   and [listed_mtime] is the packs directory's mtime just before the
+   last listing, taken at [listed_at] (see [stale]). One lock guards
+   every mutable field. *)
 type t = {
   root : string;
   lock : Mutex.t;
   index : (string, string * int) Hashtbl.t;
   scanned : (string, int) Hashtbl.t;
+  sizes : (string, int) Hashtbl.t;
+  mutable listed_mtime : float;
+  mutable listed_at : float;
   mutable loaded : bool;
   mutable out : out_channel option;
 }
@@ -59,6 +66,9 @@ let open_store ~dir =
     lock = Mutex.create ();
     index = Hashtbl.create 4096;
     scanned = Hashtbl.create 8;
+    sizes = Hashtbl.create 8;
+    listed_mtime = nan;
+    listed_at = 0.0;
     loaded = false;
     out = None;
   }
@@ -130,17 +140,17 @@ let index_chunk t chunk ~base =
   in
   go 0
 
-(* The bytes of [path] from offset [from] on. *)
+(* The size of [path] and its bytes from offset [from] on. *)
 let read_tail path ~from =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let size = in_channel_length ic in
-      if size <= from then ""
+      if size <= from then (size, "")
       else begin
         seek_in ic from;
-        really_input_string ic (size - from)
+        (size, really_input_string ic (size - from))
       end)
 
 (* Index whatever other writers appended since the last refresh: packs
@@ -149,17 +159,46 @@ let read_tail path ~from =
 let refresh t =
   t.loaded <- true;
   let pdir = packs_dir t in
+  t.listed_at <- Unix.gettimeofday ();
+  t.listed_mtime <- (try (Unix.stat pdir).st_mtime with Unix.Unix_error _ -> nan);
   let names = try Sys.readdir pdir with Sys_error _ -> [||] in
   Array.sort compare names;
+  Hashtbl.reset t.sizes;
   Array.iter
     (fun name ->
       let from = Option.value (Hashtbl.find_opt t.scanned name) ~default:0 in
       if from < max_int then
         match read_tail (Filename.concat pdir name) ~from with
-        | "" -> ()
-        | chunk -> Hashtbl.replace t.scanned name (index_chunk t chunk ~base:from)
+        | size, chunk ->
+            let upto =
+              if chunk = "" then from else index_chunk t chunk ~base:from
+            in
+            Hashtbl.replace t.scanned name upto;
+            if upto < max_int then Hashtbl.replace t.sizes name size
         | exception (Sys_error _ | End_of_file) -> ())
     names
+
+(* Whether [refresh] could find anything new: the packs directory changed
+   since the last listing (a new pack), or a pack being scanned changed
+   size. File-system timestamps are coarse, so a pack created in the same
+   tick as the listing leaves the mtime as it was: a listing taken within
+   a second of the directory's last change proves nothing. Caller holds
+   [t.lock]. *)
+let stale t =
+  let pdir = packs_dir t in
+  match (Unix.stat pdir).st_mtime with
+  | exception Unix.Unix_error _ -> true
+  | mtime ->
+      mtime <> t.listed_mtime
+      || t.listed_mtime >= t.listed_at -. 1.0
+      || Hashtbl.fold
+           (fun name size acc ->
+             acc
+             ||
+             match (Unix.stat (Filename.concat pdir name)).st_size with
+             | s -> s <> size
+             | exception Unix.Unix_error _ -> true)
+           t.sizes false
 
 (* Every failure mode — injected read fault, unreadable pack, payload
    that does not unmarshal — is a miss; a cache must never take the
@@ -172,7 +211,7 @@ let find (type a) t ~key : a option =
         let fresh = not t.loaded in
         if fresh then refresh t;
         match Hashtbl.find_opt t.index key with
-        | None when not fresh ->
+        | None when (not fresh) && stale t ->
             refresh t;
             Hashtbl.find_opt t.index key
         | r -> r)

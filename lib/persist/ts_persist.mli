@@ -23,7 +23,12 @@
     and offset; packs in name order, records in file order, a later
     record for a key replacing an earlier one), so a hit is a table
     lookup plus an unmarshal. A miss re-lists [packs/] and indexes what
-    other handles and processes appended since. Anything else under
+    other handles and processes appended since, but only when the
+    directory's mtime or a known pack's size has changed since the last
+    listing (a listing within a second of the directory's last change
+    is not trusted, since file-system timestamps are coarse); otherwise
+    it costs one [stat] per pack of another writer, plus one for
+    [packs/]. Anything else under
     [<dir>] (the [objects/] and [journals/] directories of older
     binaries) is ignored: a store written by an older binary reads
     cold once.

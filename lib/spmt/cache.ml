@@ -117,8 +117,10 @@ let reset_stats t =
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
+  (* [assoc] is a power of two: a mask, not a division per way *)
+  let mask = t.assoc - 1 in
   for i = 0 to Array.length t.lru - 1 do
-    Array.unsafe_set t.lru i (i mod t.assoc)
+    Array.unsafe_set t.lru i (i land mask)
   done;
   t.hits <- 0;
   t.misses <- 0

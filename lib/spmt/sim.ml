@@ -140,7 +140,8 @@ type arena = {
   mutable h_finish : int array;
   wb : wb;
   (* reusable stateful models *)
-  mutable cache_geom : int * int * int * int * int * int;
+  mutable l1_geom : int * int * int * int; (* ncore, size, assoc, line *)
+  mutable l2_geom : int * int * int;
   mutable l1 : Cache.t array;
   mutable l2 : Cache.t;
   mdt : Mdt.t;
@@ -192,7 +193,8 @@ let arena_create () =
     h_issue = [||];
     h_finish = [||];
     wb = wb_create ();
-    cache_geom = (0, 0, 0, 0, 0, 0);
+    l1_geom = (0, 0, 0, 0);
+    l2_geom = (0, 0, 0);
     l1 = [||];
     l2 = Cache.create ~size:32 ~assoc:1 ~line:32;
     mdt = Mdt.create ~horizon:1;
@@ -355,19 +357,12 @@ let reject_legacy_trace_env () =
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-(* Round-robin placement on a homogeneous machine: the paper's
-   configuration, and the only one the fast path's steady-state
-   machinery (windows, residency) reasons about. *)
-let uniform_rr cfg =
-  cfg.Config.placement = Ts_isa.Placement.Round_robin
-  && not (Ts_isa.Spmt_params.heterogeneous cfg.Config.params)
-
 (* Whether a run takes the steady-state fast path (see [drive]): asked
-   for, on the [uniform_rr] configuration, untraced, unobserved, and with
-   no certain memory dependence. Every other run is the exact engine's,
+   for, untraced, unobserved, and with no certain memory dependence, on
+   any core mix and placement. Every other run is the exact engine's,
    and its profile span says so. *)
-let fast_path_ok ~fast ~trace ~observed cfg (g : Ts_ddg.Ddg.t) =
-  fast && uniform_rr cfg
+let fast_path_ok ~fast ~trace ~observed (g : Ts_ddg.Ddg.t) =
+  fast
   && (not (Trace.enabled trace))
   && (not observed)
   && not
@@ -426,7 +421,7 @@ type run = {
   n_coin : int; (* [a.coin_iters.(0 .. n_coin - 1)] *)
   analytic_mdt : bool;
   store_pv : int array; (* a store stream's address period, in threads *)
-  line_sets : (int * int list array) list Lazy.t;
+  line_sets : int list array Lazy.t; (* per core (see [line_sets]) *)
   core_free : int array; (* when each core's last thread committed *)
   lat_buf : int array; (* per-load cache latency of the current thread *)
   stall_buf : int array; (* 3n: a thread stalls at most once per node *)
@@ -565,22 +560,24 @@ let load_latency s ~core j v =
 (* ---- run setup ---- *)
 
 (* Caches: reuse the arena's allocation when the geometry matches
-   ([Cache.reset] restores the freshly-created state), else rebuild. *)
+   ([Cache.reset] restores the freshly-created state), else rebuild. The
+   shared L2 does not depend on the core count, so a sweep over machines
+   keeps it. *)
 let arena_caches a (cfg : Config.t) ncore =
-  let geom =
-    (ncore, cfg.l1_size, cfg.l1_assoc, cfg.l2_size, cfg.l2_assoc, cfg.line)
-  in
-  if a.cache_geom <> geom then begin
+  let l1_geom = (ncore, cfg.l1_size, cfg.l1_assoc, cfg.line) in
+  if a.l1_geom <> l1_geom then begin
     a.l1 <-
       Array.init ncore (fun _ ->
           Cache.create ~size:cfg.l1_size ~assoc:cfg.l1_assoc ~line:cfg.line);
+    a.l1_geom <- l1_geom
+  end
+  else Array.iter Cache.reset a.l1;
+  let l2_geom = (cfg.l2_size, cfg.l2_assoc, cfg.line) in
+  if a.l2_geom <> l2_geom then begin
     a.l2 <- Cache.create ~size:cfg.l2_size ~assoc:cfg.l2_assoc ~line:cfg.line;
-    a.cache_geom <- geom
+    a.l2_geom <- l2_geom
   end
-  else begin
-    Array.iter Cache.reset a.l1;
-    Cache.reset a.l2
-  end
+  else Cache.reset a.l2
 
 (* Per-consumer lists [ins.(v)] of [(src, kernel distance)] as CSR:
    consumer [v]'s entries are [off.(v) .. off.(v+1) - 1] of [src] and
@@ -690,29 +687,32 @@ let analytic_mdt_plan plan (g : Ts_ddg.Ddg.t) ~fast_ok ~n ~stores ~horizon =
     g.edges;
   (!ok, store_pv)
 
-(* Every L1 line each load's stream can touch, per (iteration mod ncore)
-   residue: the stream revisits addresses with period ws / gcd(stride,
-   ws), and a load's iterations on one core share a residue class. *)
-let line_sets plan (cfg : Config.t) ~ncore ~loads =
-  List.map
+(* Every L1 line the loads' streams can touch, per core: one address per
+   (core, line). Load [v]'s iteration [t] runs on core [seq.((t + stage v)
+   mod period)], and its stream revisits addresses with period [P_v = ws /
+   gcd(stride, ws)], so one joint period [lcm(P_v, period)] of iterations
+   meets every pair. A per-stream flag map over (core, line) dedups. *)
+let line_sets plan (k : K.t) ~line ~ncore ~seq ~loads =
+  let sets = Array.make ncore [] and period = Array.length seq in
+  Array.iter
     (fun v ->
       match Address_plan.stream plan ~node:v with
-      | None -> (v, Array.make ncore [])
+      | None -> ()
       | Some (base, stride, ws) ->
-          let pv = ws / gcd stride ws in
-          let l = pv * ncore / gcd pv ncore in
-          let per_res = Array.make ncore [] in
-          let seen = Hashtbl.create 64 in
-          for t = 0 to l - 1 do
+          let pv = ws / gcd stride ws and first = base / line in
+          let nl = ((base + ws - 1) / line) - first + 1 in
+          let seen = Bytes.make (ncore * nl) '\000' in
+          for t = 0 to (pv * period / gcd pv period) - 1 do
             let addr = base + (stride * t mod ws) in
-            let key = (t mod ncore, addr / cfg.line) in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.replace seen key ();
-              per_res.(t mod ncore) <- addr :: per_res.(t mod ncore)
+            let c = seq.((t + k.K.stage.(v)) mod period) in
+            let bit = (c * nl) + (addr / line) - first in
+            if Bytes.get seen bit = '\000' then begin
+              Bytes.set seen bit '\001';
+              sets.(c) <- addr :: sets.(c)
             end
-          done;
-          (v, per_res))
-    (Array.to_list loads)
+          done)
+    loads;
+  sets
 
 (* The trace's per-core track names and its ["sim.start"] marker. *)
 let trace_start s place ~trip =
@@ -732,19 +732,24 @@ let trace_start s place ~trip =
       @
       (* Only the non-paper machines announce their placement, so
          default-config trace goldens stay stable. *)
-      if uniform_rr s.cfg then []
+      if
+        s.cfg.placement = Ts_isa.Placement.Round_robin
+        && not (Ts_isa.Spmt_params.heterogeneous s.p)
+      then []
       else [ ("placement", J.Str (Ts_isa.Placement.describe place)) ])
 
 (* The fast path's detection windows, [a.win_len] threads long. A window is
-   a multiple of ncore threads (an offset must stay on one core across
-   windows), at least the history horizon (so matching windows cover
-   every lookback an extrapolated thread can make), and a multiple of 8
-   (the coarsest per-line iteration cadence of the address streams:
-   strides 4/8/16 on 32-byte lines touch a new line every 8/4/2
-   iterations, so streaming-phase miss patterns repeat per 8). *)
-let arena_windows a ~fast_ok ~ncore ~horizon =
+   a multiple of the placement period (an offset must stay on one core,
+   at one period position, across windows; a core's previous thread is
+   then at most a window back), at least the history horizon (so
+   matching windows cover every lookback an extrapolated thread can
+   make), and a multiple of 8 (the coarsest per-line iteration cadence of
+   the address streams: strides 4/8/16 on 32-byte lines touch a new line
+   every 8/4/2 iterations, so streaming-phase miss patterns repeat per
+   8). Round-robin's period is [ncore]. *)
+let arena_windows a ~fast_ok ~period ~horizon =
   let w_len =
-    let base = 8 * ncore / gcd 8 ncore in
+    let base = 8 * period / gcd 8 period in
     base * ((horizon + base - 1) / base)
   in
   if a.win_len <> w_len then begin
@@ -792,11 +797,12 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
      the slots [arena_scrub] wiped; re-wipe at the current width. *)
   Array.fill a.h_kind 0 (Array.length a.h_kind) 0;
   Mdt.clear a.mdt ~horizon:ncore;
-  arena_windows a ~fast_ok ~ncore ~horizon;
+  arena_windows a ~fast_ok ~period:place_period ~horizon;
   let window i = if fast_ok then a.windows.(i) else [||] in
   let analytic_mdt, store_pv =
     analytic_mdt_plan plan g ~fast_ok ~n ~stores ~horizon
   in
+  let place_seq = Ts_isa.Placement.seq place in
   let ref_cache size assoc = Ref.Cache.create ~size ~assoc ~line:cfg.line in
   let s =
     {
@@ -814,7 +820,7 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       a;
       plan;
       place_period;
-      place_seq = Ts_isa.Placement.seq place;
+      place_seq;
       core_width =
         Array.init ncore (fun i ->
             (Ts_isa.Spmt_params.core_desc p i).Ts_isa.Spmt_params.issue_width);
@@ -858,7 +864,8 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       n_coin = (if fast_ok then mark_coins a plan g ~total else 0);
       analytic_mdt;
       store_pv;
-      line_sets = lazy (line_sets plan cfg ~ncore ~loads);
+      line_sets =
+        lazy (line_sets plan k ~line:cfg.line ~ncore ~seq:place_seq ~loads);
       core_free = Array.make ncore 0;
       lat_buf = Array.make n 0;
       stall_buf = Array.make (3 * n) 0;
@@ -1407,10 +1414,16 @@ let record s j =
   r.r_squashed <- s.cur_squashed;
   r.r_coin <- coin_affects s j;
   r.r_nstalls <- s.cur_nstalls;
-  Array.blit s.stall_buf 0 r.r_stalls 0 (3 * s.cur_nstalls);
+  (* Typed loops, not [Array.blit]: a blit into a major-heap array goes
+     through [caml_modify] word by word. *)
+  for i = 0 to (3 * s.cur_nstalls) - 1 do
+    r.r_stalls.(i) <- s.stall_buf.(i)
+  done;
   let base = j mod s.horizon * s.n in
-  Array.blit a.h_finish base r.r_finish 0 s.n;
-  Array.blit a.h_issue base r.r_issue 0 s.n;
+  for v = 0 to s.n - 1 do
+    r.r_finish.(v) <- a.h_finish.(base + v);
+    r.r_issue.(v) <- a.h_issue.(base + v)
+  done;
   for i = 0 to Array.length s.loads - 1 do
     let v = s.loads.(i) in
     r.r_lats.(v) <- s.lat_buf.(v)
@@ -1549,21 +1562,11 @@ let rec all_resident l1 = function
   | [] -> true
   | addr :: rest -> Cache.probe l1 addr && all_resident l1 rest
 
-(* Does every line of [line_sets] probe resident in the L1 of the core
-   whose residue class it belongs to? Allocates nothing. *)
-let rec resident s = function
-  | [] -> true
-  | (v, per_res) :: rest ->
-      let ncore = s.p.ncore and stage = s.k.K.stage.(v) in
-      let ok = ref true in
-      for c = 0 to ncore - 1 do
-        let rr = (((c - stage) mod ncore) + ncore) mod ncore in
-        if !ok then ok := all_resident s.a.l1.(c) per_res.(rr)
-      done;
-      !ok && resident s rest
-
+(* Every line of [line_sets] probes resident in its core's L1. *)
 let try_allhit s next =
-  if no_coins_from s next && s.sig_allhit && resident s (Lazy.force s.line_sets)
+  if
+    no_coins_from s next && s.sig_allhit
+    && Array.for_all2 all_resident s.a.l1 (Lazy.force s.line_sets)
   then s.allhit <- true
 
 (* Replay an extrapolation candidate's loads against the real caches, in
@@ -1736,6 +1739,7 @@ module Stage = struct
   let stall_breakdown = stall_breakdown
   let l1 s c = s.a.l1.(c)
   let l2 s = s.a.l2
+  let line_sets s = Lazy.force s.line_sets
 
   let wb_peak steps =
     let w = wb_create () in
@@ -1791,7 +1795,7 @@ let m_ns_per_cycle =
 let timed_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace
     ~trace_pid ~fast cfg (k : K.t) ~trip =
   let fast_ok =
-    fast_path_ok ~fast ~trace ~observed:(Option.is_some observe) cfg k.K.g
+    fast_path_ok ~fast ~trace ~observed:(Option.is_some observe) k.K.g
   in
   Ts_obs.Prof.span (if fast_ok then "sim.run.fast" else "sim.run.exact")
   @@ fun () ->

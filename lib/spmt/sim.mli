@@ -121,13 +121,13 @@ val run :
     deviation — a latency mismatch, a probabilistic-dependence coin, a
     squash — drops back to exact execution, so the returned stats are
     identical to a [fast:false] run. When the signature is pure L1 hits
-    and every line the load streams can touch probes resident, even the
-    cache replay is elided. The fast path quietly disables itself under
-    [trace]/[observe] (which need every thread), for always-realised
-    memory dependences, and off the uniform round-robin machine (a
-    heterogeneous core mix or a non-round-robin {!Config.placement}): the
-    detection windows and residency arguments all assume thread [j] runs
-    on core [j mod ncore] at unit speed. Combining [fast] with [check]
+    and every line the load streams can touch probes resident in the L1
+    of each core that will run them, even the cache replay is elided. It
+    serves every core mix and {!Config.placement}: a window is a multiple
+    of the placement period, so a window offset keeps its core from
+    window to window. The fast path quietly disables itself under
+    [trace]/[observe] (which need every thread) and for always-realised
+    memory dependences. Combining [fast] with [check]
     runs {e both} paths on the same address plan and raises
     {!Ts_check.Invariant.Check_failed} on any stats field divergence.
     Engagement, extrapolation and mismatch counters land on
@@ -183,6 +183,10 @@ module Stage : sig
   val stall_breakdown : t -> ((int * int) * int) list
   val l1 : t -> int -> Cache.t
   val l2 : t -> Cache.t
+
+  val line_sets : t -> int list array
+  (** Per core, one address of every L1 line the loads' streams can touch
+      on it: what the fast path probes before eliding the cache replay. *)
 
   val wb_peak : (int * (int * int) list) list -> int
   (** The write-buffer event sweep alone: each step [(upto, entries)]

@@ -329,6 +329,27 @@ let test_two_handles () =
       P.store a ~key:k2 "two";
       check_bool "b finds the pack's new tail" true (P.find b ~key:k2 = Some "two"))
 
+(* The same, once the store has been still for longer than the second a
+   listing is not trusted: a miss then re-lists only because a new pack
+   changed the directory's mtime, or because a known pack grew. *)
+let test_two_handles_settled () =
+  with_store (fun a ->
+      let b = P.open_store ~dir:(P.dir a) in
+      P.store a ~key:(P.digest_hex "settled-0") "zero";
+      let k1 = P.digest_hex "settled-1" and k2 = P.digest_hex "settled-2" in
+      check_bool "b misses before a stores" true
+        ((P.find b ~key:k1 : string option) = None);
+      Unix.sleepf 1.1;
+      check_bool "b misses on a settled store" true
+        ((P.find b ~key:k1 : string option) = None);
+      P.store a ~key:k1 "one";
+      check_bool "b finds a's grown pack" true (P.find b ~key:k1 = Some "one");
+      let c = P.open_store ~dir:(P.dir a) in
+      Unix.sleepf 1.1;
+      check_bool "b misses again" true ((P.find b ~key:k2 : string option) = None);
+      P.store c ~key:k2 "two";
+      check_bool "b finds c's new pack" true (P.find b ~key:k2 = Some "two"))
+
 (* 4 domains store and find on one handle: each finds its own entry right
    after storing it, and a neighbour's entry either absent or whole. *)
 let test_concurrent_store_and_find () =
@@ -482,6 +503,8 @@ let suite =
     Alcotest.test_case "concurrent domains store and find" `Quick
       test_concurrent_store_and_find;
     Alcotest.test_case "two handles see each other's stores" `Quick test_two_handles;
+    Alcotest.test_case "two handles see each other's stores, settled" `Slow
+      test_two_handles_settled;
     Alcotest.test_case "corruption is a miss" `Quick test_corruption_is_a_miss;
     Alcotest.test_case "version bump invalidates" `Quick test_version_in_key_invalidates;
     Alcotest.test_case "old store with stray journals still hits" `Quick

@@ -94,7 +94,8 @@ let test_profile_then_schedule () =
   Ts_modsched.Kernel.validate r.Ts_tms.Tms.kernel
 
 (* The simulator's profile span names the engine that ran, not the flag
-   asked for: a heterogeneous machine always runs the exact engine. *)
+   asked for: an observed run always takes the exact engine, and an
+   unobserved one takes the fast path on a heterogeneous machine too. *)
 let test_sim_span_names_engine () =
   let params =
     match Ts_isa.Spmt_params.mix_of_string "2fast+2slow" with
@@ -106,6 +107,7 @@ let test_sim_span_names_engine () =
   let module Prof = Ts_obs.Prof in
   Prof.set_enabled true;
   Fun.protect ~finally:(fun () -> Prof.set_enabled false) @@ fun () ->
+  ignore (Ts_spmt.Sim.run ~fast:true ~observe:ignore cfg k ~trip:200);
   ignore (Ts_spmt.Sim.run ~fast:true cfg k ~trip:200);
   let count name =
     match
@@ -115,7 +117,7 @@ let test_sim_span_names_engine () =
     | None -> 0
   in
   check_int "sim.run.exact" 1 (count "sim.run.exact");
-  check_int "sim.run.fast" 0 (count "sim.run.fast")
+  check_int "sim.run.fast" 1 (count "sim.run.fast")
 
 let test_measure_bad_iters () =
   check_bool "zero train iters rejected" true

@@ -231,16 +231,16 @@ let test_sim_check_does_not_perturb () =
         true (plain = checked))
     [ Fixtures.spec_loop (); Fixtures.motivating () ]
 
+let cval name =
+  Ts_obs.Metrics.counter_value
+    (Ts_obs.Metrics.counter Ts_obs.Metrics.default name)
+
 (* The fast path's window extrapolation must actually engage, and stay
    exact, on loops whose probabilistic memory dependences squash threads:
    a coin thread disengages the fast path (re-materialising the
    extrapolated write-buffer events) and the window has to re-engage
    after it. *)
 let test_sim_fast_engages_around_squashes () =
-  let cval name =
-    Ts_obs.Metrics.counter_value
-      (Ts_obs.Metrics.counter Ts_obs.Metrics.default name)
-  in
   let e0 = cval "sim.fastpath.engagements"
   and x0 = cval "sim.fastpath.extrapolated_threads" in
   let squashes =
@@ -324,6 +324,120 @@ let test_sim_hetero_runs_independent () =
         (Ts_spmt.Sim.run mcfg k ~trip:50 = first))
     (List.rev ks) (List.rev firsts)
 
+(* The fast path engages, and stays exact, under every placement of a
+   big.LITTLE ring: its windows follow the placement period, so a thread
+   keeps its core and its period position from window to window. *)
+let test_sim_fast_engages_every_placement () =
+  List.iter
+    (fun policy ->
+      let mcfg = hetero_cfg "2fast+2slow" policy in
+      let e0 = cval "sim.fastpath.engagements" in
+      List.iter
+        (fun g ->
+          let k = kernel_of g in
+          let plan = Ts_spmt.Address_plan.create g in
+          let run fast = Ts_spmt.Sim.run ~plan ~warmup:64 ~fast mcfg k ~trip:1000 in
+          check_bool
+            (Printf.sprintf "%s, %s: fast stats identical to exact"
+               g.Ts_ddg.Ddg.name
+               (Ts_isa.Placement.policy_to_string policy))
+            true
+            (run false = run true))
+        (hetero_loops ());
+      let engaged = cval "sim.fastpath.engagements" - e0 in
+      check_bool
+        (Printf.sprintf "%s: engagements (%d) > 0"
+           (Ts_isa.Placement.policy_to_string policy)
+           engaged)
+        true (engaged > 0))
+    Ts_isa.Placement.all
+
+(* The arena keeps its L2 when only the core count changes: runs at 4,
+   then 8, then 4 cores (then on 2fast+2slow) on this domain's arena
+   equal runs on a fresh domain's arena, field by field. *)
+let test_sim_arena_across_core_counts () =
+  let fields (s : Ts_spmt.Sim.stats) =
+    [
+      ("cycles", s.cycles); ("committed", s.committed);
+      ("squashes", s.squashes); ("sync_stall_cycles", s.sync_stall_cycles);
+      ("spawn_stall_cycles", s.spawn_stall_cycles);
+      ("send_recv_pairs", s.send_recv_pairs);
+      ("send_recv_cycles", s.send_recv_cycles);
+      ("communication_overhead", s.communication_overhead);
+      ("l1_hits", s.l1_hits); ("l1_misses", s.l1_misses);
+      ("l2_hits", s.l2_hits); ("l2_misses", s.l2_misses);
+      ("wb_peak", s.wb_peak); ("mdt_peak", s.mdt_peak);
+    ]
+  in
+  let machines =
+    [
+      cfg;
+      Ts_spmt.Config.with_ncore cfg 8;
+      cfg;
+      hetero_cfg "2fast+2slow" Ts_isa.Placement.Locality;
+    ]
+  in
+  List.iter
+    (fun g ->
+      let k = kernel_of g in
+      List.iteri
+        (fun i mcfg ->
+          let run () = Ts_spmt.Sim.run ~warmup:64 ~fast:true mcfg k ~trip:600 in
+          let fresh = Domain.join (Domain.spawn run) in
+          let reused = run () in
+          List.iter2
+            (fun (name, want) (_, got) ->
+              check_int
+                (Printf.sprintf "%s, machine %d: %s" g.Ts_ddg.Ddg.name i name)
+                want got)
+            (fields fresh) (fields reused);
+          check_bool
+            (Printf.sprintf "%s, machine %d: equal stats" g.Ts_ddg.Ddg.name i)
+            true (fresh = reused))
+        machines)
+    [ Fixtures.spec_loop (); Fixtures.motivating (); Fixtures.generated () ]
+
+(* Under round-robin the per-core line sets are the old residue classes
+   ([Ref_line_sets]); under a placement that leaves cores idle, those
+   cores have none. *)
+let test_sim_line_sets () =
+  let sorted l = List.sort compare l in
+  List.iter
+    (fun g ->
+      let k = kernel_of g in
+      let plan = Ts_spmt.Address_plan.create g in
+      let loads =
+        List.filter
+          (fun v -> (Ts_ddg.Ddg.node g v).op = Ts_isa.Opcode.Load)
+          (List.init (Ts_ddg.Ddg.n_nodes g) Fun.id)
+      in
+      let sets mcfg =
+        Ts_spmt.Sim.Stage.line_sets (Ts_spmt.Sim.Stage.create ~plan mcfg k ~trip:1)
+      in
+      List.iter
+        (fun ncore ->
+          let got = sets (Ts_spmt.Config.with_ncore cfg ncore) in
+          let want =
+            Ref_line_sets.per_core k plan ~line:cfg.line ~ncore ~loads
+          in
+          check_int "one set per core" ncore (Array.length got);
+          Array.iteri
+            (fun c w ->
+              check_bool
+                (Printf.sprintf "%s, %d cores: core %d" g.Ts_ddg.Ddg.name
+                   ncore c)
+                true
+                (sorted got.(c) = sorted w))
+            want)
+        [ 1; 2; 3; 4; 8 ];
+      let sync = sets (hetero_cfg "2fast+2slow" Ts_isa.Placement.Sync_aware) in
+      check_bool
+        (g.Ts_ddg.Ddg.name ^ ": sync-aware leaves the slow cores' sets empty")
+        true
+        (sync.(2) = [] && sync.(3) = []
+        && (loads = [] || (sync.(0) <> [] && sync.(1) <> []))))
+    (hetero_loops ())
+
 (* --- Allocation --- *)
 
 (* Minor-heap words per extra simulated thread: the difference between a
@@ -358,6 +472,7 @@ let test_sim_allocation_free () =
           ("exact", words_per_thread cfg g);
           ("exact heterogeneous", words_per_thread hetero g);
           ("fast path", words_per_thread ~fast:true cfg g);
+          ("fast path heterogeneous", words_per_thread ~fast:true hetero g);
         ])
     [ Fixtures.spec_loop (); Fixtures.motivating (); Fixtures.generated () ]
 
@@ -713,6 +828,11 @@ let suite =
       (test_sim_hetero_checked "fast+3slow" Ts_isa.Placement.Locality);
     Alcotest.test_case "sim: heterogeneous reruns are independent" `Quick
       test_sim_hetero_runs_independent;
+    Alcotest.test_case "sim: fast path engages under every placement" `Quick
+      test_sim_fast_engages_every_placement;
+    Alcotest.test_case "sim: arena reuse across core counts" `Quick
+      test_sim_arena_across_core_counts;
+    Alcotest.test_case "sim: per-core line sets" `Quick test_sim_line_sets;
     Alcotest.test_case "sim: allocation-free per thread" `Quick
       test_sim_allocation_free;
     Alcotest.test_case "stage: spawn" `Quick test_stage_spawn;
