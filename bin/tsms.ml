@@ -371,8 +371,7 @@ let trace_arg =
   let doc =
     "Write a Chrome trace-event JSON file of the simulated execution to \
      $(docv) (open in Perfetto or chrome://tracing): per-core exec/commit \
-     spans, squash and sync-stall instant events, sampled MDT/write-buffer \
-     occupancy."
+     spans, squash and sync-stall instant events, sampled MDT occupancy."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 

@@ -112,15 +112,6 @@ module Mdt = struct
   let peak_entries t = t.peak
 end
 
-module Wb = struct
-  (* [compare] orders [(t, -1)] before [(t, 1)]: releases first. *)
-  let peak entries =
-    List.concat_map (fun (alloc, release) -> [ (alloc, 1); (release, -1) ]) entries
-    |> List.sort compare
-    |> List.fold_left (fun (peak, cur) (_, d) -> (max peak (cur + d), cur + d)) (0, 0)
-    |> fst
-end
-
 module Mrt = struct
   type t = {
     machine : Ts_isa.Machine.t;

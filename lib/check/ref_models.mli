@@ -44,14 +44,6 @@ module Mdt : sig
   val peak_entries : t -> int
 end
 
-(** Speculative write-buffer occupancy: every [(allocation, release)]
-    entry is a [+1] event at its allocation instant and a [-1] at its
-    release. [peak] sorts all events, releases before allocations at
-    equal instants, and takes the maximum prefix sum (0 when empty). *)
-module Wb : sig
-  val peak : (int * int) list -> int
-end
-
 (** Modulo reservation table: a bag of [(opcode, row)] reservations,
     re-counted in full on every query. [fits] unrolls each reservation's
     multi-cycle FU occupancy (with wrap-around when [busy > II]) and

@@ -3,8 +3,8 @@
     These are the Table 1 values the scheduler itself needs: the number of
     cores, the SEND/RECV register-communication latency [c_reg_com]
     (Definition 2), and the spawn / commit / invalidation overheads of the
-    Section 4.2 cost model. The full simulator configuration (caches, MDT,
-    write buffer) lives in [Ts_spmt.Config] and embeds one of these.
+    Section 4.2 cost model. The full simulator configuration (caches,
+    placement) lives in [Ts_spmt.Config] and embeds one of these.
 
     The paper's machine is a homogeneous quad-core; {!core} descriptors
     generalise it to big.LITTLE-style asymmetric rings (ROADMAP item 4)

@@ -155,6 +155,7 @@ let render_table r =
     [ "(wall)"; ""; Printf.sprintf "%.3f" r.wall_s; "";
       Printf.sprintf "%.1f" (100.0 *. coverage r); "" ];
   render t
+  ^ "GC time lands in the span that allocated when the minor heap filled.\n"
 
 let to_json r =
   Json.Obj

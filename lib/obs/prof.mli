@@ -10,6 +10,14 @@
     per-span collection counts: a minor collection stops every domain,
     so no one span owns it.
 
+    Collection {e time} is charged, though, and not to the span that made
+    the garbage: a minor collection, and the major-GC slice that runs
+    with it, land in the self time of whichever span is allocating when
+    the minor heap fills. A span's self time can therefore rise or fall
+    when another layer allocates more or less, with no change to the
+    span's own code; compare allocation ([self_mwords]) alongside it
+    before reading a self-time shift as a regression or a gain.
+
     Disabled by default: a [span] call then costs one atomic read plus
     the closure call, which is why instrumentation can stay on
     permanently in the search/simulator/persistence hot paths. The CLI's
@@ -58,7 +66,8 @@ val coverage : report -> float
 
 val render_table : report -> string
 (** Aligned table: span, calls, total/self seconds, self %% of wall and
-    allocation, with a closing wall-clock/coverage row. *)
+    allocation, with a closing wall-clock/coverage row and a one-line
+    note on where GC time lands. *)
 
 val to_json : report -> Json.t
 (** [{"version": 1, "wall_s": ..., "coverage": ..., "spans": [...]}] in

@@ -215,7 +215,6 @@ let stats_members (st : Ts_spmt.Sim.stats) ~trip =
     ("sync_stall_cycles", Json.Int st.Ts_spmt.Sim.sync_stall_cycles);
     ("spawn_stall_cycles", Json.Int st.Ts_spmt.Sim.spawn_stall_cycles);
     ("send_recv_pairs", Json.Int st.Ts_spmt.Sim.send_recv_pairs);
-    ("wb_peak", Json.Int st.Ts_spmt.Sim.wb_peak);
     ("mdt_peak", Json.Int st.Ts_spmt.Sim.mdt_peak);
   ]
 

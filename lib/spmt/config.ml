@@ -9,7 +9,6 @@ type t = {
   l2_size : int;
   l2_assoc : int;
   line : int;
-  wb_entries : int;
 }
 
 let default =
@@ -24,7 +23,6 @@ let default =
     l2_size = 1024 * 1024;
     l2_assoc = 4;
     line = 32;
-    wb_entries = 64;
   }
 
 let two_core = { default with params = Ts_isa.Spmt_params.two_core }
@@ -52,9 +50,8 @@ let pp ppf t =
      Spawn Overhead          %d cycles@,\
      Commit Overhead         %d cycles@,\
      Invalidation Overhead   %d cycles@,\
-     Speculative write buffer %d entries@]" machine_row
+     Speculative write buffer not modelled (unbounded)@]" machine_row
     (Ts_isa.Placement.policy_to_string t.placement)
     (t.l1_size / 1024) t.l1_assoc t.l1_hit
     (t.l2_size / 1024 / 1024)
     t.l2_assoc t.l2_hit t.mem_latency p.c_reg_com p.c_spawn p.c_commit p.c_inv
-    t.wb_entries

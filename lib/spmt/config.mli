@@ -1,11 +1,12 @@
 (** Full simulator configuration — the paper's Table 1.
 
     A quad-core SpMT system on a unidirectional ring: per-core L1 caches and
-    functional units, a shared L2, a memory disambiguation table between L1
-    and L2, and a 64-entry speculative write buffer per core. The
+    functional units, a shared L2, and a memory disambiguation table
+    between L1 and L2. The paper's 64-entry speculative write buffer per
+    core is not modelled: a store never waits for a buffer entry. The
     [params.cores] descriptors and the [placement] policy generalise the
-    machine to asymmetric (big.LITTLE-style) rings; the defaults reproduce
-    the paper exactly. *)
+    machine to asymmetric (big.LITTLE-style) rings; the defaults are the
+    paper's values for every other parameter. *)
 
 type t = {
   params : Ts_isa.Spmt_params.t;  (** cores + cost parameters *)
@@ -20,7 +21,6 @@ type t = {
   l2_size : int;  (** bytes (1 MB) *)
   l2_assoc : int;  (** ways (4) *)
   line : int;  (** cache line size in bytes (32) *)
-  wb_entries : int;  (** speculative write buffer entries (64) *)
 }
 
 val default : t

@@ -41,7 +41,6 @@ type stats = {
   l1_misses : int;
   l2_hits : int;
   l2_misses : int;
-  wb_peak : int;
   mdt_peak : int;
   stall_breakdown : ((int * int) * int) list;
 }
@@ -78,35 +77,16 @@ type thread_obs = {
   squashed : bool;
 }
 
-(* Speculative write-buffer occupancy as an event sweep: each executed
-   store allocates an entry at its issue and frees it when the thread's
-   commit drains the buffer (or when a squash invalidates it). Later
-   threads both issue stores and commit after earlier threads' *starts*
-   but not after their *commits*, so events cannot be swept in thread
-   order directly; instead they accumulate in an int-keyed binary
-   min-heap and are folded into the running occupancy once the sweep
-   point (the newest thread's start, a monotonically non-decreasing bound
-   below every future event) passes them. The key is [instant*2 + (1 iff
-   allocation)], so releases sort before allocations at the same instant
-   and a drain concurrent with an issue never inflates the peak. *)
-type wb = {
-  mutable heap : int array;
-  mutable len : int;
-  mutable cur : int; (* occupancy as of the sweep point *)
-  mutable peak : int;
-}
-
 (* ---- per-domain scratch arena ----
 
    The storage a run reuses from the previous run on its domain lives in
    flat [int array]s owned by a per-domain arena: the history ring is a
    struct-of-arrays (kind/shift tags plus flat [horizon * n] issue/finish
    planes), the fast path's coin iterations are a sorted int array,
-   finite-width issue slots are int counters, RECV-stall accounting is a
-   flat [n * n] counter plane with a touched-list for O(touched) scrub,
-   and the speculative write buffer is an event heap. Node-sized per-run
-   arrays (the dependence CSR, a thread's stalls and load latencies) live
-   in the run record instead. The arena (including the caches and the
+   finite-width issue slots are int counters, and RECV-stall accounting
+   is a flat [n * n] counter plane with a touched-list for O(touched)
+   scrub. Node-sized per-run arrays (the dependence CSR, a thread's
+   stalls and load latencies) live in the run record instead. The arena (including the caches and the
    MDT) is acquired at the top of every [run] and reused across sweep
    points on the same domain — the resident pool workers are domains, so
    a TMS sweep's thousands of simulations share one allocation.
@@ -138,7 +118,6 @@ type arena = {
   mutable h_rec : fp_rec array;
   mutable h_issue : int array; (* flat [slot * n + node] *)
   mutable h_finish : int array;
-  wb : wb;
   (* reusable stateful models *)
   mutable l1_geom : int * int * int * int; (* ncore, size, assoc, line *)
   mutable l2_geom : int * int * int;
@@ -175,8 +154,6 @@ let fresh_rec cap =
     r_lats = Array.make cap 0;
   }
 
-let wb_create () = { heap = [||]; len = 0; cur = 0; peak = 0 }
-
 let arena_create () =
   {
     in_use = false;
@@ -192,7 +169,6 @@ let arena_create () =
     h_rec = [||];
     h_issue = [||];
     h_finish = [||];
-    wb = wb_create ();
     l1_geom = (0, 0, 0, 0);
     l2_geom = (0, 0, 0);
     l1 = [||];
@@ -203,16 +179,13 @@ let arena_create () =
   }
 
 (* Scrub on acquire (see the lifetime rules above): O(touched) for the
-   stall plane, O(horizon) for the ring tags, O(1) for the write buffer.
-   The issue counters are scrubbed per thread instead ([iw_scrub]). *)
+   stall plane, O(horizon) for the ring tags. The issue counters are
+   scrubbed per thread instead ([iw_scrub]). *)
 let arena_scrub a =
   for i = 0 to a.stall_ntouched - 1 do
     a.stall_cnt.(a.stall_touched.(i)) <- 0
   done;
   a.stall_ntouched <- 0;
-  a.wb.len <- 0;
-  a.wb.cur <- 0;
-  a.wb.peak <- 0;
   Array.fill a.h_kind 0 (Array.length a.h_kind) 0
 
 let arena_slot : arena option ref Domain.DLS.key =
@@ -269,72 +242,6 @@ let arena_ensure_hist a ~slots ~n =
     a.h_issue <- Array.make (grown (slots * n) (Array.length a.h_issue)) 0;
     a.h_finish <- Array.make (Array.length a.h_issue) 0
   end
-
-let wb_push w key =
-  let len = w.len in
-  if len >= Array.length w.heap then begin
-    let bigger = Array.make (grown (len + 1) (Array.length w.heap)) 0 in
-    Array.blit w.heap 0 bigger 0 len;
-    w.heap <- bigger
-  end;
-  let h = w.heap in
-  w.len <- len + 1;
-  let i = ref len in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    if Array.unsafe_get h parent > key then begin
-      Array.unsafe_set h !i (Array.unsafe_get h parent);
-      i := parent;
-      true
-    end
-    else false
-  do
-    ()
-  done;
-  Array.unsafe_set h !i key
-
-let wb_pop w =
-  let h = w.heap in
-  let top = Array.unsafe_get h 0 in
-  let len = w.len - 1 in
-  w.len <- len;
-  let last = Array.unsafe_get h len in
-  let i = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    let l = (2 * !i) + 1 in
-    if l >= len then stop := true
-    else begin
-      let c =
-        if l + 1 < len && Array.unsafe_get h (l + 1) < Array.unsafe_get h l
-        then l + 1
-        else l
-      in
-      if Array.unsafe_get h c < last then begin
-        Array.unsafe_set h !i (Array.unsafe_get h c);
-        i := c
-      end
-      else stop := true
-    end
-  done;
-  Array.unsafe_set h !i last;
-  top
-
-(* One buffered entry, allocated at [alloc] and released at [release]. *)
-let wb_entry w ~alloc ~release =
-  wb_push w ((alloc lsl 1) lor 1);
-  wb_push w (release lsl 1)
-
-(* Fold every event before [upto] into the occupancy. *)
-let wb_sweep w upto =
-  let bound = if upto > max_int asr 1 then max_int else upto lsl 1 in
-  while w.len > 0 && Array.unsafe_get w.heap 0 < bound do
-    let key = wb_pop w in
-    w.cur <- (w.cur + if key land 1 = 1 then 1 else -1);
-    if w.cur > w.peak then w.peak <- w.cur
-  done
 
 (* The TS_SIM_TRACE / TS_SIM_TRACE_NODES env vars (removed after a
    deprecation cycle) used to dump per-thread timings to stderr. Setting
@@ -1011,8 +918,7 @@ let emit_exec_span s ~core ~j name ~ts0 ~ts1 =
    Thread [j] starts once its predecessor's spawn has reached it
    ([c_spawn] after that thread's start) and its core is free (the core's
    previous thread has committed). Spawn-stall cycles — the wait for the
-   core — count from [warmup] on. Every write-buffer event still to come
-   lies at or after [start], so the sweep folds the older ones. *)
+   core — count from [warmup] on. *)
 let spawn s j =
   let core = core_of s j in
   let spawn_ready = s.prev_spawn_base + s.p.c_spawn in
@@ -1021,7 +927,6 @@ let spawn s j =
   s.cur_spawn <- spawn_cycles;
   if j >= s.warmup && spawn_cycles > 0 then
     s.spawn_stall <- s.spawn_stall + spawn_cycles;
-  wb_sweep s.a.wb start;
   start
 
 (* Finite issue width, re-derived from the issue plane independently of
@@ -1207,12 +1112,6 @@ let verify s j =
       Chk.failf "Sim.run: thread %d restarts at %d, before detection %d + \
                  invalidation overhead %d"
         j restart t_detect s.p.c_inv;
-    (* The wasted attempt's stores sat in the buffer until the
-       invalidation completed. *)
-    for i = 0 to Array.length s.stores - 1 do
-      let v = s.stores.(i) in
-      wb_entry s.a.wb ~alloc:s.a.h_issue.(base + v) ~release:restart
-    done;
     if s.traced && measured then begin
       (* The wasted first attempt, cut off where the MDT caught the
          premature load; the re-execution follows after [c_inv]. *)
@@ -1288,16 +1187,6 @@ let commit s j ~r ~shift ~fills =
                      commit overhead %d"
             j commit_start commit_end s.p.c_commit
       end;
-      (* The stores drain from the write buffer at the commit end. An
-         extrapolated thread adds no write-buffer events: the steady
-         state repeats the signature window's recorded occupancy
-         trajectory (every event shifts uniformly), so the peak cannot
-         move; [disengage] re-materialises in-flight pairs if exact
-         execution resumes. *)
-      let base = slot * s.n in
-      for i = 0 to Array.length s.stores - 1 do
-        wb_entry a.wb ~alloc:a.h_issue.(base + s.stores.(i)) ~release:commit_end
-      done;
       commit_end
     end
   in
@@ -1333,16 +1222,10 @@ let commit s j ~r ~shift ~fills =
       ~ts:(commit_end - s.p.c_commit) "commit"
       ~args:[ ("thread", J.Int j) ];
     Trace.end_span s.trace ~pid:s.trace_pid ~tid:core ~ts:commit_end "commit";
-    (* Sampled occupancy: MDT entries live after this thread's stores,
-       plus the speculative write buffer across all in-flight threads as
-       of this thread's start (the latest instant the event sweep has
-       fully resolved). *)
+    (* Sampled occupancy: MDT entries live after this thread's stores. *)
     if j land 31 = 0 then
       Trace.counter_sample s.trace ~pid:s.trace_pid ~ts:commit_end "occupancy"
-        [
-          ("mdt", float_of_int (Mdt.live_entries a.mdt));
-          ("wb", float_of_int a.wb.cur);
-        ]
+        [ ("mdt", float_of_int (Mdt.live_entries a.mdt)) ]
   end;
   if j mod 64 = 63 then begin
     if s.analytic_mdt then av_retire s j;
@@ -1394,8 +1277,8 @@ let exact_step s j ~lats =
      never extrapolated: the thread runs exactly and must land on its
      predicted times to keep the fast path engaged (a squash never
      matches, so misspeculation always falls back to exact replay);
-   - the MDT and write-buffer bookkeeping keep running on recorded
-     times, so [mdt_peak] and [wb_peak] stay cycle-exact.
+   - the MDT bookkeeping keeps running on recorded times, so [mdt_peak]
+     stays cycle-exact.
 
    When the signature pattern is pure L1 hits, every line the loads'
    periodic streams can ever touch probes resident, and no coin remains
@@ -1482,33 +1365,8 @@ let window_clean s next =
   done;
   !clean
 
-(* Leave the engaged regime at thread [j] (which just ran exactly, with
-   live write-buffer sweeping, starting at [upto]). While engaged the
-   extrapolated threads' write-buffer events were skipped — the steady
-   state replays the signature window's already-recorded occupancy
-   trajectory, so they cannot move the peak — but the exact threads that
-   follow sweep again from [upto], so re-materialise the skipped pairs
-   that are still in flight. Pairs that drained before [upto] net to
-   zero at every future sweep point and stay skipped. *)
-let disengage s ~j ~upto =
-  let t = ref (j - 1) in
-  let flowing = ref true in
-  while !flowing && !t >= s.sig_base + s.a.win_len do
-    let tt = !t in
-    let r = s.sig0.(tt mod s.a.win_len) in
-    let shift = (tt - s.sig_base) / s.a.win_len * s.delta in
-    let ce = r.r_commit_end + shift in
-    if ce < upto then flowing := false
-    else begin
-      (* coin-affected threads ran exactly: their events are already in *)
-      if not (coin_affects s tt) then
-        for i = 0 to Array.length s.stores - 1 do
-          let v = s.stores.(i) in
-          wb_entry s.a.wb ~alloc:(r.r_issue.(v) + shift) ~release:ce
-        done;
-      decr t
-    end
-  done;
+(* Leave the engaged regime at thread [j], which just ran exactly. *)
+let disengage s ~j =
   s.engaged <- false;
   s.allhit <- false;
   s.prev_clean <- false;
@@ -1607,7 +1465,7 @@ let engaged_step s j =
     exact_step s j ~lats:false;
     let rc = record s j in
     if rc.r_squashed || not (same_timing s r rc shift) then
-      disengage s ~j ~upto:s.cur_start
+      disengage s ~j
   end
   else if not s.allhit then begin
     if replay_loads s j r then begin
@@ -1616,7 +1474,7 @@ let engaged_step s j =
          exact — and drop back to detection. *)
       s.mismatch_count <- s.mismatch_count + 1;
       exact_step s j ~lats:true;
-      disengage s ~j ~upto:s.cur_start
+      disengage s ~j
     end
     else extrapolate s j r shift ~fills:true
   end
@@ -1640,10 +1498,7 @@ let drive s ~trip =
 
 let finish s ~trip =
   let a = s.a in
-  wb_sweep a.wb max_int;
   if s.check then begin
-    if a.wb.cur <> 0 then
-      Chk.failf "Sim.run: %d write-buffer entries never drained" a.wb.cur;
     if s.sync_stall < 0 then
       Chk.failf "Sim.run: negative sync stall total %d" s.sync_stall;
     if s.spawn_stall < 0 then
@@ -1702,7 +1557,6 @@ let finish s ~trip =
     l1_misses;
     l2_hits;
     l2_misses;
-    wb_peak = a.wb.peak;
     mdt_peak;
     stall_breakdown = stall_breakdown s;
   }
@@ -1740,16 +1594,6 @@ module Stage = struct
   let l1 s c = s.a.l1.(c)
   let l2 s = s.a.l2
   let line_sets s = Lazy.force s.line_sets
-
-  let wb_peak steps =
-    let w = wb_create () in
-    List.iter
-      (fun (upto, entries) ->
-        wb_sweep w upto;
-        List.iter (fun (alloc, release) -> wb_entry w ~alloc ~release) entries)
-      steps;
-    wb_sweep w max_int;
-    w.peak
 end
 
 let check_fast_vs_exact (exact : stats) (fst : stats) =
@@ -1771,7 +1615,6 @@ let check_fast_vs_exact (exact : stats) (fst : stats) =
   ck "l1_misses" exact.l1_misses fst.l1_misses;
   ck "l2_hits" exact.l2_hits fst.l2_hits;
   ck "l2_misses" exact.l2_misses fst.l2_misses;
-  ck "wb_peak" exact.wb_peak fst.wb_peak;
   ck "mdt_peak" exact.mdt_peak fst.mdt_peak;
   if exact.misspec_rate <> fst.misspec_rate then
     Chk.failf

@@ -30,11 +30,6 @@ type stats = {
   l1_misses : int;
   l2_hits : int;
   l2_misses : int;
-  wb_peak : int;
-      (** peak speculative-write-buffer occupancy across all in-flight
-          threads: entries are allocated at each store's issue and drain at
-          the owning thread's commit end (or at the invalidation end when
-          the thread is squashed). Covers the whole run including warmup. *)
   mdt_peak : int;  (** most MDT entries live at once *)
   stall_breakdown : ((int * int) * int) list;
       (** total RECV stall cycles per synchronised dependence
@@ -82,11 +77,10 @@ val run :
     reference models of {!Ts_check.Ref_models} and compared, commits are
     checked to be sequential and no earlier than execution end, squash
     restarts to honour the invalidation overhead, per-node issue/finish
-    times to be well-ordered, stall totals to be non-negative, and the
-    write buffer to drain completely. Any violation raises
-    {!Ts_check.Invariant.Check_failed}. A checked run returns stats
-    byte-identical to an unchecked one (regression-tested) — the checks
-    observe, they never steer.
+    times to be well-ordered, and stall totals to be non-negative. Any
+    violation raises {!Ts_check.Invariant.Check_failed}. A checked run
+    returns stats byte-identical to an unchecked one (regression-tested)
+    — the checks observe, they never steer.
 
     [warmup] (default 0) executes that many extra iterations first and
     excludes them from every counter, so [stats] describe the steady state
@@ -103,10 +97,8 @@ val run :
     - ["squash"] instant events at the detection cycle, and ["sync-stall"]
       instants carrying the blamed producer→consumer dependence edge and
       the stalled cycles;
-    - an ["occupancy"] counter track sampling, every 32 threads, the live
-      MDT entries and the speculative-write-buffer occupancy across all
-      in-flight threads (the latter as of the sampling thread's start, the
-      latest instant the occupancy sweep has fully resolved);
+    - an ["occupancy"] counter track sampling the live MDT entries (its
+      [mdt] series) every 32 threads;
     - ["sim.start"]/["sim.end"] markers with the run configuration and
       totals.
 
@@ -187,10 +179,4 @@ module Stage : sig
   val line_sets : t -> int list array
   (** Per core, one address of every L1 line the loads' streams can touch
       on it: what the fast path probes before eliding the cache replay. *)
-
-  val wb_peak : (int * (int * int) list) list -> int
-  (** The write-buffer event sweep alone: each step [(upto, entries)]
-      folds the events before [upto], then buffers each [(allocation,
-      release)] entry, whose instants must not precede [upto]. Returns
-      the peak occupancy. *)
 end

@@ -158,6 +158,11 @@ let test_ablation_shape () =
   check_bool "fma3d loses from disabling speculation (paper: 21.4%)" true
     ((by "fma3d").gain_reduction > 5.0)
 
+let has_sub ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let render name =
   let out = Buffer.create 1024 in
   Ts_harness.Experiments.run ~names:[ name ] (Buffer.add_string out);
@@ -165,7 +170,12 @@ let render name =
 
 let test_experiments_renderers () =
   (* every renderer produces non-empty output with its headline *)
-  check_bool "table1" true (String.length (render "table1") > 100);
+  let t1 = render "table1" in
+  check_bool "table1" true (String.length t1 > 100);
+  (* the simulator keeps no write-buffer limit, so Table 1 states none *)
+  check_bool "table1 claims no buffer size" false (has_sub ~sub:"64 entries" t1);
+  check_bool "table1 write-buffer row" true
+    (has_sub ~sub:"Speculative write buffer not modelled (unbounded)" t1);
   check_bool "fig2" true (String.length (render "fig2") > 200);
   let t2 = Ts_harness.Table2.render (Lazy.force table2_rows) in
   check_bool "table2 text" true (String.length t2 > 200)

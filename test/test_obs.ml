@@ -218,7 +218,17 @@ let test_sim_trace_valid () =
   check_bool "has commit spans" true (count "commit" > 0);
   check_bool "has squash or sync-stall instants" true
     (count "squash" + count "sync-stall" > 0);
-  check_bool "has occupancy samples" true (count "occupancy" > 0)
+  check_bool "has occupancy samples" true (count "occupancy" > 0);
+  (* every sample carries the MDT series and nothing else *)
+  List.iter
+    (fun ev ->
+      if J.member "name" ev = Some (J.Str "occupancy") then
+        match J.member "args" ev with
+        | Some (J.Obj args) ->
+            check_bool "occupancy has mdt" true (List.mem_assoc "mdt" args);
+            check_bool "occupancy has no wb" false (List.mem_assoc "wb" args)
+        | _ -> Alcotest.fail "occupancy sample without args")
+    events
 
 let test_sim_trace_deterministic () =
   (* Tracing must not perturb the simulation: identical stats with the

@@ -1,9 +1,9 @@
 (* ts_serve: the wire protocol (framing roundtrips, torn reads, bounded
    rejection of oversized frames, malformed JSON answered structurally)
    and the daemon end to end, in-process over a unix socket: schedule
-   responses identical to a direct run, repeats served from the
-   in-memory LRU without touching the store, shed-load under flood, and
-   graceful shutdown. *)
+   responses identical to a direct run, simulate stats with a pinned
+   member list and a direct run's cycles, repeats served as one store
+   hit, shed-load under flood, and graceful shutdown. *)
 
 module Pr = Ts_serve.Protocol
 module Server = Ts_serve.Server
@@ -262,6 +262,42 @@ let test_e2e_schedule_matches_direct () =
   in
   check_int "reconstructed kernel agrees" direct.Ts_tms.Tms.kernel.Ts_modsched.Kernel.ii
     k.Ts_modsched.Kernel.ii
+
+(* A simulate response's [stats] carries exactly these members, and its
+   cycles are what a direct run of the same kernel and trip counts. *)
+let test_e2e_simulate_stats () =
+  with_server @@ fun addr ->
+  let trip = 300 and warmup = 64 in
+  let req =
+    {
+      Pr.id = 1;
+      op =
+        Pr.Simulate
+          { Pr.s_ddg = dotprod_ddg; s_cores = (4, [||]);
+            s_placement = Ts_isa.Placement.Round_robin; trip; warmup };
+      max_retries = None;
+      deadline_ms = None;
+    }
+  in
+  let resp = expect_ok "simulate" (Client.round_trip addr req) in
+  let stats =
+    match J.member "stats" resp with
+    | Some (J.Obj members) -> members
+    | _ -> Alcotest.fail "no stats object"
+  in
+  Alcotest.(check (list string))
+    "stats members"
+    [
+      "cycles"; "cycles_per_iter"; "committed"; "squashes"; "misspec_rate";
+      "sync_stall_cycles"; "spawn_stall_cycles"; "send_recv_pairs"; "mdt_peak";
+    ]
+    (List.map fst stats);
+  let g = Ts_ddg.Parse.of_string dotprod_ddg in
+  let k = (Ts_tms.Tms.schedule_sweep ~params:Ts_isa.Spmt_params.default g)
+            .Ts_tms.Tms.kernel in
+  let direct = Ts_spmt.Sim.run ~warmup Ts_spmt.Config.default k ~trip in
+  check_int "cycles = Sim.run's" direct.Ts_spmt.Sim.cycles
+    (Option.get (Option.bind (List.assoc_opt "cycles" stats) J.to_int))
 
 let test_e2e_repeat_served_from_store () =
   with_server ~store:true @@ fun addr ->
@@ -522,6 +558,8 @@ let suite =
     Alcotest.test_case "addr parsing" `Quick test_addr_parsing;
     Alcotest.test_case "e2e: schedule = direct result" `Quick
       test_e2e_schedule_matches_direct;
+    Alcotest.test_case "e2e: simulate stats = direct run" `Quick
+      test_e2e_simulate_stats;
     Alcotest.test_case "e2e: repeat served from store" `Quick
       test_e2e_repeat_served_from_store;
     Alcotest.test_case "e2e: malformed JSON structured error" `Quick

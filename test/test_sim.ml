@@ -196,25 +196,6 @@ let test_sim_bad_args () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let test_sim_wb_peak_counts_stores () =
-  (* one store per iteration: with a single core, threads run one at a
-     time, so at most one speculative write is buffered at once *)
-  let g = Fixtures.spec_loop () in
-  let k = kernel_of g in
-  let one = Ts_spmt.Sim.run (Ts_spmt.Config.with_ncore cfg 1) k ~trip:200 in
-  check_int "single core buffers one store" 1 one.Ts_spmt.Sim.wb_peak;
-  (* several threads in flight: their unbuffered stores accumulate *)
-  let many = Ts_spmt.Sim.run cfg k ~trip:200 in
-  check_bool
-    (Printf.sprintf "overlapped threads stack writes (peak %d)"
-       many.Ts_spmt.Sim.wb_peak)
-    true
-    (many.Ts_spmt.Sim.wb_peak > 1);
-  (* storeless loop: the buffer is never touched *)
-  let chain = K.of_times (Fixtures.chain 3) ~ii:2 [| 0; 1; 2 |] in
-  let none = Ts_spmt.Sim.run cfg chain ~trip:100 in
-  check_int "no stores, no occupancy" 0 none.Ts_spmt.Sim.wb_peak
-
 let test_sim_check_does_not_perturb () =
   (* ~check:true must observe only: stats byte-identical to an unchecked
      run, on both a squash-heavy loop and the motivating one *)
@@ -237,9 +218,8 @@ let cval name =
 
 (* The fast path's window extrapolation must actually engage, and stay
    exact, on loops whose probabilistic memory dependences squash threads:
-   a coin thread disengages the fast path (re-materialising the
-   extrapolated write-buffer events) and the window has to re-engage
-   after it. *)
+   a coin thread disengages the fast path and the window has to
+   re-engage after it. *)
 let test_sim_fast_engages_around_squashes () =
   let e0 = cval "sim.fastpath.engagements"
   and x0 = cval "sim.fastpath.extrapolated_threads" in
@@ -366,7 +346,7 @@ let test_sim_arena_across_core_counts () =
       ("communication_overhead", s.communication_overhead);
       ("l1_hits", s.l1_hits); ("l1_misses", s.l1_misses);
       ("l2_hits", s.l2_hits); ("l2_misses", s.l2_misses);
-      ("wb_peak", s.wb_peak); ("mdt_peak", s.mdt_peak);
+      ("mdt_peak", s.mdt_peak);
     ]
   in
   let machines =
@@ -760,24 +740,6 @@ let test_stage_commit () =
   Alcotest.(check (pair int int)) "L2 hits/misses" (Ref.Cache.stats rl2)
     (Ts_spmt.Cache.stats (St.l2 st))
 
-(* The write-buffer sweep against the naive sorted-events model, on
-   random streams whose entries never precede their step's sweep point
-   (the order the simulator produces them in). *)
-let prop_wb_matches_reference =
-  QCheck.Test.make ~count:300 ~name:"write-buffer peak matches the reference"
-    QCheck.(
-      small_list (pair small_nat (small_list (pair small_nat small_nat))))
-    (fun steps ->
-      let upto = ref 0 in
-      let steps =
-        List.map
-          (fun (gap, entries) ->
-            upto := !upto + gap;
-            (!upto, List.map (fun (a, r) -> (!upto + a, !upto + r)) entries))
-          steps
-      in
-      St.wb_peak steps = Ref.Wb.peak (List.concat_map snd steps))
-
 (* [sim.mdt_peak] is a high-water mark across runs, not the last run's. *)
 let test_mdt_peak_gauge_keeps_max () =
   let gauge = Ts_obs.Metrics.gauge Ts_obs.Metrics.default "sim.mdt_peak" in
@@ -812,7 +774,6 @@ let suite =
     Alcotest.test_case "sim: warmup excluded" `Quick test_sim_warmup_excluded;
     Alcotest.test_case "sim: stall breakdown" `Quick test_sim_stall_breakdown_consistent;
     Alcotest.test_case "sim: argument validation" `Quick test_sim_bad_args;
-    Alcotest.test_case "sim: wb peak occupancy" `Quick test_sim_wb_peak_counts_stores;
     Alcotest.test_case "sim: check does not perturb" `Quick
       test_sim_check_does_not_perturb;
     Alcotest.test_case "sim: fast path engages around squashes" `Quick
@@ -842,7 +803,6 @@ let suite =
       (test_stage_execute (hetero_cfg "2fast+2slow" Ts_isa.Placement.Locality));
     Alcotest.test_case "stage: verify" `Quick test_stage_verify;
     Alcotest.test_case "stage: commit" `Quick test_stage_commit;
-    QCheck_alcotest.to_alcotest prop_wb_matches_reference;
     Alcotest.test_case "sim: mdt_peak gauge keeps the maximum" `Quick
       test_mdt_peak_gauge_keeps_max;
     Alcotest.test_case "single: basic" `Quick test_single_basic;

@@ -237,6 +237,8 @@ let test_prof_nesting () =
   let table = Prof.render_table report in
   check_bool "table has both spans" true
     (contains table "outer" && contains table "inner");
+  check_bool "table says where GC time lands" true
+    (contains table "minor heap filled");
   match Prof.to_json report with
   | J.Obj kvs ->
       check_bool "versioned" true (List.assoc_opt "version" kvs = Some (J.Int 1));
