@@ -451,7 +451,8 @@ let check_fast_path_live () =
              (Ts_isa.Placement.policy_to_string c.placement)))
     (hetero_cfgs Ts_spmt.Config.default)
 
-let test_loop cfg point g =
+(* A machine point's parameters and simulator configuration. *)
+let point_cfg point =
   let params =
     {
       Ts_isa.Spmt_params.default with
@@ -459,17 +460,21 @@ let test_loop cfg point g =
       c_reg_com = point.c_reg_com;
     }
   in
-  let sim_cfg = { Ts_spmt.Config.default with params } in
-  let battery (k : K.t) claim =
-    match Inv.check_kernel ?claim k with
-    | _ :: _ as vs -> Some (Inv.report vs)
-    | [] -> (
-        match dep_guard_selftest k with
-        | Some _ as r -> r
-        | None -> (
-            match c1_boundary_selftest ~c_reg_com:params.c_reg_com k with
-            | Some _ as r -> r
-            | None -> sim_band cfg sim_cfg params k))
+  (params, { Ts_spmt.Config.default with params })
+
+(* The kernels under test, SMS, TMS and TMS-over-IMS, each with the C1/C2
+   claim of a non-fallback TMS result; the first whose [battery] fails,
+   as (subject, reason). *)
+let first_failure params g battery =
+  let claim (r : Ts_tms.Tms.result) =
+    if r.fell_back then None
+    else
+      Some
+        {
+          Inv.c_delay = r.c_delay_threshold;
+          p_max = r.p_max;
+          c_reg_com = params.Ts_isa.Spmt_params.c_reg_com;
+        }
   in
   let subjects =
     [
@@ -481,33 +486,13 @@ let test_loop cfg point g =
         fun () ->
           try
             let r = Ts_tms.Tms.schedule ~params g in
-            let claim =
-              if r.fell_back then None
-              else
-                Some
-                  {
-                    Inv.c_delay = r.c_delay_threshold;
-                    p_max = r.p_max;
-                    c_reg_com = params.c_reg_com;
-                  }
-            in
-            Some (r.kernel, claim)
+            Some (r.kernel, claim r)
           with Ts_sms.Sms.No_schedule _ -> None );
       ( "tms-ims",
         fun () ->
           try
             let r = Ts_tms.Tms_ims.schedule ~params g in
-            let claim =
-              if r.fell_back then None
-              else
-                Some
-                  {
-                    Inv.c_delay = r.c_delay_threshold;
-                    p_max = r.p_max;
-                    c_reg_com = params.c_reg_com;
-                  }
-            in
-            Some (r.kernel, claim)
+            Some (r.kernel, claim r)
           with Ts_sms.Ims.No_schedule _ | Ts_sms.Sms.No_schedule _ -> None );
     ]
   in
@@ -523,15 +508,56 @@ let test_loop cfg point g =
       match reason with Some r -> Some (subject, r) | None -> None)
     subjects
 
-let check_seed cfg seed =
+let test_loop cfg point g =
+  let params, sim_cfg = point_cfg point in
+  first_failure params g (fun k claim ->
+      match Inv.check_kernel ?claim k with
+      | _ :: _ as vs -> Some (Inv.report vs)
+      | [] -> (
+          match dep_guard_selftest k with
+          | Some _ as r -> r
+          | None -> (
+              match c1_boundary_selftest ~c_reg_com:params.c_reg_com k with
+              | Some _ as r -> r
+              | None -> sim_band cfg sim_cfg params k)))
+
+(* The long-run leg. [default_config]'s 96 iterations end about two
+   detection windows after the fast path engages, before every load
+   stream has wrapped its working set (up to 512 iterations) and before
+   the all-hit regime's residency proof has anything to decide, so a bug
+   there stays invisible. At the paper's length (512 warmup and 2,000
+   measured iterations) every kernel of every fourth seed runs the fast
+   path beside the checked exact engine once more, on the point's
+   machine. *)
+let long_warmup = 512
+let long_trip = 2000
+let long_seed seed = seed mod 4 = 0
+
+let long_loop point g =
+  let params, sim_cfg = point_cfg point in
+  first_failure params g (fun k _ ->
+      ignore
+        (Ts_spmt.Sim.run ~warmup:long_warmup ~fast:true ~check:true sim_cfg k
+           ~trip:long_trip
+          : Ts_spmt.Sim.stats);
+      None)
+  |> Option.map (fun (subject, reason) ->
+         ( subject,
+           Printf.sprintf "long-run leg (warmup %d, trip %d): %s" long_warmup
+             long_trip reason ))
+
+(* The first point where [test] fails seed [seed]'s loop. *)
+let seed_failure test points seed =
   let g = loop_for_seed seed in
   List.find_map
     (fun point ->
-      match test_loop cfg point g with
+      match test point g with
       | Some (subject, reason) ->
           Some { seed; subject; point = Some point; reason; ddg = Some g }
       | None -> None)
-    cfg.points
+    points
+
+let check_seed cfg seed = seed_failure (test_loop cfg) cfg.points seed
 
 (* --- greedy shrinking --- *)
 
@@ -603,6 +629,32 @@ let shrink ?(budget = 150) still_fails g0 =
   done;
   !cur
 
+(* The smallest seed of [seeds] that [test] fails, shrunk. *)
+let first_seed_failure ?jobs ~log cfg test seeds =
+  let results =
+    Ts_base.Parallel.map ?jobs (seed_failure test cfg.points) seeds
+  in
+  match List.find_map Fun.id results with
+  | None -> None
+  | Some f -> (
+      match (f.ddg, f.point) with
+      | Some g0, Some point ->
+          log
+            (Printf.sprintf
+               "seed %d failed (%s at ncore=%d, c_reg_com=%d); shrinking the \
+                %d-node loop"
+               f.seed f.subject point.ncore point.c_reg_com
+               (Ts_ddg.Ddg.n_nodes g0));
+          let still_fails g = test point g <> None in
+          let g' = shrink ~budget:cfg.shrink_budget still_fails g0 in
+          let subject, reason =
+            match test point g' with
+            | Some sr -> sr
+            | None -> (f.subject, f.reason)
+          in
+          Some { f with subject; reason; ddg = Some g' }
+      | _ -> Some f)
+
 let run ?jobs ?(log = ignore) cfg =
   log
     "phase 0: reference-model differential streams (mdt, cache, mrt), \
@@ -625,26 +677,14 @@ let run ?jobs ?(log = ignore) cfg =
       log
         (Printf.sprintf "phase 1: %d fuzz seeds x %d points x 3 schedulers"
            cfg.seeds (List.length cfg.points));
-      let results =
-        Ts_base.Parallel.map ?jobs (check_seed cfg) (List.init cfg.seeds Fun.id)
-      in
-      match List.find_map Fun.id results with
-      | None -> None
-      | Some f -> (
-          match (f.ddg, f.point) with
-          | Some g0, Some point ->
-              log
-                (Printf.sprintf
-                   "seed %d failed (%s at ncore=%d, c_reg_com=%d); shrinking \
-                    the %d-node loop"
-                   f.seed f.subject point.ncore point.c_reg_com
-                   (Ts_ddg.Ddg.n_nodes g0));
-              let still_fails g = test_loop cfg point g <> None in
-              let g' = shrink ~budget:cfg.shrink_budget still_fails g0 in
-              let subject, reason =
-                match test_loop cfg point g' with
-                | Some sr -> sr
-                | None -> (f.subject, f.reason)
-              in
-              Some { f with subject; reason; ddg = Some g' }
-          | _ -> Some f))
+      let seeds = List.init cfg.seeds Fun.id in
+      match first_seed_failure ?jobs ~log cfg (test_loop cfg) seeds with
+      | Some _ as f -> f
+      | None ->
+          let long = List.filter long_seed seeds in
+          log
+            (Printf.sprintf
+               "phase 1, long-run leg: %d seeds x %d points x 3 schedulers at \
+                warmup %d, trip %d"
+               (List.length long) (List.length cfg.points) long_warmup long_trip);
+          first_seed_failure ?jobs ~log cfg long_loop long)

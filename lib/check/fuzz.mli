@@ -21,6 +21,13 @@
       compared against {!Ts_tms.Cost_model.estimate} — which models no
       cache — within the configured multiplicative tolerance band.
 
+    A long-run leg follows: every fourth seed's kernels run the fast
+    path beside the checked exact engine again at the paper's length
+    (warmup 512, trip 2000) on each point's machine. Only there does
+    every load stream wrap its working set and the all-hit regime's
+    residency proof get to decide: the short runs end about two detection
+    windows after the fast path engages.
+
     Everything is seeded from the fuzz seed through {!Ts_base.Rng}, so a
     failure reproduces bit-for-bit; a failing loop is then shrunk by
     greedy node/edge deletion and printed as a parseable [.ddg] file. *)
@@ -77,7 +84,8 @@ val test_loop : config -> point -> Ts_ddg.Ddg.t -> (string * string) option
 
 val check_seed : config -> int -> failure option
 (** {!loop_for_seed} + {!test_loop} at every configured point. The
-    returned failure carries the unshrunk loop. *)
+    returned failure carries the unshrunk loop. The long-run leg is
+    {!run}'s alone. *)
 
 val shrink :
   ?budget:int -> (Ts_ddg.Ddg.t -> bool) -> Ts_ddg.Ddg.t -> Ts_ddg.Ddg.t
@@ -86,6 +94,7 @@ val shrink :
     evaluations runs out. *)
 
 val run : ?jobs:int -> ?log:(string -> unit) -> config -> failure option
-(** Unit phases, then every seed (on up to [jobs] domains, results
-    deterministic regardless); the smallest failing seed's failure is
-    shrunk and returned. [log] receives progress lines. *)
+(** Unit phases, then every seed, then the long-run leg (each on up to
+    [jobs] domains, results deterministic regardless); the first failing
+    phase's smallest failing seed is shrunk and returned. [log] receives
+    progress lines. *)

@@ -19,12 +19,13 @@ val addr : t -> node:int -> iter:int -> int
 (** Address accessed by memory node [node] at iteration [iter]. Raises
     [Invalid_argument] for a non-memory node. *)
 
-val stream : t -> node:int -> (int * int * int) option
-(** [(base, stride, working_set)] of the node's private affine stream,
-    [None] for non-memory nodes. The simulator's steady-state fast path
-    uses it to enumerate the L1 lines a load's stream can ever touch
-    (the stream revisits addresses with period
-    [working_set / gcd stride working_set]). *)
+val streams : t -> int array
+(** The plan's own table of the nodes' private affine streams, read-only:
+    [3 * node] holds the base, [+ 1] the stride and [+ 2] the working set
+    minus one, a mask (working sets are powers of two), or -1 for a
+    non-memory node. The simulator's address path reads it, and so does
+    its fast path, to enumerate the L1 lines a load's stream can touch
+    (it revisits them with period [working_set / gcd stride working_set]). *)
 
 val realised : t -> edge_index:int -> iter:int -> bool
 (** Does memory-dependence edge [edge_index] (index into the DDG's edge

@@ -11,18 +11,20 @@ val create : size:int -> assoc:int -> line:int -> t
     powers of two with [size >= assoc * line]. *)
 
 val access : t -> int -> bool
-(** [access t addr] is [true] on hit. On miss the block is filled (and the
-    LRU way evicted). Always touches LRU state. *)
+(** [access t addr] is [true] on hit. On miss the block is filled over the
+    least recent way. Either way it becomes its set's most recent. *)
 
 val probe : t -> int -> bool
 (** Hit test without state change. *)
 
 val invalidate : t -> int -> unit
 (** Drop the block containing [addr] if present (cross-core invalidation on
-    commit, and thread-squash cleanup). *)
+    commit, and thread-squash cleanup). The emptied way keeps its place in
+    the recency order: it is evicted only once it is the least recent. *)
 
 val fill : t -> int -> unit
-(** Insert the block containing [addr] without reading (store commit). *)
+(** Insert the block containing [addr] as its set's most recent, without
+    counting a hit or a miss (store commit). *)
 
 val stats : t -> int * int
 (** [(hits, misses)] accumulated by [access]. *)
@@ -33,7 +35,7 @@ val reset_stats : t -> unit
 
 val reset : t -> unit
 (** Return the cache to its freshly-created state: every line invalid,
-    the LRU permutation re-initialised, counters zeroed. Lets the
-    simulator's scratch arena reuse one allocation across runs instead of
-    re-creating the tag/age arrays per sweep point; observationally
-    identical to [create] with the same geometry. *)
+    counters zeroed. Lets the simulator's scratch arena reuse one
+    allocation across runs instead of re-creating the tag array per sweep
+    point; observationally identical to [create] with the same
+    geometry. *)

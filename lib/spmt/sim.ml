@@ -5,27 +5,24 @@ module Chk = Ts_check.Invariant
 module Ref = Ts_check.Ref_models
 
 (* Simulator totals on the default metrics registry ([tsms --metrics]). *)
-let m_threads = Ts_obs.Metrics.counter Ts_obs.Metrics.default "sim.threads"
-let m_squashes = Ts_obs.Metrics.counter Ts_obs.Metrics.default "sim.squashes"
-
-let m_sync_stalls =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "sim.sync_stall_cycles"
-
-let m_spawn_stalls =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "sim.spawn_stall_cycles"
-
+let counter = Ts_obs.Metrics.counter Ts_obs.Metrics.default
+let m_threads = counter "sim.threads"
+let m_squashes = counter "sim.squashes"
+let m_sync_stalls = counter "sim.sync_stall_cycles"
+let m_spawn_stalls = counter "sim.spawn_stall_cycles"
 let m_mdt_peak = Ts_obs.Metrics.gauge Ts_obs.Metrics.default "sim.mdt_peak"
 
 (* Steady-state fast path engagement (see [run]'s [fast]). *)
-let m_fp_engaged =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "sim.fastpath.engagements"
+let m_fp_engaged = counter "sim.fastpath.engagements"
+let m_fp_extrap = counter "sim.fastpath.extrapolated_threads"
+let m_fp_mismatch = counter "sim.fastpath.mismatches"
 
-let m_fp_extrap =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default
-    "sim.fastpath.extrapolated_threads"
-
-let m_fp_mismatch =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "sim.fastpath.mismatches"
+(* Threads by kind, warmup included, and the nodes of the exact ones (a
+   squash's re-execution not counted again). *)
+let m_exact_threads = counter "sim.exact.threads"
+let m_exact_nodes = counter "sim.exact.nodes"
+let m_fp_replayed = counter "sim.fastpath.replayed_threads"
+let m_fp_allhit = counter "sim.fastpath.allhit_threads"
 
 type stats = {
   cycles : int;
@@ -80,18 +77,20 @@ type thread_obs = {
 (* ---- per-domain scratch arena ----
 
    The storage a run reuses from the previous run on its domain lives in
-   flat [int array]s owned by a per-domain arena: the history ring is a
-   struct-of-arrays (kind/shift tags plus flat [horizon * n] issue/finish
-   planes), the fast path's coin iterations are a sorted int array,
-   finite-width issue slots are int counters, and RECV-stall accounting
-   is a flat [n * n] counter plane with a touched-list for O(touched)
-   scrub. Node-sized per-run arrays (the dependence CSR, a thread's
-   stalls and load latencies) live in the run record instead. The arena (including the caches and the
-   MDT) is acquired at the top of every [run] and reused across sweep
-   points on the same domain — the resident pool workers are domains, so
-   a TMS sweep's thousands of simulations share one allocation.
-   Capacities only grow; every loop bounds itself by the current run's
-   sizes.
+   flat [int array]s owned by a per-domain arena: the node table holds
+   each (core, node)'s latency, the history ring is a struct-of-arrays
+   (kind/shift tags plus flat [horizon * n] issue/finish planes), the
+   fast path's coin iterations are a sorted int array, finite-width issue
+   slots are int counters, and RECV-stall accounting is a flat [n * n]
+   counter plane with a touched-list for O(touched) scrub. Node-sized
+   per-run arrays (the dependence CSR, a thread's stalls and load
+   latencies) live in the run record instead, and the memory nodes'
+   streams are the address plan's own table. The arena (including the
+   caches and the MDT) is acquired at the top of every [run] and reused
+   across sweep points on the same domain — the resident pool workers are
+   domains, so a TMS sweep's thousands of simulations share one
+   allocation. Capacities only grow; every loop bounds itself by the
+   current run's sizes.
 
    Lifetime rules: an arena is owned by exactly one running [run] at a
    time ([in_use]; a re-entrant call from an [observe] hook gets a fresh
@@ -102,6 +101,9 @@ type thread_obs = {
 type arena = {
   mutable in_use : bool;
   mutable cap_n : int; (* capacity of every node-indexed scratch array *)
+  (* the run's node table, flat [core * n + node]: latency x lat_scale,
+     or -1 for a load *)
+  mutable node_lat : int array;
   mutable coin_iters : int array; (* sorted iterations a coin redirects *)
   (* finite-width issue counts, indexed by [issue - start]; zero past
      [iw_hi], the highest index touched since the last scrub (at every
@@ -158,6 +160,7 @@ let arena_create () =
   {
     in_use = false;
     cap_n = 0;
+    node_lat = [||];
     coin_iters = [||];
     iw_cnt = [||];
     iw_hi = -1;
@@ -300,10 +303,10 @@ type run = {
          MDT, skipped invalidates and windows exist only under it *)
   a : arena;
   plan : Address_plan.t;
+  streams : int array; (* [Address_plan.streams plan] *)
   place_period : int;
   place_seq : int array; (* one period of the thread→core map *)
   core_width : int array; (* issue width per core; 0 = unbounded *)
-  core_scale : int array;
   comm_tbl : int array;
       (* distance-[dk] arrival cost of a consumer at period position
          [pos], at [pos * comm_stride + dk] *)
@@ -364,15 +367,24 @@ type run = {
   mutable sig_allhit : bool;
   mutable engage_count : int;
   mutable extrap_count : int;
+  mutable allhit_count : int; (* the extrapolated threads that skip the caches *)
   mutable mismatch_count : int;
   mutable analytic_l1_hits : int;
 }
 
 let core_of s j = Array.unsafe_get s.place_seq (j mod s.place_period)
 
-(* The address memory node [v] touches in thread [j]. *)
-let thread_addr s v j =
-  Address_plan.addr s.plan ~node:v ~iter:(j - Array.unsafe_get s.k.K.stage v)
+(* The address memory node [v] touches in thread [j]. [own]: no coin
+   redirects the thread's accesses ([own_addrs]), so a non-negative
+   iteration reads the node's own stream, wrapped by mask. A negative
+   prologue iteration keeps [Address_plan]'s [mod], which differs there. *)
+let[@inline] thread_addr s ~own v j =
+  let it = j - Array.unsafe_get s.k.K.stage v in
+  if own && it >= 0 then
+    let st = s.streams and b = 3 * v in
+    Array.unsafe_get st b
+    + (Array.unsafe_get st (b + 1) * it land Array.unsafe_get st (b + 2))
+  else Address_plan.addr s.plan ~node:v ~iter:it
 
 (* ---- checked model access ----
 
@@ -457,8 +469,8 @@ let mdt_retire s ~upto =
 
 (* A load's latency in thread [j] on [core]: its access through the real
    L1, then L2. The one load path of both engines. *)
-let load_latency s ~core j v =
-  let addr = thread_addr s v j in
+let[@inline] load_latency s ~core ~own j v =
+  let addr = thread_addr s ~own v j in
   if cache_access s (Array.unsafe_get s.a.l1 core) s.rl1 core addr then
     s.cfg.l1_hit
   else if cache_access s s.a.l2 s.rl2 0 addr then s.cfg.l2_hit
@@ -485,6 +497,19 @@ let arena_caches a (cfg : Config.t) ncore =
     a.l2_geom <- l2_geom
   end
   else Cache.reset a.l2
+
+(* The run's node table (see [arena]). *)
+let arena_node_lat a (g : Ts_ddg.Ddg.t) (p : Ts_isa.Spmt_params.t) ~n =
+  if p.ncore * n > Array.length a.node_lat then
+    a.node_lat <- Array.make (grown (p.ncore * n) (Array.length a.node_lat)) 0;
+  for v = 0 to n - 1 do
+    let nd = Ts_ddg.Ddg.node g v in
+    for c = 0 to p.ncore - 1 do
+      let scale = (Ts_isa.Spmt_params.core_desc p c).Ts_isa.Spmt_params.lat_scale in
+      a.node_lat.((c * n) + v) <-
+        (if nd.op = Ts_isa.Opcode.Load then -1 else nd.latency * scale)
+    done
+  done
 
 (* Per-consumer lists [ins.(v)] of [(src, kernel distance)] as CSR:
    consumer [v]'s entries are [off.(v) .. off.(v+1) - 1] of [src] and
@@ -574,16 +599,14 @@ let mark_coins a plan (g : Ts_ddg.Ddg.t) ~total =
    that no store ever writes and answer None off an address mismatch no
    matter what the table holds. Returns whether the model applies, and
    [P_v] per store node. *)
-let analytic_mdt_plan plan (g : Ts_ddg.Ddg.t) ~fast_ok ~n ~stores ~horizon =
+let analytic_mdt_plan st (g : Ts_ddg.Ddg.t) ~fast_ok ~n ~stores ~horizon =
   let store_pv = Array.make n 0 in
   let ok = ref fast_ok in
   for i = 0 to Array.length stores - 1 do
     let v = stores.(i) in
-    match Address_plan.stream plan ~node:v with
-    | Some (_, stride, ws) ->
-        store_pv.(v) <- ws / gcd stride ws;
-        if store_pv.(v) < horizon then ok := false
-    | None -> ok := false
+    let ws = st.((3 * v) + 2) + 1 in
+    store_pv.(v) <- ws / gcd st.((3 * v) + 1) ws;
+    if store_pv.(v) < horizon then ok := false
   done;
   Array.iter
     (fun (e : Ts_ddg.Ddg.edge) ->
@@ -599,25 +622,24 @@ let analytic_mdt_plan plan (g : Ts_ddg.Ddg.t) ~fast_ok ~n ~stores ~horizon =
    mod period)], and its stream revisits addresses with period [P_v = ws /
    gcd(stride, ws)], so one joint period [lcm(P_v, period)] of iterations
    meets every pair. A per-stream flag map over (core, line) dedups. *)
-let line_sets plan (k : K.t) ~line ~ncore ~seq ~loads =
+let line_sets st (k : K.t) ~line ~ncore ~seq ~loads =
   let sets = Array.make ncore [] and period = Array.length seq in
   Array.iter
     (fun v ->
-      match Address_plan.stream plan ~node:v with
-      | None -> ()
-      | Some (base, stride, ws) ->
-          let pv = ws / gcd stride ws and first = base / line in
-          let nl = ((base + ws - 1) / line) - first + 1 in
-          let seen = Bytes.make (ncore * nl) '\000' in
-          for t = 0 to (pv * period / gcd pv period) - 1 do
-            let addr = base + (stride * t mod ws) in
-            let c = seq.((t + k.K.stage.(v)) mod period) in
-            let bit = (c * nl) + (addr / line) - first in
-            if Bytes.get seen bit = '\000' then begin
-              Bytes.set seen bit '\001';
-              sets.(c) <- addr :: sets.(c)
-            end
-          done)
+      let base = st.(3 * v) and stride = st.((3 * v) + 1) in
+      let ws = st.((3 * v) + 2) + 1 in
+      let pv = ws / gcd stride ws and first = base / line in
+      let nl = ((base + ws - 1) / line) - first + 1 in
+      let seen = Bytes.make (ncore * nl) '\000' in
+      for t = 0 to (pv * period / gcd pv period) - 1 do
+        let addr = base + (stride * t mod ws) in
+        let c = seq.((t + k.K.stage.(v)) mod period) in
+        let bit = (c * nl) + (addr / line) - first in
+        if Bytes.get seen bit = '\000' then begin
+          Bytes.set seen bit '\001';
+          sets.(c) <- addr :: sets.(c)
+        end
+      done)
     loads;
   sets
 
@@ -706,10 +728,12 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   Mdt.clear a.mdt ~horizon:ncore;
   arena_windows a ~fast_ok ~period:place_period ~horizon;
   let window i = if fast_ok then a.windows.(i) else [||] in
+  let streams = Address_plan.streams plan in
   let analytic_mdt, store_pv =
-    analytic_mdt_plan plan g ~fast_ok ~n ~stores ~horizon
+    analytic_mdt_plan streams g ~fast_ok ~n ~stores ~horizon
   in
   let place_seq = Ts_isa.Placement.seq place in
+  arena_node_lat a g p ~n;
   let ref_cache size assoc = Ref.Cache.create ~size ~assoc ~line:cfg.line in
   let s =
     {
@@ -726,14 +750,12 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       fast_ok;
       a;
       plan;
+      streams;
       place_period;
       place_seq;
       core_width =
         Array.init ncore (fun i ->
             (Ts_isa.Spmt_params.core_desc p i).Ts_isa.Spmt_params.issue_width);
-      core_scale =
-        Array.init ncore (fun i ->
-            (Ts_isa.Spmt_params.core_desc p i).Ts_isa.Spmt_params.lat_scale);
       comm_tbl =
         Array.init (place_period * comm_stride) (fun idx ->
             Ts_isa.Placement.comm_cycles place ~dk:(idx mod comm_stride)
@@ -772,7 +794,7 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       analytic_mdt;
       store_pv;
       line_sets =
-        lazy (line_sets plan k ~line:cfg.line ~ncore ~seq:place_seq ~loads);
+        lazy (line_sets streams k ~line:cfg.line ~ncore ~seq:place_seq ~loads);
       core_free = Array.make ncore 0;
       lat_buf = Array.make n 0;
       stall_buf = Array.make (3 * n) 0;
@@ -802,6 +824,7 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       sig_allhit = false;
       engage_count = 0;
       extrap_count = 0;
+      allhit_count = 0;
       mismatch_count = 0;
       analytic_l1_hits = 0;
     }
@@ -822,6 +845,11 @@ let coin_in s lo hi =
   !x < nc && Array.unsafe_get ci !x <= hi
 
 let coin_affects s j = coin_in s (j - s.max_stage) j
+
+(* Under [fast_ok], a thread no coin affects reads and writes only its
+   nodes' own stream addresses ([mark_coins] holds every iteration where
+   a memory dependence fires). *)
+let own_addrs s j = s.fast_ok && not (coin_affects s j)
 
 let no_coins_from s j =
   s.n_coin = 0 || s.a.coin_iters.(s.n_coin - 1) + s.max_stage < j
@@ -856,19 +884,12 @@ let av_retire s j =
   s.av_live <- s.av_live - !removed;
   if upto > s.av_u then s.av_u <- upto
 
-(* Node [v]'s finish time in thread [jj], from the history ring; [min_int]
-   for "no such thread" (live-in). *)
-let past_finish s jj v =
-  if jj < 0 then min_int
+(* Node [v]'s finish time in the thread at history-ring [slot], which
+   holds a real (kind 1) or an extrapolated (kind 2) thread. *)
+let[@inline] slot_finish a ~n ~kind slot v =
+  if kind = 1 then Array.unsafe_get a.h_finish ((slot * n) + v)
   else
-    let a = s.a in
-    let slot = jj mod s.horizon in
-    match Array.unsafe_get a.h_kind slot with
-    | 0 -> min_int
-    | 1 -> Array.unsafe_get a.h_finish ((slot * s.n) + v)
-    | _ ->
-        (Array.unsafe_get a.h_rec slot).r_finish.(v)
-        + Array.unsafe_get a.h_shift slot
+    (Array.unsafe_get a.h_rec slot).r_finish.(v) + Array.unsafe_get a.h_shift slot
 
 let stall_add a idx cycles =
   let cur = a.stall_cnt.(idx) in
@@ -955,13 +976,14 @@ let check_issue_width s j ~base ~core ~width =
    otherwise loads access the caches and the latency lands in [lat_buf].
    Leaves start, end and stalls in the run's [cur_*] fields. *)
 let execute s j ~start ~recv ~use_lats =
-  let a = s.a and n = s.n and k = s.k in
-  let base = j mod s.horizon * n in
-  let h_issue = a.h_issue and h_finish = a.h_finish in
+  let a = s.a and n = s.n and k = s.k and horizon = s.horizon in
+  let jslot = j mod horizon in
+  let base = jslot * n in
+  let h_kind = a.h_kind and h_issue = a.h_issue and h_finish = a.h_finish in
   let by_row = s.by_row and lat_buf = s.lat_buf and stall_buf = s.stall_buf in
   let reg_off = s.reg_off and reg_src = s.reg_src and reg_dk = s.reg_dk in
   let intra_off = s.intra_off and intra_src = s.intra_src in
-  let comm_tbl = s.comm_tbl and g = k.K.g in
+  let comm_tbl = s.comm_tbl in
   s.cur_start <- start;
   (* Intra-thread dataflow reads default to 0 for not-yet-issued
      producers (matching a zero-initialised scratch thread), so the
@@ -979,7 +1001,8 @@ let execute s j ~start ~recv ~use_lats =
      delay only their dataflow consumers, via the intra-dep fold. *)
   let shift = ref 0 in
   let core = core_of s j in
-  let lat_scale = Array.unsafe_get s.core_scale core in
+  let node_lat = a.node_lat and lat_base = core * n in
+  let own = own_addrs s j in
   let width = Array.unsafe_get s.core_width core in
   (* Per-cycle issue counts for finite-width cores, indexed by [issue -
      start]: every issue is at or after its thread's start, since rows
@@ -988,20 +1011,26 @@ let execute s j ~start ~recv ~use_lats =
   let comm_base = j mod s.place_period * s.comm_stride in
   for idx = 0 to n - 1 do
     let v = Array.unsafe_get by_row idx in
-    let sched = start + k.K.row.(v) in
+    let sched = start + Array.unsafe_get k.K.row v in
     let intra_ready = ref 0 in
-    for i = intra_off.(v) to intra_off.(v + 1) - 1 do
+    for i = Array.unsafe_get intra_off v to Array.unsafe_get intra_off (v + 1) - 1 do
       let f = Array.unsafe_get h_finish (base + Array.unsafe_get intra_src i) in
       if f > !intra_ready then intra_ready := f
     done;
     let inter_arrival = ref 0 and blame_src = ref (-1) in
     if recv then
-      for i = reg_off.(v) to reg_off.(v + 1) - 1 do
+      for i = Array.unsafe_get reg_off v to Array.unsafe_get reg_off (v + 1) - 1 do
         let src = Array.unsafe_get reg_src i in
         let dk = Array.unsafe_get reg_dk i in
-        let f = past_finish s (j - dk) src in
-        if f <> min_int then begin
-          let arr = f + Array.unsafe_get comm_tbl (comm_base + dk) in
+        (* thread [j - dk]'s ring slot, [dk < horizon]; none for a
+           live-in *)
+        let slot = if jslot >= dk then jslot - dk else jslot - dk + horizon in
+        let kind = if j < dk then 0 else Array.unsafe_get h_kind slot in
+        if kind <> 0 then begin
+          let arr =
+            slot_finish a ~n ~kind slot src
+            + Array.unsafe_get comm_tbl (comm_base + dk)
+          in
           if arr > !inter_arrival then begin
             inter_arrival := arr;
             blame_src := src
@@ -1048,17 +1077,15 @@ let execute s j ~start ~recv ~use_lats =
         start + !c
       end
     in
-    let nd = Ts_ddg.Ddg.node g v in
     let latency =
-      match nd.op with
-      | Ts_isa.Opcode.Load ->
-          if use_lats then Array.unsafe_get lat_buf v
-          else begin
-            let lat = load_latency s ~core j v in
-            Array.unsafe_set lat_buf v lat;
-            lat
-          end
-      | _ -> nd.latency * lat_scale
+      let l = Array.unsafe_get node_lat (lat_base + v) in
+      if l >= 0 then l
+      else if use_lats then Array.unsafe_get lat_buf v
+      else begin
+        let lat = load_latency s ~core ~own j v in
+        Array.unsafe_set lat_buf v lat;
+        lat
+      end
     in
     Array.unsafe_set h_issue (base + v) issue;
     let fin = issue + latency in
@@ -1085,7 +1112,7 @@ let mdt_probe s j =
       let v = s.loads.(i) in
       if s.mem_nonempty.(v) then begin
         let t_detect =
-          mdt_conflict s ~thread:j ~addr:(thread_addr s v j)
+          mdt_conflict s ~thread:j ~addr:(thread_addr s ~own:false v j)
             ~issue:s.a.h_issue.((j mod s.horizon * s.n) + v)
         in
         if t_detect > !viol then viol := t_detect
@@ -1191,12 +1218,15 @@ let commit s j ~r ~shift ~fills =
     end
   in
   let mdt_real = (not s.analytic_mdt) || mdt_relevant s j in
+  let own = Array.length s.stores > 0 && own_addrs s j in
   for i = 0 to Array.length s.stores - 1 do
     let v = s.stores.(i) in
     if s.analytic_mdt then av_record s j v;
     if mdt_real || fills then begin
-      let addr = thread_addr s v j in
-      if mdt_real then mdt_record s ~thread:j ~addr ~finish:(past_finish s j v);
+      let addr = thread_addr s ~own v j in
+      if mdt_real then
+        mdt_record s ~thread:j ~addr
+          ~finish:(slot_finish a ~n:s.n ~kind:a.h_kind.(slot) slot v);
       if fills then begin
         l2_fill s addr;
         if s.inval_needed.(v) then
@@ -1437,7 +1467,8 @@ let replay_loads s j (r : fp_rec) =
   let diff = ref false in
   for i = 0 to Array.length s.loads - 1 do
     let v = s.loads.(i) in
-    let lat = load_latency s ~core j v in
+    (* [engaged_step] replays only threads no coin affects *)
+    let lat = load_latency s ~core ~own:true j v in
     s.lat_buf.(v) <- lat;
     if lat <> r.r_lats.(v) then diff := true
   done;
@@ -1452,7 +1483,8 @@ let extrapolate s j r shift ~fills =
     if not fills then s.analytic_l1_hits <- s.analytic_l1_hits + Array.length s.loads
   end;
   commit s j ~r ~shift ~fills;
-  s.extrap_count <- s.extrap_count + 1
+  s.extrap_count <- s.extrap_count + 1;
+  if not fills then s.allhit_count <- s.allhit_count + 1
 
 (* Thread [j] while engaged on the signature window. *)
 let engaged_step s j =
@@ -1533,6 +1565,11 @@ let finish s ~trip =
   Ts_obs.Metrics.incr ~by:s.engage_count m_fp_engaged;
   Ts_obs.Metrics.incr ~by:s.extrap_count m_fp_extrap;
   Ts_obs.Metrics.incr ~by:s.mismatch_count m_fp_mismatch;
+  let exact = s.warmup + trip - s.extrap_count in
+  Ts_obs.Metrics.incr ~by:exact m_exact_threads;
+  Ts_obs.Metrics.incr ~by:(exact * s.n) m_exact_nodes;
+  Ts_obs.Metrics.incr ~by:(s.extrap_count - s.allhit_count) m_fp_replayed;
+  Ts_obs.Metrics.incr ~by:s.allhit_count m_fp_allhit;
   let cycles = s.last_commit_end - s.warm_end in
   if s.traced then
     Trace.instant s.trace ~pid:s.trace_pid ~ts:s.last_commit_end "sim.end"
@@ -1576,9 +1613,10 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace
 module Stage = struct
   type t = run
 
-  let create ?plan ?(sync_mem = false) ?(warmup = 0) cfg k ~trip =
+  let create ?plan ?(sync_mem = false) ?(warmup = 0) ?(fast = false) cfg k ~trip =
+    let fast_ok = fast_path_ok ~fast ~trace:Trace.null ~observed:false k.K.g in
     create ?plan ~sync_mem ~warmup ~check:false ~trace:Trace.null ~trace_pid:0
-      ~fast_ok:false cfg k ~trip (arena_create ())
+      ~fast_ok cfg k ~trip (arena_create ())
 
   let base s j = j mod s.horizon * s.n
   let spawn = spawn
@@ -1589,6 +1627,7 @@ module Stage = struct
   let issue s j v = s.a.h_issue.(base s j + v)
   let finish s j v = s.a.h_finish.(base s j + v)
   let last_commit_end s = s.last_commit_end
+  let addr s v j = thread_addr s ~own:(own_addrs s j) v j
   let spawn_stall_cycles s = s.spawn_stall
   let stall_breakdown = stall_breakdown
   let l1 s c = s.a.l1.(c)

@@ -149,12 +149,14 @@ module Stage : sig
     ?plan:Address_plan.t ->
     ?sync_mem:bool ->
     ?warmup:int ->
+    ?fast:bool ->
     Config.t ->
     Ts_modsched.Kernel.t ->
     trip:int ->
     t
-  (** A run set up as {!run} would, unchecked and without the fast path
-      or a trace. *)
+  (** A run set up as {!run} would, unchecked and without a trace. With
+      [fast] it has a fast-path run's setup (the coin iterations, the
+      address shortcut, the analytic MDT), but the stages stay exact. *)
 
   val spawn : t -> int -> int
   (** Thread [j]'s start; counts spawn stalls. *)
@@ -171,6 +173,11 @@ module Stage : sig
 
   val finish : t -> int -> int -> int
   val last_commit_end : t -> int
+
+  val addr : t -> int -> int -> int
+  (** [addr st v j]: the address memory node [v] touches in thread [j],
+      by the path the stages take. *)
+
   val spawn_stall_cycles : t -> int
   val stall_breakdown : t -> ((int * int) * int) list
   val l1 : t -> int -> Cache.t

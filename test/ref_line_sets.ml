@@ -11,9 +11,10 @@ let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let line_sets plan ~line ~ncore ~loads =
   List.map
     (fun v ->
-      match Ts_spmt.Address_plan.stream plan ~node:v with
-      | None -> (v, Array.make ncore [])
-      | Some (base, stride, ws) ->
+      let st = Ts_spmt.Address_plan.streams plan in
+      match (st.(3 * v), st.((3 * v) + 1), st.((3 * v) + 2) + 1) with
+      | _, _, 0 -> (v, Array.make ncore [])
+      | base, stride, ws ->
           let pv = ws / gcd stride ws in
           let l = pv * ncore / gcd pv ncore in
           let per_res = Array.make ncore [] in

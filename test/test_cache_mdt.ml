@@ -59,6 +59,70 @@ let test_cache_bad_geometry () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The MRU-ordered sets against the naive reference: every answer of a
+   script of operations on both must agree. [`A] accesses, [`P] probes,
+   [`F] fills and [`I] invalidates a line. *)
+let mirrored ~size ~assoc script =
+  let c = Ts_spmt.Cache.create ~size ~assoc ~line:32 in
+  let r = Ts_check.Ref_models.Cache.create ~size ~assoc ~line:32 in
+  List.iteri
+    (fun i (op, line) ->
+      let addr = line * 32 in
+      let what = Printf.sprintf "step %d (line %d)" i line in
+      match op with
+      | `A ->
+          check_bool what
+            (Ts_check.Ref_models.Cache.access r addr)
+            (Ts_spmt.Cache.access c addr)
+      | `P ->
+          check_bool what
+            (Ts_check.Ref_models.Cache.probe r addr)
+            (Ts_spmt.Cache.probe c addr)
+      | `F ->
+          Ts_spmt.Cache.fill c addr;
+          Ts_check.Ref_models.Cache.fill r addr
+      | `I ->
+          Ts_spmt.Cache.invalidate c addr;
+          Ts_check.Ref_models.Cache.invalidate r addr)
+    script;
+  check_bool "stats" true (Ts_spmt.Cache.stats c = Ts_check.Ref_models.Cache.stats r);
+  c
+
+(* An invalidated way keeps its age: a miss still evicts the least recent
+   way, and the empty one goes only once it is the least recent. Lines 0,
+   4, 8 and 12 share set 0 of a 2-way, 4-set cache. *)
+let test_cache_invalid_way_ages () =
+  let c =
+    mirrored ~size:256 ~assoc:2
+      [ (`A, 0); (`A, 4); (`I, 4); (`A, 8); (`P, 0); (`A, 12); (`P, 8) ]
+  in
+  check_bool "line 0, least recent, was evicted before the empty way" false
+    (Ts_spmt.Cache.probe c 0);
+  check_bool "the empty way went next, so line 8 stays" true
+    (Ts_spmt.Cache.probe c (8 * 32));
+  check_bool "line 12 resident" true (Ts_spmt.Cache.probe c (12 * 32))
+
+(* Direct-mapped: every conflict evicts, and a fill or an invalidate
+   acts on the one way. Lines 0 and 4 share set 0 of a 4-set cache. *)
+let test_cache_direct_mapped () =
+  let c =
+    mirrored ~size:128 ~assoc:1
+      [
+        (`A, 0); (`A, 0); (`A, 4); (`P, 0); (`A, 1); (`F, 0); (`P, 4);
+        (`A, 0); (`I, 0); (`A, 0); (`P, 1);
+      ]
+  in
+  check_bool "stats" true (Ts_spmt.Cache.stats c = (2, 4));
+  check_bool "line 0 resident" true (Ts_spmt.Cache.probe c 0)
+
+(* A fill of a resident block makes it the most recent: the next miss
+   evicts the other way. *)
+let test_cache_fill_promotes () =
+  let c = mirrored ~size:256 ~assoc:2 [ (`A, 0); (`A, 4); (`F, 0); (`A, 8) ] in
+  check_bool "filled line 0 kept" true (Ts_spmt.Cache.probe c 0);
+  check_bool "line 4 evicted" false (Ts_spmt.Cache.probe c (4 * 32));
+  check_bool "a fill counts nothing" true (Ts_spmt.Cache.stats c = (0, 3))
+
 let prop_cache_hit_after_access =
   QCheck.Test.make ~count:200 ~name:"immediately after access, probe hits"
     QCheck.(small_int)
@@ -280,6 +344,11 @@ let suite =
     Alcotest.test_case "cache: invalidate and fill" `Quick test_cache_invalidate_and_fill;
     Alcotest.test_case "cache: stats and reset" `Quick test_cache_stats;
     Alcotest.test_case "cache: bad geometry" `Quick test_cache_bad_geometry;
+    Alcotest.test_case "cache: an invalidated way ages" `Quick
+      test_cache_invalid_way_ages;
+    Alcotest.test_case "cache: direct-mapped" `Quick test_cache_direct_mapped;
+    Alcotest.test_case "cache: fill promotes a resident block" `Quick
+      test_cache_fill_promotes;
     QCheck_alcotest.to_alcotest prop_cache_hit_after_access;
     Alcotest.test_case "mdt: conflict detection" `Quick test_mdt_conflict_detection;
     Alcotest.test_case "mdt: horizon" `Quick test_mdt_horizon;

@@ -569,6 +569,42 @@ module Ref = Ts_check.Ref_models
 let addr_of plan (k : K.t) v j =
   Ts_spmt.Address_plan.addr plan ~node:v ~iter:(j - k.K.stage.(v))
 
+(* A fast-path run reads a thread's own stream addresses by mask, skipping
+   the coins, except for negative prologue iterations (where [land] and
+   [mod] differ) and coin iterations: each must still be
+   [Address_plan.addr], for every memory node and every iteration in
+   [-max_stage, warmup + trip). The C2 loops' probabilistic memory
+   dependences cover both exceptions. *)
+let test_stage_fast_addr () =
+  let warmup = 16 and trip = 200 in
+  let negative = ref 0 and coins = ref 0 in
+  List.iter
+    (fun g ->
+      let k = kernel_of g in
+      let plan = Ts_spmt.Address_plan.create g in
+      let st = St.create ~plan ~warmup ~fast:true cfg k ~trip in
+      let max_stage = Array.fold_left max 0 k.K.stage in
+      let st_tbl = Ts_spmt.Address_plan.streams plan in
+      for v = 0 to Ts_ddg.Ddg.n_nodes g - 1 do
+        if Ts_isa.Opcode.is_mem (Ts_ddg.Ddg.node g v).op then
+          for it = -max_stage to warmup + trip - 1 do
+            let want = Ts_spmt.Address_plan.addr plan ~node:v ~iter:it in
+            let own =
+              st_tbl.(3 * v) + (st_tbl.((3 * v) + 1) * it land st_tbl.((3 * v) + 2))
+            in
+            if it < 0 && want <> own then incr negative;
+            if it >= 0 && want <> own then incr coins;
+            check_int
+              (Printf.sprintf "%s: node %d, iteration %d" g.Ts_ddg.Ddg.name v it)
+              want
+              (St.addr st v (it + k.K.stage.(v)))
+          done
+      done)
+    (Fixtures.c2_loops ());
+  check_bool "some negative iteration where land and mod differ" true
+    (!negative > 0);
+  check_bool "some coin-redirected iteration" true (!coins > 0)
+
 (* [spawn]: a thread starts at [max (previous start + c_spawn) core_free]
    (round-robin: the core's previous thread committed), and spawn stalls
    count only from [warmup] on. *)
@@ -797,6 +833,7 @@ let suite =
     Alcotest.test_case "sim: allocation-free per thread" `Quick
       test_sim_allocation_free;
     Alcotest.test_case "stage: spawn" `Quick test_stage_spawn;
+    Alcotest.test_case "stage: fast address path" `Quick test_stage_fast_addr;
     Alcotest.test_case "stage: execute, round-robin" `Quick
       (test_stage_execute cfg);
     Alcotest.test_case "stage: execute, 2fast+2slow locality" `Quick
