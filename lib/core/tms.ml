@@ -122,9 +122,43 @@ let preserved s ~v ~cycle ~c_reg_com (e : Ts_ddg.Ddg.edge) =
   done;
   !found
 
-(* ISSUE_SLOT_SELECTION (Figure 3, lines 18-28) for node [v] at cycle [c]:
-   resource fit, C1 on the new register dependences, C2 on the
-   misspeculation frequency when new memory dependences appear.
+(* C1 (Definition 2: [sync <= C_delay] on every new synchronised register
+   dependence) as bounds on the row of [v]'s cycle [c] in one stage. For
+   a register edge between [v] and [u] placed at [t_u], distance [d]:
+   - [v -> u] is synchronised iff [stage c <= d + stage t_u - 1], and
+     then breaks C1 iff [row c > C_delay + row t_u - lat_v - c_reg_com];
+   - [u -> v] is synchronised iff [stage c >= stage t_u + 1 - d], and
+     then breaks C1 iff [row c < row t_u + lat_u + c_reg_com - C_delay];
+   - a self-loop with [d >= 1] has [sync = lat_v + c_reg_com] at every c.
+   So C1 admits the rows [lo .. hi] of the stage (none when [lo > hi]). *)
+type rows = { mutable lo : int; mutable hi : int }
+
+let c1_rows rows s v ~stage ~c_delay ~c_reg_com =
+  let g = S.ddg s and ii = S.ii s in
+  let reg_arr = Ts_ddg.Ddg.reg_edge_array g and lat_v = Ts_ddg.Ddg.latency g v in
+  let idxs = Ts_ddg.Ddg.incident_reg g v in
+  rows.lo <- 0;
+  rows.hi <- ii - 1;
+  for k = 0 to Array.length idxs - 1 do
+    let e = reg_arr.(idxs.(k)) in
+    let u = if e.src = v then e.dst else e.src in
+    match S.time s u with
+    | _ when u = v ->
+        if e.distance >= 1 && lat_v + c_reg_com > c_delay then rows.hi <- -1
+    | None -> ()
+    | Some tu ->
+        let q = Ts_base.Intmath.div_floor tu ii in
+        if e.src = v && stage < e.distance + q then
+          rows.hi <- Int.min rows.hi (c_delay + tu - (q * ii) - lat_v - c_reg_com)
+        else if e.dst = v && stage > q - e.distance then
+          rows.lo <-
+            Int.max rows.lo
+              (tu - (q * ii) + Ts_ddg.Ddg.latency g u + c_reg_com - c_delay)
+  done
+
+(* ISSUE_SLOT_SELECTION (Figure 3, lines 18-28) for node [v] at cycle [c]
+   once C1 holds: resource fit, then C2 on the misspeculation frequency
+   when new memory dependences appear.
 
    The inter-iteration dependence set of the partial schedule is NOT
    recomputed here: [Sched] maintains per-edge activity masks
@@ -135,53 +169,46 @@ let preserved s ~v ~cycle ~c_reg_com (e : Ts_ddg.Ddg.edge) =
    reach allocates nothing. Rows/stages are computed from raw issue
    cycles; the kernel normalises by a multiple of II, so these values
    equal the final kernel's. *)
-let admit ?c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com =
+let admit_past_c1 ?c2obs s v ~cycle ~p_max ~c_reg_com =
   if not (S.fits s v ~cycle) then Reject_resource
   else begin
     let g = S.ddg s in
-    let reg_arr = Ts_ddg.Ddg.reg_edge_array g in
-    let reg_mask = S.reg_active_mask s in
-    let c1_ok = ref true and k = ref 0 in
-    let idxs = Ts_ddg.Ddg.incident_reg g v in
-    while !c1_ok && !k < Array.length idxs do
+    let mem_arr = Ts_ddg.Ddg.mem_edge_array g in
+    let mem_mask = S.mem_active_mask s in
+    let new_mem = ref false and k = ref 0 in
+    let idxs = Ts_ddg.Ddg.incident_mem g v in
+    while (not !new_mem) && !k < Array.length idxs do
       let i = idxs.(!k) in
-      let e = reg_arr.(i) in
-      if
-        hyp_active s ~v ~cycle reg_mask i e
-        && sync_hyp s ~v ~cycle ~c_reg_com e > c_delay
-      then c1_ok := false;
+      if hyp_active s ~v ~cycle mem_mask i mem_arr.(i) then new_mem := true;
       incr k
     done;
-    if not !c1_ok then Reject_c1
+    if not !new_mem then Admit
     else begin
-      let mem_arr = Ts_ddg.Ddg.mem_edge_array g in
-      let mem_mask = S.mem_active_mask s in
-      let new_mem = ref false and k = ref 0 in
-      let idxs = Ts_ddg.Ddg.incident_mem g v in
-      while (not !new_mem) && !k < Array.length idxs do
-        let i = idxs.(!k) in
-        if hyp_active s ~v ~cycle mem_mask i mem_arr.(i) then new_mem := true;
-        incr k
+      (* P_M over the non-preserved speculated dependences, multiplied in
+         edge order (bit-identical to the list-based seed computation). *)
+      let acc = ref 1.0 in
+      for i = 0 to Array.length mem_arr - 1 do
+        let e = mem_arr.(i) in
+        if
+          hyp_active s ~v ~cycle mem_mask i e
+          && not (preserved s ~v ~cycle ~c_reg_com e)
+        then acc := !acc *. (1.0 -. e.Ts_ddg.Ddg.prob)
       done;
-      if not !new_mem then Admit
-      else begin
-        (* P_M over the non-preserved speculated dependences, multiplied in
-           edge order (bit-identical to the list-based seed computation). *)
-        let acc = ref 1.0 in
-        for i = 0 to Array.length mem_arr - 1 do
-          let e = mem_arr.(i) in
-          if
-            hyp_active s ~v ~cycle mem_mask i e
-            && not (preserved s ~v ~cycle ~c_reg_com e)
-          then acc := !acc *. (1.0 -. e.Ts_ddg.Ddg.prob)
-        done;
-        let freq = 1.0 -. !acc in
-        let ok = freq <= p_max +. 1e-12 in
-        (match c2obs with Some f -> f freq ok | None -> ());
-        if ok then Admit else Reject_c2
-      end
+      let freq = 1.0 -. !acc in
+      let ok = freq <= p_max +. 1e-12 in
+      (match c2obs with Some f -> f freq ok | None -> ());
+      if ok then Admit else Reject_c2
     end
   end
+
+(* The whole predicate, C1 first, as the placement scan applies it. *)
+let admit ?c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com =
+  let ii = S.ii s and rows = { lo = 0; hi = -1 } in
+  let stage = Ts_base.Intmath.div_floor cycle ii in
+  c1_rows rows s v ~stage ~c_delay ~c_reg_com;
+  let row = cycle - (stage * ii) in
+  if row < rows.lo || row > rows.hi then Reject_c1
+  else admit_past_c1 ?c2obs s v ~cycle ~p_max ~c_reg_com
 
 let admissible s v ~cycle ~c_delay ~p_max ~c_reg_com =
   admit s v ~cycle ~c_delay ~p_max ~c_reg_com = Admit
@@ -224,7 +251,7 @@ let flush_tally t =
 
 let try_schedule_tallied tally ?c2obs ?asap g ~order ~ii ~c_delay ~p_max
     ~c_reg_com =
-  let s = S.create ?asap g ~ii in
+  let s = S.create ?asap g ~ii and rows = { lo = 0; hi = -1 } in
   let rec place_all = function
     | [] -> Ok (K.of_schedule s)
     | (v, prefer) :: rest -> (
@@ -234,31 +261,46 @@ let try_schedule_tallied tally ?c2obs ?asap g ~order ~ii ~c_delay ~p_max
               { node = v; window_empty = true; resource_rejects = 0;
                 c1_rejects = 0; c2_rejects = 0 }
         | Some (lo, hi, dir) ->
-            (* Walk the window in trial order without materialising it. *)
-            let up = dir = S.Up in
-            let last = if up then hi else lo and step = if up then 1 else -1 in
-            let resource = ref 0 and c1 = ref 0 and c2 = ref 0 in
-            let c = ref (if up then lo else hi) and placed = ref false in
-            let scanning = ref true in
-            while !scanning do
-              (match admit ?c2obs s v ~cycle:!c ~c_delay ~p_max ~c_reg_com with
-              | Admit ->
-                  tally.t_admit <- tally.t_admit + 1;
-                  S.place s v ~cycle:!c;
-                  placed := true
-              | Reject_resource -> incr resource
-              | Reject_c1 -> incr c1
-              | Reject_c2 -> incr c2);
-              if !placed || !c = last then scanning := false else c := !c + step
+            (* Walk the window in trial order, one stage at a time (it is
+               at most II wide: two stages at most), checking resources
+               and C2 only on the cycles C1 admits. Every cycle passed is
+               one verdict: those C1 skipped are its rejections. *)
+            let up = dir = S.Up and step = if dir = S.Up then 1 else -1 in
+            let q_lo = Ts_base.Intmath.div_floor lo ii
+            and q_hi = Ts_base.Intmath.div_floor hi ii in
+            let q = ref (if up then q_lo else q_hi) and c = ref lo in
+            let placed = ref false and resource = ref 0 and c2 = ref 0 in
+            while (not !placed) && q_lo <= !q && !q <= q_hi do
+              let base = !q * ii in
+              c1_rows rows s v ~stage:!q ~c_delay ~c_reg_com;
+              let ca = Int.max (Int.max lo base) (base + rows.lo)
+              and cb = Int.min (Int.min hi (base + ii - 1)) (base + rows.hi) in
+              c := if up then ca else cb;
+              while (not !placed) && ca <= !c && !c <= cb do
+                (match admit_past_c1 ?c2obs s v ~cycle:!c ~p_max ~c_reg_com with
+                | Admit ->
+                    tally.t_admit <- tally.t_admit + 1;
+                    S.place s v ~cycle:!c;
+                    placed := true
+                | Reject_resource -> incr resource
+                | Reject_c2 -> incr c2
+                | Reject_c1 -> assert false);
+                if not !placed then c := !c + step
+              done;
+              q := !q + step
             done;
+            let passed =
+              if !placed then abs (!c - if up then lo else hi) else hi - lo + 1
+            in
+            let c1 = passed - !resource - !c2 in
             tally.t_resource <- tally.t_resource + !resource;
-            tally.t_c1 <- tally.t_c1 + !c1;
+            tally.t_c1 <- tally.t_c1 + c1;
             tally.t_c2 <- tally.t_c2 + !c2;
             if !placed then place_all rest
             else
               Error
                 { node = v; window_empty = false; resource_rejects = !resource;
-                  c1_rejects = !c1; c2_rejects = !c2 })
+                  c1_rejects = c1; c2_rejects = !c2 })
   in
   place_all order
 

@@ -112,7 +112,11 @@ val schedule :
     Slot-level admission outcomes (resource/C1/C2 rejections, admissions)
     are counted on {!Ts_obs.Metrics.default} under [tms.slots.*], and the
     latency of each placed grid point on the [tms.attempt_ms]
-    histogram. *)
+    histogram. A placement walks its window one stage at a time and
+    checks resources and C2 only on the cycles whose rows C1 admits
+    (see {!admit}); every cycle it passes is still one verdict, and a
+    cycle C1 rejects counts on [tms.slots.c1_reject] whether or not it
+    would fit. *)
 
 val reject_reason : reject -> string
 (** Compact label for traces: ["window-empty"],
@@ -157,11 +161,14 @@ val admit :
   c_reg_com:int ->
   slot_verdict
 (** The bare [ISSUE_SLOT_SELECTION] predicate (Figure 3 lines 18-28) with
-    the rejecting condition: resource fit, C1 on the new inter-iteration
-    register dependences, C2 on the resulting misspeculation frequency.
-    Allocation-free up to the C2 comparison: it reads the partial
-    schedule's incrementally maintained dependence masks
-    ({!Ts_modsched.Sched.reg_active_mask}) and only examines the edges
+    the rejecting condition, in this order: C1 on the new inter-iteration
+    register dependences, resource fit, C2 on the resulting
+    misspeculation frequency. C1 is the interval of rows that the node's
+    placed register neighbours admit on the slot's stage: the bounds the
+    placement scan skips cycles by (DESIGN.md §5.4). Up to the C2
+    comparison it allocates only that two-field interval: it reads the
+    partial schedule's incrementally maintained dependence masks
+    ({!Ts_modsched.Sched.mem_active_mask}) and only examines the edges
     incident to the candidate node.
 
     [c2obs] observes every C2 comparison as [(frequency, admitted)] — the

@@ -263,8 +263,8 @@ let test_search_counters_pinned () =
     [
       ("tms.attempts", 345);
       ("tms.slots.admitted", 9598);
-      ("tms.slots.resource_reject", 2587);
-      ("tms.slots.c1_reject", 24584);
+      ("tms.slots.resource_reject", 1218);
+      ("tms.slots.c1_reject", 25953);
       ("tms.slots.c2_reject", 1774);
     ]
   in
@@ -330,6 +330,108 @@ let test_sweep_c2_binds () =
          let a = kernel 0.01 g and b = kernel 0.25 g in
          (a.K.ii, a.K.time) <> (b.K.ii, b.K.time))
        loops)
+
+(* --- C1 as row bounds ([Tms.admit]) --- *)
+
+(* C1 slot by slot, from the list-based oracle: every new synchronised
+   register dependence of [v] at [cycle] has [sync <= c_delay]. *)
+let slot_c1 s v ~cycle ~c_delay ~c_reg_com =
+  let g = Ts_modsched.Sched.ddg s and ii = Ts_modsched.Sched.ii s in
+  let time_of u = if u = v then Some cycle else Ts_modsched.Sched.time s u in
+  Ref_tms.Partial.inter_iter_deps g ~ii ~time_of Ts_ddg.Ddg.Reg
+  |> List.filter (fun (e : Ts_ddg.Ddg.edge) -> e.src = v || e.dst = v)
+  |> List.for_all (fun e ->
+         match Ref_tms.Partial.sync g ~ii ~c_reg_com ~time_of e with
+         | Some sy -> sy <= c_delay
+         | None -> true)
+
+(* [Tms.admit] takes its C1 verdict from per-stage row bounds, the same
+   ones the placement scan skips cycles by. On random partial schedules
+   (nodes placed at random cycles, negative ones included), for every
+   cycle of the unplaced nodes' windows and of random windows one and
+   two stages wide, the bounds must reject exactly the slots C1 rejects
+   slot by slot. *)
+let test_c1_bounds_equal_slot_c1 () =
+  let module S = Ts_modsched.Sched in
+  let loops =
+    [
+      Fixtures.accumulator (); Fixtures.two_scc (); Fixtures.spec_loop ();
+      Fixtures.diamond (); Fixtures.chain 5; Fixtures.motivating ();
+    ]
+    @ List.init 10 (fun i ->
+          Fixtures.generated ~seed:(500 + i) ~n_inst:(6 + (2 * i)) ())
+  in
+  let rng = Random.State.make [| 33 |] and c_reg_com = 3 in
+  let seen = Hashtbl.create 8 in
+  let see k = Hashtbl.replace seen k () in
+  let check_window s v ~c_delay (lo, hi) =
+    let ii = S.ii s in
+    see
+      (if Ts_base.Intmath.div_floor lo ii = Ts_base.Intmath.div_floor hi ii then
+         "one-stage window"
+       else "two-stage window");
+    for cycle = lo to hi do
+      if cycle < 0 then see "negative cycle";
+      let expect = slot_c1 s v ~cycle ~c_delay ~c_reg_com in
+      let got =
+        Ts_tms.Tms.admit s v ~cycle ~c_delay ~p_max:1.0 ~c_reg_com
+        <> Ts_tms.Tms.Reject_c1
+      in
+      see (if expect then "admitted" else "rejected");
+      if got <> expect then
+        Alcotest.failf
+          "%s ii=%d v=%d cycle=%d c_delay=%d: bounds say %b, C1 says %b"
+          (S.ddg s).Ts_ddg.Ddg.name ii v cycle c_delay got expect
+    done
+  in
+  List.iter
+    (fun g ->
+      let n = Ts_ddg.Ddg.n_nodes g and mii = Ts_ddg.Mii.mii g in
+      for _ = 1 to 6 do
+        let ii = mii + Random.State.int rng 4 in
+        let s = S.create g ~ii in
+        for v = 0 to n - 1 do
+          let cycle = Random.State.int rng (4 * ii) - (2 * ii) in
+          if Random.State.bool rng && S.fits s v ~cycle then S.place s v ~cycle
+        done;
+        for v = 0 to n - 1 do
+          if not (S.is_scheduled s v) then begin
+            Array.iter
+              (fun i ->
+                let e = (Ts_ddg.Ddg.reg_edge_array g).(i) in
+                if e.src = v && e.dst = v then see "self-loop"
+                else if e.src = v && S.is_scheduled s e.dst then see "v -> u"
+                else if e.dst = v && S.is_scheduled s e.src then see "u -> v")
+              (Ts_ddg.Ddg.incident_reg g v);
+            let random_window () =
+              let lo = Random.State.int rng (4 * ii) - (2 * ii) in
+              (lo, lo + Random.State.int rng ii)
+            in
+            let windows =
+              random_window () :: random_window ()
+              :: List.filter_map
+                   (fun prefer ->
+                     Option.map
+                       (fun (lo, hi, _) -> (lo, hi))
+                       (S.window ~prefer s v))
+                   [ S.Up; S.Down ]
+            in
+            List.iter
+              (fun c_delay -> List.iter (check_window s v ~c_delay) windows)
+              [
+                1 + c_reg_com; 3 + c_reg_com; 6 + c_reg_com;
+                1 + c_reg_com + ii + Random.State.int rng 8;
+              ]
+          end
+        done
+      done)
+    loops;
+  List.iter
+    (fun k -> check_bool ("covered: " ^ k) true (Hashtbl.mem seen k))
+    [
+      "one-stage window"; "two-stage window"; "negative cycle"; "admitted";
+      "rejected"; "self-loop"; "v -> u"; "u -> v";
+    ]
 
 (* --- the C_delay floor ([Tms.c_delay_floor]) --- *)
 
@@ -494,6 +596,8 @@ let suite =
       test_ims_eviction_keeps_claims;
     Alcotest.test_case "DOACROSS loops: C_delay regression" `Slow
       test_doacross_c_delay_regression;
+    Alcotest.test_case "C1: row bounds equal slot-by-slot C1" `Quick
+      test_c1_bounds_equal_slot_c1;
     Alcotest.test_case "sweep: search counters pinned" `Quick
       test_search_counters_pinned;
     Alcotest.test_case "sweep: attempt_ms times placements only" `Quick
