@@ -156,9 +156,9 @@ let c1_rows rows s v ~stage ~c_delay ~c_reg_com =
               (tu - (q * ii) + Ts_ddg.Ddg.latency g u + c_reg_com - c_delay)
   done
 
-(* ISSUE_SLOT_SELECTION (Figure 3, lines 18-28) for node [v] at cycle [c]
-   once C1 holds: resource fit, then C2 on the misspeculation frequency
-   when new memory dependences appear.
+(* C2 of ISSUE_SLOT_SELECTION (Figure 3, lines 18-28) for node [v] at
+   cycle [c]: the misspeculation frequency stays within [P_max] when new
+   memory dependences appear. Resource fit is the caller's test.
 
    The inter-iteration dependence set of the partial schedule is NOT
    recomputed here: [Sched] maintains per-edge activity masks
@@ -169,49 +169,52 @@ let c1_rows rows s v ~stage ~c_delay ~c_reg_com =
    reach allocates nothing. Rows/stages are computed from raw issue
    cycles; the kernel normalises by a multiple of II, so these values
    equal the final kernel's. *)
-let admit_past_c1 ?c2obs s v ~cycle ~p_max ~c_reg_com =
-  if not (S.fits s v ~cycle) then Reject_resource
+let c2_holds ?c2obs s v ~cycle ~p_max ~c_reg_com =
+  let g = S.ddg s in
+  let mem_arr = Ts_ddg.Ddg.mem_edge_array g in
+  let mem_mask = S.mem_active_mask s in
+  let new_mem = ref false and k = ref 0 in
+  let idxs = Ts_ddg.Ddg.incident_mem g v in
+  while (not !new_mem) && !k < Array.length idxs do
+    let i = idxs.(!k) in
+    if hyp_active s ~v ~cycle mem_mask i mem_arr.(i) then new_mem := true;
+    incr k
+  done;
+  if not !new_mem then true
   else begin
-    let g = S.ddg s in
-    let mem_arr = Ts_ddg.Ddg.mem_edge_array g in
-    let mem_mask = S.mem_active_mask s in
-    let new_mem = ref false and k = ref 0 in
-    let idxs = Ts_ddg.Ddg.incident_mem g v in
-    while (not !new_mem) && !k < Array.length idxs do
-      let i = idxs.(!k) in
-      if hyp_active s ~v ~cycle mem_mask i mem_arr.(i) then new_mem := true;
-      incr k
+    (* P_M over the non-preserved speculated dependences, multiplied in
+       edge order (bit-identical to the list-based seed computation). *)
+    let acc = ref 1.0 in
+    for i = 0 to Array.length mem_arr - 1 do
+      let e = mem_arr.(i) in
+      if
+        hyp_active s ~v ~cycle mem_mask i e
+        && not (preserved s ~v ~cycle ~c_reg_com e)
+      then acc := !acc *. (1.0 -. e.Ts_ddg.Ddg.prob)
     done;
-    if not !new_mem then Admit
-    else begin
-      (* P_M over the non-preserved speculated dependences, multiplied in
-         edge order (bit-identical to the list-based seed computation). *)
-      let acc = ref 1.0 in
-      for i = 0 to Array.length mem_arr - 1 do
-        let e = mem_arr.(i) in
-        if
-          hyp_active s ~v ~cycle mem_mask i e
-          && not (preserved s ~v ~cycle ~c_reg_com e)
-        then acc := !acc *. (1.0 -. e.Ts_ddg.Ddg.prob)
-      done;
-      let freq = 1.0 -. !acc in
-      let ok = freq <= p_max +. 1e-12 in
-      (match c2obs with Some f -> f freq ok | None -> ());
-      if ok then Admit else Reject_c2
-    end
+    let freq = 1.0 -. !acc in
+    let ok = freq <= p_max +. 1e-12 in
+    (match c2obs with Some f -> f freq ok | None -> ());
+    ok
   end
 
-(* The whole predicate, C1 first, as the placement scan applies it. *)
-let admit ?c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com =
+let c1_holds s v ~cycle ~c_delay ~c_reg_com =
   let ii = S.ii s and rows = { lo = 0; hi = -1 } in
   let stage = Ts_base.Intmath.div_floor cycle ii in
   c1_rows rows s v ~stage ~c_delay ~c_reg_com;
   let row = cycle - (stage * ii) in
-  if row < rows.lo || row > rows.hi then Reject_c1
-  else admit_past_c1 ?c2obs s v ~cycle ~p_max ~c_reg_com
+  rows.lo <= row && row <= rows.hi
+
+(* The whole predicate, C1 first, as the placement scan applies it. *)
+let admit ?c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com =
+  if not (c1_holds s v ~cycle ~c_delay ~c_reg_com) then Reject_c1
+  else if not (S.fits s v ~cycle) then Reject_resource
+  else if c2_holds ?c2obs s v ~cycle ~p_max ~c_reg_com then Admit
+  else Reject_c2
 
 let admissible s v ~cycle ~c_delay ~p_max ~c_reg_com =
-  admit s v ~cycle ~c_delay ~p_max ~c_reg_com = Admit
+  c1_holds s v ~cycle ~c_delay ~c_reg_com
+  && c2_holds s v ~cycle ~p_max ~c_reg_com
 
 type reject = {
   node : int;
@@ -277,14 +280,13 @@ let try_schedule_tallied tally ?c2obs ?asap g ~order ~ii ~c_delay ~p_max
               and cb = Int.min (Int.min hi (base + ii - 1)) (base + rows.hi) in
               c := if up then ca else cb;
               while (not !placed) && ca <= !c && !c <= cb do
-                (match admit_past_c1 ?c2obs s v ~cycle:!c ~p_max ~c_reg_com with
-                | Admit ->
-                    tally.t_admit <- tally.t_admit + 1;
-                    S.place s v ~cycle:!c;
-                    placed := true
-                | Reject_resource -> incr resource
-                | Reject_c2 -> incr c2
-                | Reject_c1 -> assert false);
+                if not (S.fits s v ~cycle:!c) then incr resource
+                else if c2_holds ?c2obs s v ~cycle:!c ~p_max ~c_reg_com then begin
+                  tally.t_admit <- tally.t_admit + 1;
+                  S.place s v ~cycle:!c;
+                  placed := true
+                end
+                else incr c2;
                 if not !placed then c := !c + step
               done;
               q := !q + step

@@ -182,8 +182,13 @@ val admissible :
   p_max:float ->
   c_reg_com:int ->
   bool
-(** [admit ... = Admit]. Exposed so other base schedulers can be made
-    thread-sensitive (see {!Tms_ims}) and for tests. *)
+(** C1 and C2 of {!admit}, without its resource fit: whether [v] at
+    [cycle] keeps every new synchronised register dependence within
+    [c_delay] and the misspeculation frequency within [p_max]. Resources
+    are the base scheduler's to test, so one that evicts to make room
+    (IMS's forced placement) can still do so. Exposed so other base
+    schedulers can be made thread-sensitive (see {!Tms_ims}) and for
+    tests. *)
 
 (** {1 The Figure 3 outer search, for any base scheduler} *)
 

@@ -34,11 +34,13 @@ let schedule ?(placement = Ts_isa.Placement.Round_robin) ?ims ~params g =
         c
   in
   (* One grid-point attempt: an IMS pass under the TMS admissibility
-     predicate, then a post-check.  Every placement passed [admissible],
-     but IMS eviction can retract decisions those checks relied on:
-     unscheduling the register dependence that preserved a speculative
-     memory dependence un-preserves it behind C2's back (and moving a
-     producer can likewise raise an already-checked sync past C_delay).
+     predicate (C1 and C2; IMS tests resources itself and its forced
+     placement evicts to make room), then a post-check.  Every placement
+     passed [admissible], but IMS eviction can retract decisions those
+     checks relied on: unscheduling the register dependence that
+     preserved a speculative memory dependence un-preserves it behind
+     C2's back (and moving a producer can likewise raise an
+     already-checked sync past C_delay).
      Re-derive both claims on the finished kernel and reject the grid
      point if eviction broke them.  IMS reports no blocking node, so
      there is no order repair: the plateau walk alone recovers the

@@ -72,7 +72,16 @@ let rec_ii_filtered (g : Ddg.t) ~keep =
     !lo
   end
 
-let rec_ii g = rec_ii_filtered g ~keep:(fun _ -> true)
+(* Every cycle lies inside one strongly connected component, so the edges
+   between components (acyclic chains included) can never close one and
+   only cost Bellman-Ford rounds. This holds for any edge subset: a cycle
+   of register edges is a cycle of the whole graph. *)
+let rec_ii_in_sccs (g : Ddg.t) ~keep =
+  let comp = Scc.component_of g in
+  rec_ii_filtered g ~keep:(fun (e : Ddg.edge) ->
+      comp.(e.src) = comp.(e.dst) && keep e)
+
+let rec_ii g = rec_ii_in_sccs g ~keep:(fun _ -> true)
 
 let rec_ii_of_nodes g nodes =
   let n = Ddg.n_nodes g in
@@ -80,7 +89,7 @@ let rec_ii_of_nodes g nodes =
   List.iter (fun v -> in_set.(v) <- true) nodes;
   rec_ii_filtered g ~keep:(fun (e : Ddg.edge) -> in_set.(e.src) && in_set.(e.dst))
 
-let reg_rec_ii g = rec_ii_filtered g ~keep:(fun (e : Ddg.edge) -> e.kind = Ddg.Reg)
+let reg_rec_ii g = rec_ii_in_sccs g ~keep:(fun (e : Ddg.edge) -> e.kind = Ddg.Reg)
 
 let mii g = max 1 (max (res_ii g) (rec_ii g))
 

@@ -184,6 +184,85 @@ let prop_rec_ii_bounded_rounds =
                    List.mem e.src c && List.mem e.dst c))
            (Ts_ddg.Scc.non_trivial g))
 
+(* Random DDGs with arbitrary edges, not just the generator's loop
+   shapes: several SCCs, edges between them, chains, self-loops and
+   register-only recurrences. Distance-0 edges go forward only, so no
+   zero-distance cycle can form. *)
+let arb_ddg =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 12 >>= fun n ->
+    list_repeat n (oneofl Ts_isa.Opcode.[ Ialu; Fadd; Fmul; Load; Store ])
+    >>= fun ops ->
+    list_size (int_bound (3 * n)) (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 3))
+    >|= fun deps -> (ops, deps)
+  in
+  QCheck.make
+    ~print:(fun (ops, deps) ->
+      Printf.sprintf "ops=[%s] deps=[%s]"
+        (String.concat ";" (List.map Ts_isa.Opcode.to_string ops))
+        (String.concat ";"
+           (List.map (fun (s, d, k) -> Printf.sprintf "%d->%d@%d" s d k) deps)))
+    gen
+
+let ddg_of_arb (ops, deps) =
+  let module B = Ts_ddg.Ddg.Builder in
+  let b = B.create ~name:"arb" Ts_isa.Machine.spmt_core in
+  let ids = Array.of_list (List.map (B.add b) ops) in
+  let op v = List.nth ops v in
+  List.iter
+    (fun (s, d, dist) ->
+      let dist = if dist = 0 && s >= d then 1 else dist in
+      match (op s, op d) with
+      | Ts_isa.Opcode.Store, Ts_isa.Opcode.Load -> B.mem_dep b ~dist ids.(s) ids.(d)
+      | Ts_isa.Opcode.Store, _ -> ()
+      | _ -> B.dep b ~dist ids.(s) ids.(d))
+    deps;
+  B.build b
+
+(* Components by mutual reachability (transitive closure), and every
+   edge between components points to an earlier one. *)
+let prop_scc_reference =
+  QCheck.Test.make ~count:300 ~name:"SCCs = mutual reachability, reverse topological"
+    arb_ddg (fun arb ->
+      let g = ddg_of_arb arb in
+      let n = Ts_ddg.Ddg.n_nodes g in
+      let reach = Array.init n (fun u -> Array.init n (fun v -> u = v)) in
+      Array.iter (fun (e : Ts_ddg.Ddg.edge) -> reach.(e.src).(e.dst) <- true) g.edges;
+      for k = 0 to n - 1 do
+        for u = 0 to n - 1 do
+          for v = 0 to n - 1 do
+            if reach.(u).(k) && reach.(k).(v) then reach.(u).(v) <- true
+          done
+        done
+      done;
+      let owner = Ts_ddg.Scc.component_of g in
+      let comps = Ts_ddg.Scc.compute g in
+      List.for_all (fun c -> c = List.sort_uniq compare c) comps
+      && List.for_all2
+           (fun ci c -> List.for_all (fun v -> owner.(v) = ci) c)
+           (List.init (List.length comps) Fun.id)
+           comps
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun v -> (owner.(u) = owner.(v)) = (reach.(u).(v) && reach.(v).(u)))
+               (List.init n Fun.id))
+           (List.init n Fun.id)
+      && Array.for_all
+           (fun (e : Ts_ddg.Ddg.edge) -> owner.(e.dst) <= owner.(e.src))
+           g.edges)
+
+let prop_rec_ii_in_sccs =
+  QCheck.Test.make ~count:300
+    ~name:"SCC-restricted rec_ii, reg_rec_ii = whole-graph searches"
+    arb_ddg (fun arb ->
+      let g = ddg_of_arb arb in
+      let rec least ii = if Ts_ddg.Mii.feasible g ~ii then ii else least (ii + 1) in
+      Ts_ddg.Mii.rec_ii g = least 0
+      && Ts_ddg.Mii.reg_rec_ii g
+         = ref_rec_ii g ~keep:(fun e -> e.Ts_ddg.Ddg.kind = Ts_ddg.Ddg.Reg))
+
 let suite =
   [
     Alcotest.test_case "scc: chain is trivial" `Quick test_scc_chain;
@@ -209,4 +288,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_feasible_monotone;
     QCheck_alcotest.to_alcotest prop_scc_partition;
     QCheck_alcotest.to_alcotest prop_rec_ii_bounded_rounds;
+    QCheck_alcotest.to_alcotest prop_rec_ii_in_sccs;
+    QCheck_alcotest.to_alcotest prop_scc_reference;
   ]

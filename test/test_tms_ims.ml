@@ -4,10 +4,10 @@
    issue times (as a digest), the C_delay threshold it stopped at, the
    achieved C_delay, the attempt count, F_min and the fallback flag — on
    the fixtures and 30 generated loops (8 of them C2-binding), under
-   round-robin and locality placement. It was recorded before TMS-over-IMS
-   was rebuilt on {!Ts_tms.Tms}'s grid walk; only the attempt column was
-   re-recorded since, when the walk began at the C_delay floor
-   ({!Ts_tms.Tms.c_delay_floor}) and stopped trying the points below it. *)
+   round-robin and locality placement. It was last re-recorded when IMS's
+   forced placement began to evict for resources under the TMS admission
+   check ({!Ts_tms.Tms.admissible} is C1 and C2 only), which moved 39 of
+   the 72 entries, most to a lower II in fewer attempts. *)
 
 module K = Ts_modsched.Kernel
 module P = Ts_isa.Spmt_params
