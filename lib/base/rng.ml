@@ -42,16 +42,21 @@ let derive2 t a b =
   create (mix64 (Int64.add t.state (Int64.add ha hb)))
 
 (* [bool (derive2 t a b) p] without the intermediate generator: the same
-   arithmetic, kept in one function so the int64 intermediates stay
-   unboxed. The simulator rolls one of these per memory-dependence edge
-   and iteration. *)
-let coin2 t a b p =
-  let ha = mix64 (Int64.mul (Int64.of_int (a + 1)) golden_gamma) in
-  let hb = mix64 (Int64.mul (Int64.of_int (b + 0x9E37)) 0xC2B2AE3D27D4EB4FL) in
-  let seed = mix64 (Int64.add t.state (Int64.add ha hb)) in
-  let state = Int64.add seed golden_gamma in
+   arithmetic, inlined so the int64 intermediates stay unboxed. Its
+   parts hash each key once, for a caller that rolls a grid of coins;
+   int64 addition is associative, so the split is bit-identical. *)
+let[@inline] coin2_key_a t a =
+  Int64.add t.state (mix64 (Int64.mul (Int64.of_int (a + 1)) golden_gamma))
+
+let[@inline] coin2_key_b b =
+  mix64 (Int64.mul (Int64.of_int (b + 0x9E37)) 0xC2B2AE3D27D4EB4FL)
+
+let[@inline] coin2_keyed ka kb p =
+  let state = Int64.add (mix64 (Int64.add ka kb)) golden_gamma in
   let bits = Int64.shift_right_logical (mix64 state) 11 in
   Int64.to_float bits /. 9007199254740992.0 < p
+
+let coin2 t a b p = coin2_keyed (coin2_key_a t a) (coin2_key_b b) p
 
 let int t bound =
   assert (bound > 0);

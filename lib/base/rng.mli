@@ -32,6 +32,14 @@ val coin2 : t -> int -> int -> float -> bool
     allocating: the per-(edge, iteration) coin of the simulator's address
     streams. *)
 
+val coin2_key_a : t -> int -> int64
+val coin2_key_b : int -> int64
+
+val coin2_keyed : int64 -> int64 -> float -> bool
+(** [coin2_keyed (coin2_key_a t a) (coin2_key_b b) p] is [coin2 t a b p],
+    bit for bit: a caller that rolls a grid of coins hashes each key
+    once. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

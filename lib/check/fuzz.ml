@@ -420,36 +420,72 @@ let sim_band cfg sim_cfg (params : Ts_isa.Spmt_params.t) (k : K.t) =
    engages, and a window that ignores the placement period never does
    (thread timings on slow and fast cores differ, so its windows never
    repeat): every [hetero_cfgs] placement must extrapolate some threads of
-   the first fuzz loops, each run 1,000 iterations after a 64-iteration
-   warmup. *)
+   the first 32 fuzz loops, each run 1,000 iterations after a 64-iteration
+   warmup.
+
+   The same runs, with the loops on the default machine first, also pin
+   the fast path's decisions: its engagement, mismatch and extrapolation
+   totals. A change to when the fast path engages that keeps every result
+   exact (re-engaging on a window that holds the thread that disengaged,
+   say) shows nowhere else in this sweep; an intended one re-pins these
+   and [test/golden/paper_metrics.json]. A change to the fuzz generator or
+   to SMS changes the canary kernels, and re-pins them too. *)
+let fast_path_pins = [| 434; 154; 42479 |]
+
 let check_fast_path_live () =
-  let extrapolated () =
-    Ts_obs.Metrics.counter_value
-      (Ts_obs.Metrics.counter Ts_obs.Metrics.default
-         "sim.fastpath.extrapolated_threads")
+  let names =
+    [|
+      "sim.fastpath.engagements";
+      "sim.fastpath.mismatches";
+      "sim.fastpath.extrapolated_threads";
+    |]
+  in
+  let totals () =
+    Array.map
+      (fun name ->
+        Ts_obs.Metrics.counter_value
+          (Ts_obs.Metrics.counter Ts_obs.Metrics.default name))
+      names
   in
   let kernels =
     List.filter_map
       (fun seed ->
         try Some (Ts_sms.Sms.schedule (loop_for_seed seed)).kernel
         with Ts_sms.Sms.No_schedule _ -> None)
-      (List.init 8 Fun.id)
+      (List.init 32 Fun.id)
   in
-  List.find_map
-    (fun (c : Ts_spmt.Config.t) ->
-      let x0 = extrapolated () in
-      List.iter
-        (fun k -> ignore (Ts_spmt.Sim.run ~warmup:64 ~fast:true c k ~trip:1000))
-        kernels;
-      if extrapolated () > x0 then None
-      else
-        Some
-          (Printf.sprintf
-             "the fast path extrapolated no thread of %d fuzz loops on \
-              2fast+2slow under %s placement"
-             (List.length kernels)
-             (Ts_isa.Placement.policy_to_string c.placement)))
-    (hetero_cfgs Ts_spmt.Config.default)
+  let run c =
+    List.iter
+      (fun k -> ignore (Ts_spmt.Sim.run ~warmup:64 ~fast:true c k ~trip:1000))
+      kernels
+  in
+  let t0 = totals () in
+  run Ts_spmt.Config.default;
+  let dead =
+    List.find_map
+      (fun (c : Ts_spmt.Config.t) ->
+        let x0 = (totals ()).(2) in
+        run c;
+        if (totals ()).(2) > x0 then None
+        else
+          Some
+            (Printf.sprintf
+               "the fast path extrapolated no thread of %d fuzz loops on \
+                2fast+2slow under %s placement"
+               (List.length kernels)
+               (Ts_isa.Placement.policy_to_string c.placement)))
+      (hetero_cfgs Ts_spmt.Config.default)
+  in
+  let got = Array.map2 ( - ) (totals ()) t0 in
+  if dead <> None || got = fast_path_pins then dead
+  else
+    Some
+      (Printf.sprintf
+         "the fast path's decisions on the liveness runs moved: %d \
+          engagements, %d mismatches and %d extrapolated threads, pinned at \
+          %d, %d and %d"
+         got.(0) got.(1) got.(2) fast_path_pins.(0) fast_path_pins.(1)
+         fast_path_pins.(2))
 
 (* A machine point's parameters and simulator configuration. *)
 let point_cfg point =

@@ -53,6 +53,7 @@ let own_addr t node iter =
   t.streams.(b) + (t.streams.(b + 1) * iter mod (t.streams.(b + 2) + 1))
 
 let streams t = t.streams
+let root t = t.root
 
 let realised t ~edge_index ~iter =
   let e = t.g.edges.(edge_index) in

@@ -30,4 +30,9 @@ val streams : t -> int array
 val realised : t -> edge_index:int -> iter:int -> bool
 (** Does memory-dependence edge [edge_index] (index into the DDG's edge
     array) actually alias at consumer iteration [iter]? Decided by a coin
-    with the edge's probability, seeded per (edge, iteration). *)
+    with the edge's probability, seeded per (edge, iteration): never
+    before the edge's distance, always for a probability of 1, else
+    [Rng.coin2 (root t) edge_index iter prob]. *)
+
+val root : t -> Ts_base.Rng.t
+(** The generator [realised]'s coins derive from; never advanced. *)

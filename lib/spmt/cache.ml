@@ -3,8 +3,11 @@ type t = {
   line_shift : int; (* log2 line *)
   assoc : int;
   tags : int array;
-      (* flat [set * assoc + position]: block tag or -1, each set most
-         recent first *)
+      (* flat [set * assoc + position]: block tag, -2 for an invalidated
+         way or -1 for one no block took since the last reset, each set
+         most recent first *)
+  dirty : int array; (* bases of the sets that took a block since then *)
+  mutable n_dirty : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -25,6 +28,8 @@ let create ~size ~assoc ~line =
     line_shift = log2 line;
     assoc;
     tags = Array.make (n_sets * assoc) (-1);
+    dirty = Array.make n_sets 0;
+    n_dirty = 0;
     hits = 0;
     misses = 0;
   }
@@ -39,7 +44,7 @@ let create ~size ~assoc ~line =
    in recency order, position 0 the most recent and the last position the
    LRU victim: a hit at position 0 is one compare, and a deeper hit or a
    miss moves the positions above it down by one. An invalidated block
-   leaves -1 at its position, so it ages like any other way and is
+   leaves -2 at its position, so it ages like any other way and is
    evicted only once it is the least recent. That is the LRU the naive
    {!Ts_check.Ref_models} mirror implements with a global clock. *)
 
@@ -54,6 +59,15 @@ let find t base block =
     incr i
   done;
   !pos
+
+(* A block is about to enter the set at [base]: list the set for [reset]
+   if it is the first since the last one. Position 0 holds -1 until then,
+   and a block or -2 after. *)
+let take t base =
+  if Array.unsafe_get t.tags base = -1 then begin
+    Array.unsafe_set t.dirty t.n_dirty base;
+    t.n_dirty <- t.n_dirty + 1
+  end
 
 (* [block] becomes the set's most recent, displacing the one at [pos]:
    itself on a hit, the LRU victim on a miss. *)
@@ -79,6 +93,7 @@ let access t addr =
     end
     else begin
       t.misses <- t.misses + 1;
+      take t base;
       promote t base (t.assoc - 1) block;
       false
     end
@@ -91,12 +106,13 @@ let invalidate t addr =
   let block = block_of t addr in
   let base = set_base t block in
   let pos = find t base block in
-  if pos >= 0 then Array.unsafe_set t.tags (base + pos) (-1)
+  if pos >= 0 then Array.unsafe_set t.tags (base + pos) (-2)
 
 let fill t addr =
   let block = block_of t addr in
   let base = set_base t block in
   let pos = find t base block in
+  if pos < 0 then take t base;
   promote t base (if pos >= 0 then pos else t.assoc - 1) block
 
 let stats t = (t.hits, t.misses)
@@ -106,6 +122,12 @@ let reset_stats t =
   t.misses <- 0
 
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  for i = 0 to t.n_dirty - 1 do
+    let base = t.dirty.(i) in
+    for p = base to base + t.assoc - 1 do
+      Array.unsafe_set t.tags p (-1)
+    done
+  done;
+  t.n_dirty <- 0;
   t.hits <- 0;
   t.misses <- 0

@@ -38,4 +38,4 @@ val reset : t -> unit
     counters zeroed. Lets the simulator's scratch arena reuse one
     allocation across runs instead of re-creating the tag array per sweep
     point; observationally identical to [create] with the same
-    geometry. *)
+    geometry. It costs O(sets that took a block since the last reset). *)

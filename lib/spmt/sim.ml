@@ -42,28 +42,6 @@ type stats = {
   stall_breakdown : ((int * int) * int) list;
 }
 
-(* One recorded thread of a fast-path detection window: everything the
-   extrapolator needs to replay the thread's observable effects at a
-   fixed time shift. Times are absolute (of the recorded thread); the
-   extrapolated thread at the same window offset adds a multiple of the
-   window period. The arrays are arena-pooled with capacity >= the run's
-   node count; every reader bounds itself by the run's [n]. *)
-type fp_rec = {
-  mutable r_start : int;
-  mutable r_end_exec : int;
-  mutable r_commit_end : int;
-  mutable r_spawn : int; (* spawn-stall cycles (recorded even in warmup) *)
-  mutable r_squashed : bool;
-  mutable r_coin : bool; (* a probabilistic mem-dep coin touches this thread *)
-  mutable r_nstalls : int;
-  r_stalls : int array;
-      (* RECV stalls, [r_nstalls] flat (blame, cycles, instant) triples;
-         blame is [producer * n + consumer], or -1 *)
-  r_finish : int array;
-  r_issue : int array;
-  r_lats : int array; (* per-load cache latency, the window's miss pattern *)
-}
-
 type thread_obs = {
   index : int;
   core : int;
@@ -79,12 +57,11 @@ type thread_obs = {
    The storage a run reuses from the previous run on its domain lives in
    flat [int array]s owned by a per-domain arena: the node table holds
    each (core, node)'s latency, the history ring is a struct-of-arrays
-   (kind/shift tags plus flat [horizon * n] issue/finish planes), the
-   fast path's coin iterations are a sorted int array, finite-width issue
-   slots are int counters, and RECV-stall accounting is a flat [n * n]
-   counter plane with a touched-list for O(touched) scrub. Node-sized
-   per-run arrays (the dependence CSR, a thread's stalls and load
-   latencies) live in the run record instead, and the memory nodes'
+   (see [arena]), the fast path's coin iterations are a sorted int array,
+   finite-width issue slots are int counters, and RECV-stall accounting
+   is a flat [n * n] counter plane with a touched-list for O(touched)
+   scrub. Node-sized per-run arrays (the dependence CSR, the load and
+   store lists) live in the run record instead, and the memory nodes'
    streams are the address plan's own table. The arena (including the
    caches and the MDT) is acquired at the top of every [run] and reused
    across sweep points on the same domain — the resident pool workers are
@@ -105,6 +82,7 @@ type arena = {
      or -1 for a load *)
   mutable node_lat : int array;
   mutable coin_iters : int array; (* sorted iterations a coin redirects *)
+  mutable coin_keys : Bytes.t; (* [Rng.coin2_key_b it] at [8 * it] *)
   (* finite-width issue counts, indexed by [issue - start]; zero past
      [iw_hi], the highest index touched since the last scrub (at every
      thread's start, so a run that died mid-thread poisons nothing) *)
@@ -114,47 +92,37 @@ type arena = {
   mutable stall_cnt : int array;
   mutable stall_touched : int array;
   mutable stall_ntouched : int;
-  (* history ring, struct-of-arrays *)
-  mutable h_kind : int array; (* 0 empty / 1 real / 2 extrapolated *)
+  (* The history ring, struct-of-arrays: [ring] slots of threads, slot [j
+     mod ring] for thread [j], then [win] signature slots (see [run]).
+     A slot's times are those of slot [h_src] (itself for an exactly run
+     thread, a signature slot for an extrapolated one, -1 for none) plus
+     [h_shift]. The planes are flat [slot * n + node] ([slot * 3n] for
+     the stalls, [slot * meta] for the per-thread scalars). *)
+  mutable h_src : int array;
   mutable h_shift : int array;
-  mutable h_rec : fp_rec array;
-  mutable h_issue : int array; (* flat [slot * n + node] *)
+  mutable h_issue : int array;
   mutable h_finish : int array;
+  mutable h_lat : int array; (* the loads' cache latencies *)
+  mutable h_stalls : int array;
+      (* RECV stalls, flat (blame, cycles, instant) triples; blame is
+         [producer * n + consumer], or -1 *)
+  mutable h_meta : int array;
   (* reusable stateful models *)
   mutable l1_geom : int * int * int * int; (* ncore, size, assoc, line *)
   mutable l2_geom : int * int * int;
   mutable l1 : Cache.t array;
   mutable l2 : Cache.t;
   mdt : Mdt.t;
-  (* the fast path's three detection windows (previous, current and
-     signature) of [win_len] records with capacity [cap_n], or [||] *)
-  mutable win_len : int;
-  mutable windows : fp_rec array array;
 }
 
-let dummy_rec =
-  {
-    r_start = 0;
-    r_end_exec = 0;
-    r_commit_end = 0;
-    r_spawn = 0;
-    r_squashed = false;
-    r_coin = false;
-    r_nstalls = 0;
-    r_stalls = [||];
-    r_finish = [||];
-    r_issue = [||];
-    r_lats = [||];
-  }
-
-let fresh_rec cap =
-  {
-    dummy_rec with
-    r_stalls = Array.make (3 * cap) 0;
-    r_finish = Array.make cap 0;
-    r_issue = Array.make cap 0;
-    r_lats = Array.make cap 0;
-  }
+(* A slot's scalars in [h_meta]: start, end of execution, end of commit,
+   spawn-stall cycles (recorded even in warmup) and RECV-stall count. *)
+let meta = 5
+let m_start = 0
+let m_end = 1
+let m_commit = 2
+let m_spawn = 3
+let m_nstalls = 4
 
 let arena_create () =
   {
@@ -162,34 +130,34 @@ let arena_create () =
     cap_n = 0;
     node_lat = [||];
     coin_iters = [||];
+    coin_keys = Bytes.empty;
     iw_cnt = [||];
     iw_hi = -1;
     stall_cnt = [||];
     stall_touched = [||];
     stall_ntouched = 0;
-    h_kind = [||];
+    h_src = [||];
     h_shift = [||];
-    h_rec = [||];
     h_issue = [||];
     h_finish = [||];
+    h_lat = [||];
+    h_stalls = [||];
+    h_meta = [||];
     l1_geom = (0, 0, 0, 0);
     l2_geom = (0, 0, 0);
     l1 = [||];
     l2 = Cache.create ~size:32 ~assoc:1 ~line:32;
     mdt = Mdt.create ~horizon:1;
-    win_len = 0;
-    windows = [||];
   }
 
 (* Scrub on acquire (see the lifetime rules above): O(touched) for the
-   stall plane, O(horizon) for the ring tags. The issue counters are
-   scrubbed per thread instead ([iw_scrub]). *)
+   stall plane. The ring tags are scrubbed by [create], the issue
+   counters per thread ([iw_scrub]). *)
 let arena_scrub a =
   for i = 0 to a.stall_ntouched - 1 do
     a.stall_cnt.(a.stall_touched.(i)) <- 0
   done;
-  a.stall_ntouched <- 0;
-  Array.fill a.h_kind 0 (Array.length a.h_kind) 0
+  a.stall_ntouched <- 0
 
 let arena_slot : arena option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -215,9 +183,7 @@ let arena_ensure_n a n =
   if n > a.cap_n then begin
     let c = grown n a.cap_n in
     a.cap_n <- c;
-    a.stall_cnt <- Array.make (c * c) 0;
-    (* the windows carry node-capacity arrays: drop the stale ones *)
-    a.windows <- [||]
+    a.stall_cnt <- Array.make (c * c) 0
   end
 
 let arena_ensure_coins a total =
@@ -236,14 +202,17 @@ let arena_ensure_iw a len =
   end
 
 let arena_ensure_hist a ~slots ~n =
-  if slots > Array.length a.h_kind then begin
-    a.h_kind <- Array.make slots 0;
+  if slots > Array.length a.h_src then begin
+    a.h_src <- Array.make slots (-1);
     a.h_shift <- Array.make slots 0;
-    a.h_rec <- Array.make slots dummy_rec
+    a.h_meta <- Array.make (slots * meta) 0
   end;
   if slots * n > Array.length a.h_issue then begin
-    a.h_issue <- Array.make (grown (slots * n) (Array.length a.h_issue)) 0;
-    a.h_finish <- Array.make (Array.length a.h_issue) 0
+    let len = grown (slots * n) (Array.length a.h_issue) in
+    a.h_issue <- Array.make len 0;
+    a.h_finish <- Array.make len 0;
+    a.h_lat <- Array.make len 0;
+    a.h_stalls <- Array.make (3 * len) 0
   end
 
 (* The TS_SIM_TRACE / TS_SIM_TRACE_NODES env vars (removed after a
@@ -311,7 +280,9 @@ type run = {
       (* distance-[dk] arrival cost of a consumer at period position
          [pos], at [pos * comm_stride + dk] *)
   comm_stride : int;
-  horizon : int; (* history ring slots *)
+  horizon : int; (* above every register lookback *)
+  win : int; (* detection window length (see [window_len]) *)
+  ring : int; (* history ring slots, [2 * win]: two windows *)
   max_stage : int;
   by_row : int array; (* nodes in issue order *)
   loads : int array; (* in issue order *)
@@ -333,8 +304,6 @@ type run = {
   store_pv : int array; (* a store stream's address period, in threads *)
   line_sets : int list array Lazy.t; (* per core (see [line_sets]) *)
   core_free : int array; (* when each core's last thread committed *)
-  lat_buf : int array; (* per-load cache latency of the current thread *)
-  stall_buf : int array; (* 3n: a thread stalls at most once per node *)
   (* run totals *)
   mutable sync_stall : int;
   mutable spawn_stall : int;
@@ -343,25 +312,23 @@ type run = {
   mutable prev_spawn_base : int; (* the previous thread's start *)
   mutable warm_end : int;
   (* the thread in the stages: its RECV stalls are the first
-     [cur_nstalls] flat (blame, cycles, instant) triples of [stall_buf],
-     chronological (see [fp_rec]) *)
+     [cur_nstalls] triples of its slot's [h_stalls], chronological *)
   mutable cur_start : int;
   mutable cur_end : int;
   mutable cur_spawn : int;
   mutable cur_squashed : bool;
   mutable cur_nstalls : int;
+  mutable last_squash : int; (* the last thread squashed, or -1 *)
   (* analytic MDT occupancy *)
   mutable av_live : int;
   mutable av_peak : int;
   mutable av_u : int; (* entries of threads below this are retired *)
-  (* fast path *)
-  mutable wprev : fp_rec array;
-  mutable wcur : fp_rec array;
+  (* fast path: the detection windows are the ring's two halves, and the
+     signature is slots [ring .. ring + win - 1] once [engage_count > 0] *)
   mutable prev_clean : bool;
-  mutable clean_from : int; (* windows before it hold stale records *)
+  mutable clean_from : int; (* windows before it hold stale slots *)
   mutable engaged : bool;
   mutable allhit : bool;
-  mutable sig0 : fp_rec array; (* a signature once [engage_count > 0] *)
   mutable sig_base : int;
   mutable delta : int;
   mutable sig_allhit : bool;
@@ -511,67 +478,117 @@ let arena_node_lat a (g : Ts_ddg.Ddg.t) (p : Ts_isa.Spmt_params.t) ~n =
     done
   done
 
-(* Per-consumer lists [ins.(v)] of [(src, kernel distance)] as CSR:
-   consumer [v]'s entries are [off.(v) .. off.(v+1) - 1] of [src] and
-   [dk], in list order. *)
-let csr n ins =
-  let off = Array.make (n + 1) 0 in
-  Array.iteri (fun v l -> off.(v + 1) <- off.(v) + List.length l) ins;
-  let flat = Array.of_list (List.concat (Array.to_list ins)) in
-  (off, Array.map fst flat, Array.map snd flat)
-
-(* The kernel's dependence structure: inter-thread register dependences
-   (and, under [sync_mem], memory ones) grouped by consumer, intra-thread
-   ones likewise, and the loads whose incoming memory dependences are
-   speculated. *)
-let deps (k : K.t) ~sync_mem ~n =
-  let reg_in = Array.make n [] and intra_in = Array.make n [] in
+(* The kernel's dependence structure, in two passes over the edges:
+   - inter-thread register dependences (and, under [sync_mem], memory
+     ones) as a CSR by consumer: consumer [v]'s entries are [off.(v) ..
+     off.(v+1) - 1] of [src] and [dk], the last register edge first and
+     the memory edges ahead of them (a RECV stall blames the first
+     latest producer, so the order is part of the result);
+   - intra-thread ones likewise, by [d_ker = 0];
+   - the loads whose incoming memory dependences are speculated;
+   - the stores whose peer-L1 invalidates are needed (see [create]);
+   - the deepest inter-thread lookback, at least 1. *)
+let deps (k : K.t) ~sync_mem ~fast_ok ~n =
+  let edges = k.K.g.edges in
+  let reg_off = Array.make (n + 1) 0 and intra_off = Array.make (n + 1) 0 in
   let mem_nonempty = Array.make n false in
-  let add ins (e : Ts_ddg.Ddg.edge) =
-    ins.(e.dst) <- (e.src, K.d_ker k e) :: ins.(e.dst)
-  in
-  List.iter (add reg_in) (K.inter_iter_reg_deps k);
-  List.iter
-    (fun (e : Ts_ddg.Ddg.edge) ->
-      if sync_mem then add reg_in e else mem_nonempty.(e.dst) <- true)
-    (K.inter_iter_mem_deps k);
+  let inval_needed = Array.make n (not fast_ok) in
+  let lookback = ref 1 in
+  let synced (e : Ts_ddg.Ddg.edge) = e.kind = Ts_ddg.Ddg.Reg || sync_mem in
   Array.iter
-    (fun (e : Ts_ddg.Ddg.edge) -> if K.d_ker k e = 0 then add intra_in e)
-    k.K.g.edges;
-  (csr n reg_in, csr n intra_in, mem_nonempty)
-
-(* Nodes in issue (row) order within a thread, the loads in that order,
-   and the stores in node order. *)
-let nodes (k : K.t) ~n =
-  let by_row =
-    List.sort
-      (fun x y ->
-        if k.K.row.(x) <> k.K.row.(y) then compare k.K.row.(x) k.K.row.(y)
-        else compare x y)
-      (List.init n Fun.id)
+    (fun (e : Ts_ddg.Ddg.edge) ->
+      let dk = K.d_ker k e in
+      if e.kind = Ts_ddg.Ddg.Mem then inval_needed.(e.src) <- true;
+      if dk = 0 then intra_off.(e.dst) <- intra_off.(e.dst) + 1
+      else if dk >= 1 then begin
+        if dk > !lookback then lookback := dk;
+        if synced e then reg_off.(e.dst) <- reg_off.(e.dst) + 1
+        else mem_nonempty.(e.dst) <- true
+      end)
+    edges;
+  (* counts to end offsets; the fill below steps each one back down *)
+  for v = 1 to n do
+    reg_off.(v) <- reg_off.(v) + reg_off.(v - 1);
+    intra_off.(v) <- intra_off.(v) + intra_off.(v - 1)
+  done;
+  let reg_src = Array.make reg_off.(n) 0 and reg_dk = Array.make reg_off.(n) 0 in
+  let intra_src = Array.make intra_off.(n) 0 in
+  let fill kind =
+    Array.iter
+      (fun (e : Ts_ddg.Ddg.edge) ->
+        let dk = K.d_ker k e in
+        if dk = 0 && kind = Ts_ddg.Ddg.Reg then begin
+          intra_off.(e.dst) <- intra_off.(e.dst) - 1;
+          intra_src.(intra_off.(e.dst)) <- e.src
+        end
+        else if dk >= 1 && e.kind = kind && synced e then begin
+          reg_off.(e.dst) <- reg_off.(e.dst) - 1;
+          reg_src.(reg_off.(e.dst)) <- e.src;
+          reg_dk.(reg_off.(e.dst)) <- dk
+        end)
+      edges
   in
-  let is op v = (Ts_ddg.Ddg.node k.K.g v).Ts_ddg.Ddg.op = op in
-  ( Array.of_list by_row,
-    Array.of_list (List.filter (is Ts_isa.Opcode.Load) by_row),
-    Array.of_list (List.filter (is Ts_isa.Opcode.Store) (List.init n Fun.id))
-  )
+  fill Ts_ddg.Ddg.Reg;
+  fill Ts_ddg.Ddg.Mem;
+  (* now [off.(v)] is consumer [v]'s start; [off.(n)] was never moved *)
+  ( (reg_off, reg_src, reg_dk),
+    (intra_off, intra_src),
+    mem_nonempty,
+    inval_needed,
+    !lookback )
+
+(* Nodes in issue (row) order within a thread (a counting sort by row,
+   ties in node order), the loads in that order, and the stores in node
+   order. *)
+let nodes (k : K.t) ~n =
+  let row = k.K.row and op v = (Ts_ddg.Ddg.node k.K.g v).Ts_ddg.Ddg.op in
+  let at = Array.make (k.K.ii + 1) 0 in
+  Array.iter (fun r -> at.(r + 1) <- at.(r + 1) + 1) row;
+  for r = 1 to k.K.ii do
+    at.(r) <- at.(r) + at.(r - 1)
+  done;
+  let by_row = Array.make n 0 in
+  for v = 0 to n - 1 do
+    by_row.(at.(row.(v))) <- v;
+    at.(row.(v)) <- at.(row.(v)) + 1
+  done;
+  let only o a = Array.of_list (List.filter (fun v -> op v = o) (Array.to_list a)) in
+  (by_row, only Ts_isa.Opcode.Load by_row, only Ts_isa.Opcode.Store (Array.init n Fun.id))
 
 (* Iterations where a probabilistic memory-dependence coin fires on any
    incoming Mem edge (the fast path's business only): the loads they
    redirect run in threads [i, i + max_stage]. Marked over [0, total),
    then compacted in place into ascending order in [a.coin_iters].
-   Returns their count. *)
+   Returns their count. Each mark is [Address_plan.realised]'s coin,
+   rolled by [Rng.coin2_keyed] from the edge's key and the iteration's,
+   which the arena keeps across runs (they depend on nothing else); an
+   iteration already marked rolls no further coin. *)
 let mark_coins a plan (g : Ts_ddg.Ddg.t) ~total =
   arena_ensure_coins a total;
-  let ci = a.coin_iters in
+  let known = Bytes.length a.coin_keys / 8 in
+  if total > known then begin
+    let b = Bytes.create (8 * grown total known) in
+    Bytes.blit a.coin_keys 0 b 0 (8 * known);
+    for it = known to (Bytes.length b / 8) - 1 do
+      Bytes.set_int64_ne b (8 * it) (Ts_base.Rng.coin2_key_b it)
+    done;
+    a.coin_keys <- b
+  end;
+  let ci = a.coin_iters and keys = a.coin_keys in
   Array.fill ci 0 total 0;
+  let root = Address_plan.root plan in
   Array.iteri
     (fun idx (e : Ts_ddg.Ddg.edge) ->
-      if e.kind = Ts_ddg.Ddg.Mem then
-        for it = 0 to total - 1 do
-          if Address_plan.realised plan ~edge_index:idx ~iter:it then
-            ci.(it) <- 1
-        done)
+      if e.kind = Ts_ddg.Ddg.Mem then begin
+        let ka = Ts_base.Rng.coin2_key_a root idx in
+        for it = e.distance to total - 1 do
+          if
+            ci.(it) = 0
+            && (e.prob >= 1.0
+               || Ts_base.Rng.coin2_keyed ka (Bytes.get_int64_ne keys (8 * it)) e.prob)
+          then ci.(it) <- 1
+        done
+      end)
     g.edges;
   let c = ref 0 in
   for it = 0 to total - 1 do
@@ -667,8 +684,8 @@ let trace_start s place ~trip =
       then []
       else [ ("placement", J.Str (Ts_isa.Placement.describe place)) ])
 
-(* The fast path's detection windows, [a.win_len] threads long. A window is
-   a multiple of the placement period (an offset must stay on one core,
+(* The fast path's detection window length. A window is a multiple of
+   the placement period (an offset must stay on one core,
    at one period position, across windows; a core's previous thread is
    then at most a window back), at least the history horizon (so
    matching windows cover every lookback an extrapolated thread can
@@ -676,18 +693,9 @@ let trace_start s place ~trip =
    the address streams: strides 4/8/16 on 32-byte lines touch a new line
    every 8/4/2 iterations, so streaming-phase miss patterns repeat per
    8). Round-robin's period is [ncore]. *)
-let arena_windows a ~fast_ok ~period ~horizon =
-  let w_len =
-    let base = 8 * period / gcd 8 period in
-    base * ((horizon + base - 1) / base)
-  in
-  if a.win_len <> w_len then begin
-    a.win_len <- w_len;
-    a.windows <- [||]
-  end;
-  if fast_ok && Array.length a.windows = 0 then
-    a.windows <-
-      Array.init 3 (fun _ -> Array.init w_len (fun _ -> fresh_rec a.cap_n))
+let window_len ~period ~horizon =
+  let base = 8 * period / gcd 8 period in
+  base * ((horizon + base - 1) / base)
 
 let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
     ~fast_ok cfg (k : K.t) ~trip a =
@@ -706,28 +714,23 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   in
   arena_ensure_n a n;
   arena_caches a cfg ncore;
-  let (reg_off, reg_src, reg_dk), (intra_off, intra_src, _), mem_nonempty =
-    deps k ~sync_mem ~n
+  let ( (reg_off, reg_src, reg_dk),
+        (intra_off, intra_src),
+        mem_nonempty,
+        inval_needed,
+        max_lookback ) =
+    deps k ~sync_mem ~fast_ok ~n
   in
   let by_row, loads, stores = nodes k ~n in
   (* a stall blames a synchronised dependence, one of the CSR's entries *)
   if Array.length a.stall_touched < Array.length reg_src then
     a.stall_touched <- Array.make (Array.length reg_src) 0;
-  let max_lookback =
-    List.fold_left
-      (fun acc (e : Ts_ddg.Ddg.edge) -> max acc (K.d_ker k e))
-      1
-      (K.inter_iter_reg_deps k @ K.inter_iter_mem_deps k)
-  in
   let comm_stride = max_lookback + 1 in
   let horizon = max ncore comm_stride in
-  arena_ensure_hist a ~slots:horizon ~n;
-  (* A grown history ring may carry tags from a smaller previous run past
-     the slots [arena_scrub] wiped; re-wipe at the current width. *)
-  Array.fill a.h_kind 0 (Array.length a.h_kind) 0;
+  let win = window_len ~period:place_period ~horizon in
+  arena_ensure_hist a ~slots:(3 * win) ~n;
+  Array.fill a.h_src 0 (2 * win) (-1);
   Mdt.clear a.mdt ~horizon:ncore;
-  arena_windows a ~fast_ok ~period:place_period ~horizon;
-  let window i = if fast_ok then a.windows.(i) else [||] in
   let streams = Address_plan.streams plan in
   let analytic_mdt, store_pv =
     analytic_mdt_plan streams g ~fast_ok ~n ~stores ~horizon
@@ -762,6 +765,8 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
               ~dst:(idx / comm_stride));
       comm_stride;
       horizon;
+      win;
+      ring = 2 * win;
       max_stage = Array.fold_left max 0 k.K.stage;
       by_row;
       loads;
@@ -777,13 +782,7 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
          memory-dependence edge: any other store's peer-L1 invalidates
          hit absent lines and are skipped under [fast_ok] (the L2 fill
          always happens — it drives L2 evictions loads do see). *)
-      inval_needed =
-        Array.init n (fun v ->
-            (not fast_ok)
-            || Array.exists
-                 (fun (e : Ts_ddg.Ddg.edge) ->
-                   e.kind = Ts_ddg.Ddg.Mem && e.src = v)
-                 g.edges);
+      inval_needed;
       rl1 =
         (if check then
            Array.init ncore (fun _ -> ref_cache cfg.l1_size cfg.l1_assoc)
@@ -796,8 +795,6 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       line_sets =
         lazy (line_sets streams k ~line:cfg.line ~ncore ~seq:place_seq ~loads);
       core_free = Array.make ncore 0;
-      lat_buf = Array.make n 0;
-      stall_buf = Array.make (3 * n) 0;
       sync_stall = 0;
       spawn_stall = 0;
       squashes = 0;
@@ -809,16 +806,14 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       cur_spawn = 0;
       cur_squashed = false;
       cur_nstalls = 0;
+      last_squash = -1;
       av_live = 0;
       av_peak = 0;
       av_u = min_int;
-      wprev = window 0;
-      wcur = window 1;
       prev_clean = false;
       clean_from = 0;
       engaged = false;
       allhit = false;
-      sig0 = window 2;
       sig_base = 0;
       delta = 0;
       sig_allhit = false;
@@ -884,12 +879,10 @@ let av_retire s j =
   s.av_live <- s.av_live - !removed;
   if upto > s.av_u then s.av_u <- upto
 
-(* Node [v]'s finish time in the thread at history-ring [slot], which
-   holds a real (kind 1) or an extrapolated (kind 2) thread. *)
-let[@inline] slot_finish a ~n ~kind slot v =
-  if kind = 1 then Array.unsafe_get a.h_finish ((slot * n) + v)
-  else
-    (Array.unsafe_get a.h_rec slot).r_finish.(v) + Array.unsafe_get a.h_shift slot
+(* Node [v]'s finish time in the thread at history-ring [slot], whose
+   times are those of slot [src] (see [arena]). *)
+let[@inline] slot_finish a ~n ~src slot v =
+  Array.unsafe_get a.h_finish ((src * n) + v) + Array.unsafe_get a.h_shift slot
 
 let stall_add a idx cycles =
   let cur = a.stall_cnt.(idx) in
@@ -899,14 +892,17 @@ let stall_add a idx cycles =
   end;
   a.stall_cnt.(idx) <- cur + cycles
 
-(* [stalls.(3i .. 3i+2)] for [i < count]: (blame, cycles, instant). *)
-let account_stalls s ~core ~j stalls count =
+(* The first [count] RECV stalls of history slot [slot], charged to
+   thread [j]. *)
+let account_stalls s ~core ~j slot count =
+  let stalls = s.a.h_stalls and at = 3 * s.n * slot in
   for i = 0 to count - 1 do
-    let blame = stalls.(3 * i) and cycles = stalls.((3 * i) + 1) in
+    let x = at + (3 * i) in
+    let blame = stalls.(x) and cycles = stalls.(x + 1) in
     s.sync_stall <- s.sync_stall + cycles;
     if s.traced then
       Trace.instant s.trace ~pid:s.trace_pid ~tid:core
-        ~ts:stalls.((3 * i) + 2) "sync-stall"
+        ~ts:stalls.(x + 2) "sync-stall"
         ~args:
           ([ ("thread", J.Int j); ("cycles", J.Int cycles) ]
           @
@@ -970,17 +966,17 @@ let check_issue_width s j ~base ~core ~width =
 
    Thread [j] from [start] into its history-ring slot: issue
    plus SEND/RECV. [recv] false on re-execution (values present, no RECV
-   blocks: the first attempt's stalls stay in [stall_buf]); a first
+   blocks: the first attempt's stalls stay in the slot); a first
    attempt accounts its stalls from [warmup] on. [use_lats] takes the
-   load latencies already in [lat_buf] (the fast path replayed them);
-   otherwise loads access the caches and the latency lands in [lat_buf].
-   Leaves start, end and stalls in the run's [cur_*] fields. *)
+   load latencies already in the slot's [h_lat] (the fast path replayed
+   them); otherwise loads access the caches and the latency lands there.
+   Leaves start, end and the stall count in the run's [cur_*] fields. *)
 let execute s j ~start ~recv ~use_lats =
-  let a = s.a and n = s.n and k = s.k and horizon = s.horizon in
-  let jslot = j mod horizon in
+  let a = s.a and n = s.n and k = s.k and ring = s.ring in
+  let jslot = j mod ring in
   let base = jslot * n in
-  let h_kind = a.h_kind and h_issue = a.h_issue and h_finish = a.h_finish in
-  let by_row = s.by_row and lat_buf = s.lat_buf and stall_buf = s.stall_buf in
+  let h_src = a.h_src and h_issue = a.h_issue and h_finish = a.h_finish in
+  let by_row = s.by_row and h_lat = a.h_lat and h_stalls = a.h_stalls in
   let reg_off = s.reg_off and reg_src = s.reg_src and reg_dk = s.reg_dk in
   let intra_off = s.intra_off and intra_src = s.intra_src in
   let comm_tbl = s.comm_tbl in
@@ -1022,13 +1018,13 @@ let execute s j ~start ~recv ~use_lats =
       for i = Array.unsafe_get reg_off v to Array.unsafe_get reg_off (v + 1) - 1 do
         let src = Array.unsafe_get reg_src i in
         let dk = Array.unsafe_get reg_dk i in
-        (* thread [j - dk]'s ring slot, [dk < horizon]; none for a
-           live-in *)
-        let slot = if jslot >= dk then jslot - dk else jslot - dk + horizon in
-        let kind = if j < dk then 0 else Array.unsafe_get h_kind slot in
-        if kind <> 0 then begin
+        (* thread [j - dk]'s ring slot, [dk < horizon <= ring]; none for
+           a live-in *)
+        let slot = if jslot >= dk then jslot - dk else jslot - dk + ring in
+        let from = if j < dk then -1 else Array.unsafe_get h_src slot in
+        if from >= 0 then begin
           let arr =
-            slot_finish a ~n ~kind slot src
+            slot_finish a ~n ~src:from slot src
             + Array.unsafe_get comm_tbl (comm_base + dk)
           in
           if arr > !inter_arrival then begin
@@ -1049,11 +1045,11 @@ let execute s j ~start ~recv ~use_lats =
          max(C_spn, C_ci, C_delay) structure of the Section 4.2 cost
          model. *)
       if !inter_arrival - sched > !shift then shift := !inter_arrival - sched;
-      let at = 3 * s.cur_nstalls in
-      Array.unsafe_set stall_buf at
+      let at = (3 * base) + (3 * s.cur_nstalls) in
+      Array.unsafe_set h_stalls at
         (if !blame_src >= 0 then (!blame_src * n) + v else -1);
-      Array.unsafe_set stall_buf (at + 1) cycles;
-      Array.unsafe_set stall_buf (at + 2) ready;
+      Array.unsafe_set h_stalls (at + 1) cycles;
+      Array.unsafe_set h_stalls (at + 2) ready;
       s.cur_nstalls <- s.cur_nstalls + 1
     end;
     let issue = if ready > !inter_arrival then ready else !inter_arrival in
@@ -1080,10 +1076,10 @@ let execute s j ~start ~recv ~use_lats =
     let latency =
       let l = Array.unsafe_get node_lat (lat_base + v) in
       if l >= 0 then l
-      else if use_lats then Array.unsafe_get lat_buf v
+      else if use_lats then Array.unsafe_get h_lat (base + v)
       else begin
         let lat = load_latency s ~core ~own j v in
-        Array.unsafe_set lat_buf v lat;
+        Array.unsafe_set h_lat (base + v) lat;
         lat
       end
     in
@@ -1095,7 +1091,7 @@ let execute s j ~start ~recv ~use_lats =
   s.cur_end <- !end_exec;
   if s.check && width > 0 then check_issue_width s j ~base ~core ~width;
   if recv && j >= s.warmup then
-    account_stalls s ~core ~j stall_buf s.cur_nstalls
+    account_stalls s ~core ~j jslot s.cur_nstalls
 
 (* ---- stage 3: verify ----
 
@@ -1113,7 +1109,7 @@ let mdt_probe s j =
       if s.mem_nonempty.(v) then begin
         let t_detect =
           mdt_conflict s ~thread:j ~addr:(thread_addr s ~own:false v j)
-            ~issue:s.a.h_issue.((j mod s.horizon * s.n) + v)
+            ~issue:s.a.h_issue.((j mod s.ring * s.n) + v)
         in
         if t_detect > !viol then viol := t_detect
       end
@@ -1125,9 +1121,10 @@ let mdt_probe s j =
 let verify s j =
   let core = core_of s j and measured = j >= s.warmup in
   let start = s.cur_start in
-  let base = j mod s.horizon * s.n in
+  let base = j mod s.ring * s.n in
   let t_detect = mdt_probe s j in
   let squashed = t_detect <> Mdt.no_conflict in
+  if squashed then s.last_squash <- j;
   if not squashed then begin
     if s.traced && measured then
       emit_exec_span s ~core ~j "exec" ~ts0:start ~ts1:s.cur_end
@@ -1151,9 +1148,9 @@ let verify s j =
             ("restart", J.Int restart);
           ]
     end;
-    (* The first attempt's RECV stalls stay in [stall_buf] (the
+    (* The first attempt's RECV stalls stay in the slot (the
        re-execution does not block): they were already accounted, and
-       the detection-window record wants them. *)
+       the detection window wants them. *)
     execute s j ~start:restart ~recv:false ~use_lats:false;
     if s.traced && measured then
       emit_exec_span s ~core ~j "re-exec" ~ts0:restart ~ts1:s.cur_end
@@ -1175,9 +1172,10 @@ let verify s j =
 (* ---- stage 4: commit ----
 
    Sequential head-thread commit, shared by exactly executed and
-   extrapolated threads. [r] is the signature record an extrapolated
-   thread replays at [shift]; an exact thread passes [dummy_rec], its
-   times already in its history slot and the run's [cur_*] fields. The
+   extrapolated threads. [from] is the signature slot an extrapolated
+   thread replays at [shift]; an exact thread passes -1, its times
+   already in its history slot and the run's [cur_*] fields, and leaves
+   its scalars in the slot's [h_meta] for the detection windows. The
    thread's stores enter the MDT (under the analytic occupancy model the
    table only takes the entries a coin-affected thread could query) and,
    unless [fills] is false, drain into L2 and invalidate stale copies in
@@ -1185,17 +1183,17 @@ let verify s j =
    all-hit regime, where store fills and invalidates touch lines no load
    can ever read (disjoint stream regions) and the caches are no longer
    consulted at all. *)
-let commit s j ~r ~shift ~fills =
+let commit s j ~from ~shift ~fills =
   let a = s.a in
   let core = core_of s j in
-  let exact = r == dummy_rec in
-  let slot = j mod s.horizon in
-  a.h_kind.(slot) <- (if exact then 1 else 2);
-  a.h_rec.(slot) <- r;
+  let exact = from < 0 in
+  let slot = j mod s.ring in
+  let src = if exact then slot else from in
+  a.h_src.(slot) <- src;
   a.h_shift.(slot) <- shift;
-  let start = if exact then s.cur_start else r.r_start + shift in
+  let start = if exact then s.cur_start else a.h_meta.((from * meta) + m_start) + shift in
   let commit_end =
-    if not exact then r.r_commit_end + shift
+    if not exact then a.h_meta.((from * meta) + m_commit) + shift
     else begin
       let commit_start = max s.cur_end s.last_commit_end in
       let commit_end = commit_start + s.p.c_commit in
@@ -1214,6 +1212,12 @@ let commit s j ~r ~shift ~fills =
                      commit overhead %d"
             j commit_start commit_end s.p.c_commit
       end;
+      let m = slot * meta in
+      a.h_meta.(m + m_start) <- s.cur_start;
+      a.h_meta.(m + m_end) <- s.cur_end;
+      a.h_meta.(m + m_commit) <- commit_end;
+      a.h_meta.(m + m_spawn) <- s.cur_spawn;
+      a.h_meta.(m + m_nstalls) <- s.cur_nstalls;
       commit_end
     end
   in
@@ -1226,7 +1230,7 @@ let commit s j ~r ~shift ~fills =
       let addr = thread_addr s ~own v j in
       if mdt_real then
         mdt_record s ~thread:j ~addr
-          ~finish:(slot_finish a ~n:s.n ~kind:a.h_kind.(slot) slot v);
+          ~finish:(slot_finish a ~n:s.n ~src slot v);
       if fills then begin
         l2_fill s addr;
         if s.inval_needed.(v) then
@@ -1265,13 +1269,13 @@ let commit s j ~r ~shift ~fills =
   end
 
 (* One exactly simulated thread through the four stages. [lats] true
-   means the fast path already replayed its load accesses into
-   [lat_buf]. *)
+   means the fast path already replayed its load accesses into its
+   slot's [h_lat]. *)
 let exact_step s j ~lats =
   let start = spawn s j in
   execute s j ~start ~recv:true ~use_lats:lats;
   verify s j;
-  commit s j ~r:dummy_rec ~shift:0 ~fills:true;
+  commit s j ~from:(-1) ~shift:0 ~fills:true;
   match s.observe with
   | Some f ->
       f
@@ -1316,84 +1320,95 @@ let exact_step s j ~lats =
    miss, store fills/invalidates touch disjoint lines) and threads are
    extrapolated arithmetically. *)
 
-(* Record exactly executed thread [j] into the current window. *)
-let record s j =
-  let a = s.a in
-  let r = s.wcur.(j mod s.a.win_len) in
-  r.r_start <- s.cur_start;
-  r.r_end_exec <- s.cur_end;
-  r.r_commit_end <- s.last_commit_end;
-  r.r_spawn <- s.cur_spawn;
-  r.r_squashed <- s.cur_squashed;
-  r.r_coin <- coin_affects s j;
-  r.r_nstalls <- s.cur_nstalls;
-  (* Typed loops, not [Array.blit]: a blit into a major-heap array goes
-     through [caml_modify] word by word. *)
-  for i = 0 to (3 * s.cur_nstalls) - 1 do
-    r.r_stalls.(i) <- s.stall_buf.(i)
-  done;
-  let base = j mod s.horizon * s.n in
-  for v = 0 to s.n - 1 do
-    r.r_finish.(v) <- a.h_finish.(base + v);
-    r.r_issue.(v) <- a.h_issue.(base + v)
-  done;
-  for i = 0 to Array.length s.loads - 1 do
-    let v = s.loads.(i) in
-    r.r_lats.(v) <- s.lat_buf.(v)
-  done;
-  r
-
-(* [b.(i) = a.(i) + d] over the run's live prefix. *)
-let shift_eq s a b d =
-  let ok = ref true in
-  for i = 0 to s.n - 1 do
-    if b.(i) <> a.(i) + d then ok := false
+(* [p.(b + i) = p.(a + i) + d] for [i < len]. *)
+let shifted p a b d len =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < len do
+    ok := Array.unsafe_get p (b + !i) = Array.unsafe_get p (a + !i) + d;
+    incr i
   done;
   !ok
 
-(* Thread [rb] is thread [ra] shifted by [d]: the same spawn stall, and
-   every time (start, end, commit, per-node issue and finish) [d]
-   later. *)
-let same_timing s ra rb d =
-  rb.r_start = ra.r_start + d
-  && rb.r_end_exec = ra.r_end_exec + d
-  && rb.r_commit_end = ra.r_commit_end + d
-  && rb.r_spawn = ra.r_spawn
-  && shift_eq s ra.r_finish rb.r_finish d
-  && shift_eq s ra.r_issue rb.r_issue d
+(* The thread in slot [sb] is the one in slot [sa] shifted by [d]: the
+   same spawn stall, and every time (start, end, commit, per-node issue
+   and finish) [d] later. *)
+let same_timing s sa sb d =
+  let m = s.a.h_meta and ma = sa * meta and mb = sb * meta and n = s.n in
+  m.(mb + m_start) = m.(ma + m_start) + d
+  && m.(mb + m_end) = m.(ma + m_end) + d
+  && m.(mb + m_commit) = m.(ma + m_commit) + d
+  && m.(mb + m_spawn) = m.(ma + m_spawn)
+  && shifted s.a.h_finish (sa * n) (sb * n) d n
+  && shifted s.a.h_issue (sa * n) (sb * n) d n
 
-(* Same stalls, [rb]'s instants shifted by [d]. *)
-let stalls_eq ra rb d =
-  ra.r_nstalls = rb.r_nstalls
+(* Same stalls, [sb]'s instants shifted by [d]. *)
+let stalls_eq s sa sb d =
+  let m = s.a.h_meta and st = s.a.h_stalls in
+  let count = m.((sa * meta) + m_nstalls) in
+  count = m.((sb * meta) + m_nstalls)
   &&
-  let ok = ref true in
-  for i = 0 to ra.r_nstalls - 1 do
-    let x = 3 * i in
-    if
-      ra.r_stalls.(x) <> rb.r_stalls.(x)
-      || ra.r_stalls.(x + 1) <> rb.r_stalls.(x + 1)
-      || rb.r_stalls.(x + 2) <> ra.r_stalls.(x + 2) + d
-    then ok := false
+  let xa = 3 * s.n * sa and xb = 3 * s.n * sb in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < count do
+    let x = 3 * !i in
+    ok :=
+      st.(xa + x) = st.(xb + x)
+      && st.(xa + x + 1) = st.(xb + x + 1)
+      && st.(xb + x + 2) = st.(xa + x + 2) + d;
+    incr i
   done;
   !ok
 
-let lats_eq s ra rb =
-  let same = ref true in
-  for i = 0 to Array.length s.loads - 1 do
-    let v = s.loads.(i) in
-    if ra.r_lats.(v) <> rb.r_lats.(v) then same := false
+let lats_eq s sa sb =
+  let lat = s.a.h_lat and ba = sa * s.n and bb = sb * s.n in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length s.loads do
+    let v = s.loads.(!i) in
+    ok := lat.(ba + v) = lat.(bb + v);
+    incr i
   done;
-  !same
+  !ok
 
-(* The current window, ending before thread [next], was recorded in full
-   since the last disengage, with no squash and no coin. *)
+(* The window ending before thread [next] ran in full since the last
+   disengage, with no squash and no coin. *)
 let window_clean s next =
-  let clean = ref (next - s.a.win_len >= s.clean_from) in
-  for o = 0 to s.a.win_len - 1 do
-    let r = s.wcur.(o) in
-    if r.r_squashed || r.r_coin then clean := false
+  let first = next - s.win in
+  first >= s.clean_from
+  && s.last_squash < first
+  && not (coin_in s (first - s.max_stage) (next - 1))
+
+(* The ring's two windows, the previous one from slot [prev] and the
+   current one from [cur], are equal at the shift [d]: load latencies
+   first (where most failed comparisons differ), then times and stalls,
+   up to the first difference. *)
+let windows_match s ~prev ~cur d =
+  let ok = ref (d > 0) and o = ref 0 in
+  while !ok && !o < s.win do
+    ok := lats_eq s (prev + !o) (cur + !o);
+    incr o
   done;
-  !clean
+  o := 0;
+  while !ok && !o < s.win do
+    let sa = prev + !o and sb = cur + !o in
+    ok := same_timing s sa sb d && stalls_eq s sa sb d;
+    incr o
+  done;
+  !ok
+
+(* Ring slot [src] into signature slot [dst]. *)
+let copy_slot s ~src ~dst =
+  let a = s.a and n = s.n in
+  for v = 0 to n - 1 do
+    a.h_issue.((dst * n) + v) <- a.h_issue.((src * n) + v);
+    a.h_finish.((dst * n) + v) <- a.h_finish.((src * n) + v);
+    a.h_lat.((dst * n) + v) <- a.h_lat.((src * n) + v)
+  done;
+  for i = 0 to (3 * a.h_meta.((src * meta) + m_nstalls)) - 1 do
+    a.h_stalls.((3 * n * dst) + i) <- a.h_stalls.((3 * n * src) + i)
+  done;
+  for f = 0 to meta - 1 do
+    a.h_meta.((dst * meta) + f) <- a.h_meta.((src * meta) + f)
+  done
 
 (* Leave the engaged regime at thread [j], which just ran exactly. *)
 let disengage s ~j =
@@ -1404,47 +1419,30 @@ let disengage s ~j =
 
 (* At a window boundary, before thread [next]: engage when the previous
    and current windows are clean and the current one repeats the previous
-   one at a positive shift, or else slide the windows. *)
+   one at a positive shift. The current window becomes the signature:
+   both windows ran exactly, so no ring slot refers to the old one. *)
 let try_engage s next =
   let cur_clean = window_clean s next in
-  (if s.prev_clean && cur_clean then begin
-     let wp = s.wprev and wc = s.wcur in
-     let d = wc.(0).r_start - wp.(0).r_start in
-     let ok = ref (d > 0) in
-     for o = 0 to s.a.win_len - 1 do
-       if !ok then begin
-         let rp = wp.(o) and rc = wc.(o) in
-         ok := same_timing s rp rc d && stalls_eq rp rc d && lats_eq s rp rc
-       end
-     done;
-     if !ok then begin
-       s.engaged <- true;
-       (* The previous engagement's signature becomes the next current
-          window: by now the history ring holds only really-executed
-          threads, so nothing references its records. *)
-       let spare = s.sig0 in
-       s.sig0 <- wc;
-       s.sig_base <- next - s.a.win_len;
-       s.delta <- d;
-       let all = ref true in
-       for o = 0 to s.a.win_len - 1 do
-         let r = wc.(o) in
-         for i = 0 to Array.length s.loads - 1 do
-           if r.r_lats.(s.loads.(i)) <> s.cfg.l1_hit then all := false
-         done
-       done;
-       s.sig_allhit <- !all;
-       s.engage_count <- s.engage_count + 1;
-       s.wcur <- spare;
-       s.prev_clean <- false
-     end
-   end);
-  if not s.engaged then begin
-    let t = s.wprev in
-    s.wprev <- s.wcur;
-    s.wcur <- t;
-    s.prev_clean <- cur_clean
+  let cur = (next - s.win) mod s.ring in
+  let prev = s.win - cur in
+  let d = s.a.h_meta.((cur * meta) + m_start) - s.a.h_meta.((prev * meta) + m_start) in
+  if s.prev_clean && cur_clean && windows_match s ~prev ~cur d then begin
+    s.engaged <- true;
+    s.sig_base <- next - s.win;
+    s.delta <- d;
+    let all = ref true in
+    for o = 0 to s.win - 1 do
+      copy_slot s ~src:(cur + o) ~dst:(s.ring + o);
+      for i = 0 to Array.length s.loads - 1 do
+        if s.a.h_lat.(((cur + o) * s.n) + s.loads.(i)) <> s.cfg.l1_hit then
+          all := false
+      done
+    done;
+    s.sig_allhit <- !all;
+    s.engage_count <- s.engage_count + 1;
+    s.prev_clean <- false
   end
+  else s.prev_clean <- cur_clean
 
 let rec all_resident l1 = function
   | [] -> true
@@ -1459,48 +1457,49 @@ let try_allhit s next =
 
 (* Replay an extrapolation candidate's loads against the real caches, in
    the same thread-then-row order exact execution would, leaving the
-   latencies in [lat_buf], and compare them with the signature. Always
-   completes the full access sequence so a mismatching thread can
-   continue exactly. *)
-let replay_loads s j (r : fp_rec) =
-  let core = core_of s j in
+   latencies in its slot's [h_lat], and compare them with signature slot
+   [from]'s. Always completes the full access sequence so a mismatching
+   thread can continue exactly. *)
+let replay_loads s j from =
+  let core = core_of s j and lat = s.a.h_lat in
+  let base = j mod s.ring * s.n and sbase = from * s.n in
   let diff = ref false in
   for i = 0 to Array.length s.loads - 1 do
     let v = s.loads.(i) in
     (* [engaged_step] replays only threads no coin affects *)
-    let lat = load_latency s ~core ~own:true j v in
-    s.lat_buf.(v) <- lat;
-    if lat <> r.r_lats.(v) then diff := true
+    let l = load_latency s ~core ~own:true j v in
+    lat.(base + v) <- l;
+    if l <> lat.(sbase + v) then diff := true
   done;
   !diff
 
-(* One extrapolated thread: the signature record [r]'s spawn stall and
-   RECV stalls, then the shared [commit] at [shift]. *)
-let extrapolate s j r shift ~fills =
+(* One extrapolated thread: signature slot [from]'s spawn stall and RECV
+   stalls, then the shared [commit] at [shift]. *)
+let extrapolate s j from shift ~fills =
   if j >= s.warmup then begin
-    if r.r_spawn > 0 then s.spawn_stall <- s.spawn_stall + r.r_spawn;
-    account_stalls s ~core:(core_of s j) ~j r.r_stalls r.r_nstalls;
+    let spawn = s.a.h_meta.((from * meta) + m_spawn) in
+    if spawn > 0 then s.spawn_stall <- s.spawn_stall + spawn;
+    account_stalls s ~core:(core_of s j) ~j from
+      s.a.h_meta.((from * meta) + m_nstalls);
     if not fills then s.analytic_l1_hits <- s.analytic_l1_hits + Array.length s.loads
   end;
-  commit s j ~r ~shift ~fills;
+  commit s j ~from ~shift ~fills;
   s.extrap_count <- s.extrap_count + 1;
   if not fills then s.allhit_count <- s.allhit_count + 1
 
 (* Thread [j] while engaged on the signature window. *)
 let engaged_step s j =
-  let r = s.sig0.(j mod s.a.win_len) in
-  let shift = (j - s.sig_base) / s.a.win_len * s.delta in
+  let from = s.ring + (j mod s.win) (* its window offset's signature *) in
+  let shift = (j - s.sig_base) / s.win * s.delta in
   if coin_affects s j then begin
     (* A coin-touched iteration can redirect a load and squash: run it
-       exactly and stay engaged only if it lands on its prediction. The
-       spare current window takes its record. *)
+       exactly and stay engaged only if it lands on its prediction. *)
     exact_step s j ~lats:false;
-    let rc = record s j in
-    if rc.r_squashed || not (same_timing s r rc shift) then
+    if s.cur_squashed || not (same_timing s from (j mod s.ring) shift) then
       disengage s ~j
   end
   else if not s.allhit then begin
-    if replay_loads s j r then begin
+    if replay_loads s j from then begin
       (* The cache pattern moved (stream wrap, conflict eviction): finish
          this thread exactly — its cache accesses are already done and
          exact — and drop back to detection. *)
@@ -1508,10 +1507,10 @@ let engaged_step s j =
       exact_step s j ~lats:true;
       disengage s ~j
     end
-    else extrapolate s j r shift ~fills:true
+    else extrapolate s j from shift ~fills:true
   end
-  else extrapolate s j r shift ~fills:false;
-  if s.engaged && (not s.allhit) && (j + 1) mod s.a.win_len = 0 then
+  else extrapolate s j from shift ~fills:false;
+  if s.engaged && (not s.allhit) && (j + 1) mod s.win = 0 then
     try_allhit s (j + 1)
 
 let drive s ~trip =
@@ -1519,10 +1518,7 @@ let drive s ~trip =
     if s.engaged then engaged_step s j
     else begin
       exact_step s j ~lats:false;
-      if s.fast_ok then begin
-        ignore (record s j);
-        if (j + 1) mod s.a.win_len = 0 then try_engage s (j + 1)
-      end
+      if s.fast_ok && (j + 1) mod s.win = 0 then try_engage s (j + 1)
     end
   done
 
@@ -1618,11 +1614,11 @@ module Stage = struct
     create ?plan ~sync_mem ~warmup ~check:false ~trace:Trace.null ~trace_pid:0
       ~fast_ok cfg k ~trip (arena_create ())
 
-  let base s j = j mod s.horizon * s.n
+  let base s j = j mod s.ring * s.n
   let spawn = spawn
   let execute s j ~start = execute s j ~start ~recv:true ~use_lats:false
   let verify = verify
-  let commit s j = commit s j ~r:dummy_rec ~shift:0 ~fills:true
+  let commit s j = commit s j ~from:(-1) ~shift:0 ~fills:true
   let start s = s.cur_start
   let issue s j v = s.a.h_issue.(base s j + v)
   let finish s j v = s.a.h_finish.(base s j + v)
@@ -1633,6 +1629,7 @@ module Stage = struct
   let l1 s c = s.a.l1.(c)
   let l2 s = s.a.l2
   let line_sets s = Lazy.force s.line_sets
+  let coin_iters s = Array.sub s.a.coin_iters 0 s.n_coin
 end
 
 let check_fast_vs_exact (exact : stats) (fst : stats) =

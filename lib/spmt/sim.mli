@@ -186,4 +186,8 @@ module Stage : sig
   val line_sets : t -> int list array
   (** Per core, one address of every L1 line the loads' streams can touch
       on it: what the fast path probes before eliding the cache replay. *)
+
+  val coin_iters : t -> int array
+  (** Under [fast], the iterations in [\[0, warmup + trip)] where some
+      memory-dependence edge is realised, ascending; else empty. *)
 end

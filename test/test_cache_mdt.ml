@@ -62,9 +62,7 @@ let test_cache_bad_geometry () =
 (* The MRU-ordered sets against the naive reference: every answer of a
    script of operations on both must agree. [`A] accesses, [`P] probes,
    [`F] fills and [`I] invalidates a line. *)
-let mirrored ~size ~assoc script =
-  let c = Ts_spmt.Cache.create ~size ~assoc ~line:32 in
-  let r = Ts_check.Ref_models.Cache.create ~size ~assoc ~line:32 in
+let replay c r script =
   List.iteri
     (fun i (op, line) ->
       let addr = line * 32 in
@@ -85,8 +83,36 @@ let mirrored ~size ~assoc script =
           Ts_spmt.Cache.invalidate c addr;
           Ts_check.Ref_models.Cache.invalidate r addr)
     script;
-  check_bool "stats" true (Ts_spmt.Cache.stats c = Ts_check.Ref_models.Cache.stats r);
+  check_bool "stats" true (Ts_spmt.Cache.stats c = Ts_check.Ref_models.Cache.stats r)
+
+let mirrored ~size ~assoc script =
+  let c = Ts_spmt.Cache.create ~size ~assoc ~line:32 in
+  replay c (Ts_check.Ref_models.Cache.create ~size ~assoc ~line:32) script;
   c
+
+(* [reset] clears only the sets that took a block since the last one: a
+   cache reset after random accesses, fills and invalidates must answer
+   the next random script as a fresh reference model does. Every third
+   script only fills, so a set that a fill alone dirtied must be cleared
+   too. *)
+let test_cache_reset_dirty_sets () =
+  let rng = Ts_base.Rng.of_string "cache-reset" in
+  List.iter
+    (fun (size, assoc) ->
+      let c = Ts_spmt.Cache.create ~size ~assoc ~line:32 in
+      for round = 0 to 59 do
+        let script =
+          List.init 24 (fun _ ->
+              let op =
+                if round mod 3 = 2 then `F
+                else Ts_base.Rng.pick rng [| `A; `A; `P; `F; `I |]
+              in
+              (op, Ts_base.Rng.int rng 24))
+        in
+        replay c (Ts_check.Ref_models.Cache.create ~size ~assoc ~line:32) script;
+        Ts_spmt.Cache.reset c
+      done)
+    [ (256, 2); (128, 1); (512, 4) ]
 
 (* An invalidated way keeps its age: a miss still evicts the least recent
    way, and the empty one goes only once it is the least recent. Lines 0,
@@ -344,6 +370,8 @@ let suite =
     Alcotest.test_case "cache: invalidate and fill" `Quick test_cache_invalidate_and_fill;
     Alcotest.test_case "cache: stats and reset" `Quick test_cache_stats;
     Alcotest.test_case "cache: bad geometry" `Quick test_cache_bad_geometry;
+    Alcotest.test_case "cache: reset clears the sets taken" `Quick
+      test_cache_reset_dirty_sets;
     Alcotest.test_case "cache: an invalidated way ages" `Quick
       test_cache_invalid_way_ages;
     Alcotest.test_case "cache: direct-mapped" `Quick test_cache_direct_mapped;

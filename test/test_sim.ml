@@ -605,6 +605,43 @@ let test_stage_fast_addr () =
     (!negative > 0);
   check_bool "some coin-redirected iteration" true (!coins > 0)
 
+(* The fast path's coin marks are [Address_plan.realised] rolled from
+   hoisted keys: they must be exactly the iterations in [0, warmup +
+   trip) where some memory-dependence edge is realised, on the C2 fixture
+   loops and on a suite loop with a speculated dependence. *)
+let test_stage_coin_marks () =
+  let warmup = 512 and trip = 2000 in
+  (* the realised iterations, and the marks *)
+  let marks (g : Ts_ddg.Ddg.t) =
+    let plan = Ts_spmt.Address_plan.create g in
+    let st = St.create ~plan ~warmup ~fast:true cfg (kernel_of g) ~trip in
+    let realised it =
+      let hit = ref false in
+      Array.iteri
+        (fun idx (e : Ts_ddg.Ddg.edge) ->
+          if e.kind = Ts_ddg.Ddg.Mem then
+            hit := !hit || Ts_spmt.Address_plan.realised plan ~edge_index:idx ~iter:it)
+        g.edges;
+      !hit
+    in
+    (List.filter realised (List.init (warmup + trip) Fun.id), St.coin_iters st)
+  in
+  let speculated (g : Ts_ddg.Ddg.t) =
+    Array.for_all (fun (e : Ts_ddg.Ddg.edge) -> e.prob < 1.0) g.mem_arr
+    && fst (marks g) <> []
+  in
+  let suite_loop =
+    List.find speculated
+      (List.concat_map Ts_workload.Spec_suite.loops
+         Ts_workload.Spec_suite.benchmarks)
+  in
+  List.iter
+    (fun (g : Ts_ddg.Ddg.t) ->
+      let want, got = marks g in
+      check_bool (g.name ^ ": some coin fires") true (want <> []);
+      Alcotest.(check (list int)) g.name want (Array.to_list got))
+    (suite_loop :: Fixtures.c2_loops ())
+
 (* [spawn]: a thread starts at [max (previous start + c_spawn) core_free]
    (round-robin: the core's previous thread committed), and spawn stalls
    count only from [warmup] on. *)
@@ -834,6 +871,7 @@ let suite =
       test_sim_allocation_free;
     Alcotest.test_case "stage: spawn" `Quick test_stage_spawn;
     Alcotest.test_case "stage: fast address path" `Quick test_stage_fast_addr;
+    Alcotest.test_case "stage: coin marks" `Quick test_stage_coin_marks;
     Alcotest.test_case "stage: execute, round-robin" `Quick
       (test_stage_execute cfg);
     Alcotest.test_case "stage: execute, 2fast+2slow locality" `Quick
