@@ -559,12 +559,12 @@ let test_loop cfg point g =
 
 (* The long-run leg. [default_config]'s 96 iterations end about two
    detection windows after the fast path engages, before every load
-   stream has wrapped its working set (up to 512 iterations) and before
-   the all-hit regime's residency proof has anything to decide, so a bug
-   there stays invisible. At the paper's length (512 warmup and 2,000
-   measured iterations) every kernel of every fourth seed runs the fast
-   path beside the checked exact engine once more, on the point's
-   machine. *)
+   stream has wrapped its working set (up to 512 iterations), so a bug in
+   how an extrapolated thread's replayed loads leave the signature's
+   latency pattern stays invisible. At the paper's length (512 warmup
+   and 2,000 measured iterations) every kernel of every fourth seed runs
+   the fast path beside the checked exact engine once more, on the
+   point's machine. *)
 let long_warmup = 512
 let long_trip = 2000
 let long_seed seed = seed mod 4 = 0

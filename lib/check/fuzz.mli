@@ -24,9 +24,10 @@
     A long-run leg follows: every fourth seed's kernels run the fast
     path beside the checked exact engine again at the paper's length
     (warmup 512, trip 2000) on each point's machine. Only there does
-    every load stream wrap its working set and the all-hit regime's
-    residency proof get to decide: the short runs end about two detection
-    windows after the fast path engages.
+    every load stream wrap its working set, so that an extrapolated
+    thread's replayed loads can leave the signature's latency pattern:
+    the short runs end about two detection windows after the fast path
+    engages.
 
     Everything is seeded from the fuzz seed through {!Ts_base.Rng}, so a
     failure reproduces bit-for-bit; a failing loop is then shrunk by

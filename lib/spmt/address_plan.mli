@@ -24,8 +24,8 @@ val streams : t -> int array
     [3 * node] holds the base, [+ 1] the stride and [+ 2] the working set
     minus one, a mask (working sets are powers of two), or -1 for a
     non-memory node. The simulator's address path reads it, and so does
-    its fast path, to enumerate the L1 lines a load's stream can touch
-    (it revisits them with period [working_set / gcd stride working_set]). *)
+    its fast path, for each store stream's address period
+    [working_set / gcd stride working_set]. *)
 
 val realised : t -> edge_index:int -> iter:int -> bool
 (** Does memory-dependence edge [edge_index] (index into the DDG's edge

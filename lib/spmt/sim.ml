@@ -21,8 +21,6 @@ let m_fp_mismatch = counter "sim.fastpath.mismatches"
    squash's re-execution not counted again). *)
 let m_exact_threads = counter "sim.exact.threads"
 let m_exact_nodes = counter "sim.exact.nodes"
-let m_fp_replayed = counter "sim.fastpath.replayed_threads"
-let m_fp_allhit = counter "sim.fastpath.allhit_threads"
 
 type stats = {
   cycles : int;
@@ -302,7 +300,6 @@ type run = {
   n_coin : int; (* [a.coin_iters.(0 .. n_coin - 1)] *)
   analytic_mdt : bool;
   store_pv : int array; (* a store stream's address period, in threads *)
-  line_sets : int list array Lazy.t; (* per core (see [line_sets]) *)
   core_free : int array; (* when each core's last thread committed *)
   (* run totals *)
   mutable sync_stall : int;
@@ -328,15 +325,11 @@ type run = {
   mutable prev_clean : bool;
   mutable clean_from : int; (* windows before it hold stale slots *)
   mutable engaged : bool;
-  mutable allhit : bool;
   mutable sig_base : int;
   mutable delta : int;
-  mutable sig_allhit : bool;
   mutable engage_count : int;
   mutable extrap_count : int;
-  mutable allhit_count : int; (* the extrapolated threads that skip the caches *)
   mutable mismatch_count : int;
-  mutable analytic_l1_hits : int;
 }
 
 let core_of s j = Array.unsafe_get s.place_seq (j mod s.place_period)
@@ -607,58 +600,39 @@ let mark_coins a plan (g : Ts_ddg.Ddg.t) ~total =
    stream revisits an address exactly every [P_v = ws / gcd stride ws]
    iterations, and retires run on the fixed 64-thread cadence. When no
    store's address can be redirected (no Mem edge lands on a store) and
-   every P_v >= horizon — so the entry from [P_v] threads back is the
-   only same-address entry alive, and is always stale when overwritten —
-   the live/peak trajectory can be maintained with O(1) integer updates
-   per record, and the hashtable only has to hold real entries close
-   enough to a coin-affected thread that a conflict query could see
-   them. Everywhere else, conflict queries probe load-region addresses
-   that no store ever writes and answer None off an address mismatch no
-   matter what the table holds. Returns whether the model applies, and
-   [P_v] per store node. *)
-let analytic_mdt_plan st (g : Ts_ddg.Ddg.t) ~fast_ok ~n ~stores ~horizon =
+   thread [j]'s record of store [v] always prunes the entry from [j -
+   P_v] if it is still in the table, the live/peak trajectory can be
+   maintained with O(1) integer updates per record, and the hashtable
+   only has to hold real entries close enough to a coin-affected thread
+   that a conflict query could see them. Everywhere else, conflict
+   queries probe load-region addresses that no store ever writes and
+   answer None off an address mismatch no matter what the table holds.
+   The prune needs [P_v >= ncore] (the MDT's horizon), and one address:
+   a prologue thread [t < stage v] whose iteration is in [(-P_v, 0)]
+   stores below the stream's base, so the first retire past it, the
+   first [j = 63 mod 64] above [t + horizon], must come before thread
+   [t + P_v]. Returns whether the model applies, and [P_v] per store. *)
+let analytic_mdt_plan st (k : K.t) ~fast_ok ~n ~stores ~ncore ~horizon =
   let store_pv = Array.make n 0 in
   let ok = ref fast_ok in
   for i = 0 to Array.length stores - 1 do
     let v = stores.(i) in
-    let ws = st.((3 * v) + 2) + 1 in
-    store_pv.(v) <- ws / gcd st.((3 * v) + 1) ws;
-    if store_pv.(v) < horizon then ok := false
+    let ws = st.((3 * v) + 2) + 1 and stage = k.K.stage.(v) in
+    let pv = ws / gcd st.((3 * v) + 1) ws in
+    store_pv.(v) <- pv;
+    if pv < ncore then ok := false;
+    for t = max 0 (stage - pv + 1) to stage - 1 do
+      if (t + horizon + 1) lor 63 >= t + pv then ok := false
+    done
   done;
   Array.iter
     (fun (e : Ts_ddg.Ddg.edge) ->
       if
         e.kind = Ts_ddg.Ddg.Mem
-        && (Ts_ddg.Ddg.node g e.dst).Ts_ddg.Ddg.op = Ts_isa.Opcode.Store
+        && (Ts_ddg.Ddg.node k.K.g e.dst).Ts_ddg.Ddg.op = Ts_isa.Opcode.Store
       then ok := false)
-    g.edges;
+    k.K.g.edges;
   (!ok, store_pv)
-
-(* Every L1 line the loads' streams can touch, per core: one address per
-   (core, line). Load [v]'s iteration [t] runs on core [seq.((t + stage v)
-   mod period)], and its stream revisits addresses with period [P_v = ws /
-   gcd(stride, ws)], so one joint period [lcm(P_v, period)] of iterations
-   meets every pair. A per-stream flag map over (core, line) dedups. *)
-let line_sets st (k : K.t) ~line ~ncore ~seq ~loads =
-  let sets = Array.make ncore [] and period = Array.length seq in
-  Array.iter
-    (fun v ->
-      let base = st.(3 * v) and stride = st.((3 * v) + 1) in
-      let ws = st.((3 * v) + 2) + 1 in
-      let pv = ws / gcd stride ws and first = base / line in
-      let nl = ((base + ws - 1) / line) - first + 1 in
-      let seen = Bytes.make (ncore * nl) '\000' in
-      for t = 0 to (pv * period / gcd pv period) - 1 do
-        let addr = base + (stride * t mod ws) in
-        let c = seq.((t + k.K.stage.(v)) mod period) in
-        let bit = (c * nl) + (addr / line) - first in
-        if Bytes.get seen bit = '\000' then begin
-          Bytes.set seen bit '\001';
-          sets.(c) <- addr :: sets.(c)
-        end
-      done)
-    loads;
-  sets
 
 (* The trace's per-core track names and its ["sim.start"] marker. *)
 let trace_start s place ~trip =
@@ -733,7 +707,7 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
   Mdt.clear a.mdt ~horizon:ncore;
   let streams = Address_plan.streams plan in
   let analytic_mdt, store_pv =
-    analytic_mdt_plan streams g ~fast_ok ~n ~stores ~horizon
+    analytic_mdt_plan streams k ~fast_ok ~n ~stores ~ncore ~horizon
   in
   let place_seq = Ts_isa.Placement.seq place in
   arena_node_lat a g p ~n;
@@ -792,8 +766,6 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       n_coin = (if fast_ok then mark_coins a plan g ~total else 0);
       analytic_mdt;
       store_pv;
-      line_sets =
-        lazy (line_sets streams k ~line:cfg.line ~ncore ~seq:place_seq ~loads);
       core_free = Array.make ncore 0;
       sync_stall = 0;
       spawn_stall = 0;
@@ -813,15 +785,11 @@ let create ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
       prev_clean = false;
       clean_from = 0;
       engaged = false;
-      allhit = false;
       sig_base = 0;
       delta = 0;
-      sig_allhit = false;
       engage_count = 0;
       extrap_count = 0;
-      allhit_count = 0;
       mismatch_count = 0;
-      analytic_l1_hits = 0;
     }
   in
   if s.traced then trace_start s place ~trip;
@@ -845,9 +813,6 @@ let coin_affects s j = coin_in s (j - s.max_stage) j
    nodes' own stream addresses ([mark_coins] holds every iteration where
    a memory dependence fires). *)
 let own_addrs s j = s.fast_ok && not (coin_affects s j)
-
-let no_coins_from s j =
-  s.n_coin = 0 || s.a.coin_iters.(s.n_coin - 1) + s.max_stage < j
 
 (* A thread's stores must really sit in the MDT iff a coin-affected
    thread within [horizon] ahead could query them. *)
@@ -1177,13 +1142,9 @@ let verify s j =
    already in its history slot and the run's [cur_*] fields, and leaves
    its scalars in the slot's [h_meta] for the detection windows. The
    thread's stores enter the MDT (under the analytic occupancy model the
-   table only takes the entries a coin-affected thread could query) and,
-   unless [fills] is false, drain into L2 and invalidate stale copies in
-   the other cores' L1s. [fills] is false only in the fast path's proven
-   all-hit regime, where store fills and invalidates touch lines no load
-   can ever read (disjoint stream regions) and the caches are no longer
-   consulted at all. *)
-let commit s j ~from ~shift ~fills =
+   table only takes the entries a coin-affected thread could query), drain
+   into L2 and invalidate stale copies in the other cores' L1s. *)
+let commit s j ~from ~shift =
   let a = s.a in
   let core = core_of s j in
   let exact = from < 0 in
@@ -1226,19 +1187,14 @@ let commit s j ~from ~shift ~fills =
   for i = 0 to Array.length s.stores - 1 do
     let v = s.stores.(i) in
     if s.analytic_mdt then av_record s j v;
-    if mdt_real || fills then begin
-      let addr = thread_addr s ~own v j in
-      if mdt_real then
-        mdt_record s ~thread:j ~addr
-          ~finish:(slot_finish a ~n:s.n ~src slot v);
-      if fills then begin
-        l2_fill s addr;
-        if s.inval_needed.(v) then
-          for c = 0 to s.p.ncore - 1 do
-            if c <> core then l1_invalidate s c addr
-          done
-      end
-    end
+    let addr = thread_addr s ~own v j in
+    if mdt_real then
+      mdt_record s ~thread:j ~addr ~finish:(slot_finish a ~n:s.n ~src slot v);
+    l2_fill s addr;
+    if s.inval_needed.(v) then
+      for c = 0 to s.p.ncore - 1 do
+        if c <> core then l1_invalidate s c addr
+      done
   done;
   s.last_commit_end <- commit_end;
   s.core_free.(core) <- commit_end;
@@ -1275,7 +1231,7 @@ let exact_step s j ~lats =
   let start = spawn s j in
   execute s j ~start ~recv:true ~use_lats:lats;
   verify s j;
-  commit s j ~from:(-1) ~shift:0 ~fills:true;
+  commit s j ~from:(-1) ~shift:0;
   match s.observe with
   | Some f ->
       f
@@ -1312,13 +1268,7 @@ let exact_step s j ~lats =
      predicted times to keep the fast path engaged (a squash never
      matches, so misspeculation always falls back to exact replay);
    - the MDT bookkeeping keeps running on recorded times, so [mdt_peak]
-     stays cycle-exact.
-
-   When the signature pattern is pure L1 hits, every line the loads'
-   periodic streams can ever touch probes resident, and no coin remains
-   ahead, even the cache replay is provably redundant (loads cannot
-   miss, store fills/invalidates touch disjoint lines) and threads are
-   extrapolated arithmetically. *)
+     stays cycle-exact. *)
 
 (* [p.(b + i) = p.(a + i) + d] for [i < len]. *)
 let shifted p a b d len =
@@ -1413,7 +1363,6 @@ let copy_slot s ~src ~dst =
 (* Leave the engaged regime at thread [j], which just ran exactly. *)
 let disengage s ~j =
   s.engaged <- false;
-  s.allhit <- false;
   s.prev_clean <- false;
   s.clean_from <- j + 1
 
@@ -1430,30 +1379,13 @@ let try_engage s next =
     s.engaged <- true;
     s.sig_base <- next - s.win;
     s.delta <- d;
-    let all = ref true in
     for o = 0 to s.win - 1 do
-      copy_slot s ~src:(cur + o) ~dst:(s.ring + o);
-      for i = 0 to Array.length s.loads - 1 do
-        if s.a.h_lat.(((cur + o) * s.n) + s.loads.(i)) <> s.cfg.l1_hit then
-          all := false
-      done
+      copy_slot s ~src:(cur + o) ~dst:(s.ring + o)
     done;
-    s.sig_allhit <- !all;
     s.engage_count <- s.engage_count + 1;
     s.prev_clean <- false
   end
   else s.prev_clean <- cur_clean
-
-let rec all_resident l1 = function
-  | [] -> true
-  | addr :: rest -> Cache.probe l1 addr && all_resident l1 rest
-
-(* Every line of [line_sets] probes resident in its core's L1. *)
-let try_allhit s next =
-  if
-    no_coins_from s next && s.sig_allhit
-    && Array.for_all2 all_resident s.a.l1 (Lazy.force s.line_sets)
-  then s.allhit <- true
 
 (* Replay an extrapolation candidate's loads against the real caches, in
    the same thread-then-row order exact execution would, leaving the
@@ -1475,17 +1407,15 @@ let replay_loads s j from =
 
 (* One extrapolated thread: signature slot [from]'s spawn stall and RECV
    stalls, then the shared [commit] at [shift]. *)
-let extrapolate s j from shift ~fills =
+let extrapolate s j from shift =
   if j >= s.warmup then begin
     let spawn = s.a.h_meta.((from * meta) + m_spawn) in
     if spawn > 0 then s.spawn_stall <- s.spawn_stall + spawn;
     account_stalls s ~core:(core_of s j) ~j from
-      s.a.h_meta.((from * meta) + m_nstalls);
-    if not fills then s.analytic_l1_hits <- s.analytic_l1_hits + Array.length s.loads
+      s.a.h_meta.((from * meta) + m_nstalls)
   end;
-  commit s j ~from ~shift ~fills;
-  s.extrap_count <- s.extrap_count + 1;
-  if not fills then s.allhit_count <- s.allhit_count + 1
+  commit s j ~from ~shift;
+  s.extrap_count <- s.extrap_count + 1
 
 (* Thread [j] while engaged on the signature window. *)
 let engaged_step s j =
@@ -1498,20 +1428,15 @@ let engaged_step s j =
     if s.cur_squashed || not (same_timing s from (j mod s.ring) shift) then
       disengage s ~j
   end
-  else if not s.allhit then begin
-    if replay_loads s j from then begin
-      (* The cache pattern moved (stream wrap, conflict eviction): finish
-         this thread exactly — its cache accesses are already done and
-         exact — and drop back to detection. *)
-      s.mismatch_count <- s.mismatch_count + 1;
-      exact_step s j ~lats:true;
-      disengage s ~j
-    end
-    else extrapolate s j from shift ~fills:true
+  else if replay_loads s j from then begin
+    (* The cache pattern moved (stream wrap, conflict eviction): finish
+       this thread exactly — its cache accesses are already done and
+       exact — and drop back to detection. *)
+    s.mismatch_count <- s.mismatch_count + 1;
+    exact_step s j ~lats:true;
+    disengage s ~j
   end
-  else extrapolate s j from shift ~fills:false;
-  if s.engaged && (not s.allhit) && (j + 1) mod s.win = 0 then
-    try_allhit s (j + 1)
+  else extrapolate s j from shift
 
 let drive s ~trip =
   for j = 0 to s.warmup + trip - 1 do
@@ -1547,7 +1472,6 @@ let finish s ~trip =
         (h + h', m + m'))
       (0, 0) a.l1
   in
-  let l1_hits = l1_hits + s.analytic_l1_hits in
   let l2_hits, l2_misses = Cache.stats a.l2 in
   let mdt_peak = if s.analytic_mdt then s.av_peak else Mdt.peak_entries a.mdt in
   let pairs = K.send_recv_pairs_per_iter s.k * trip in
@@ -1564,8 +1488,6 @@ let finish s ~trip =
   let exact = s.warmup + trip - s.extrap_count in
   Ts_obs.Metrics.incr ~by:exact m_exact_threads;
   Ts_obs.Metrics.incr ~by:(exact * s.n) m_exact_nodes;
-  Ts_obs.Metrics.incr ~by:(s.extrap_count - s.allhit_count) m_fp_replayed;
-  Ts_obs.Metrics.incr ~by:s.allhit_count m_fp_allhit;
   let cycles = s.last_commit_end - s.warm_end in
   if s.traced then
     Trace.instant s.trace ~pid:s.trace_pid ~ts:s.last_commit_end "sim.end"
@@ -1618,7 +1540,7 @@ module Stage = struct
   let spawn = spawn
   let execute s j ~start = execute s j ~start ~recv:true ~use_lats:false
   let verify = verify
-  let commit s j = commit s j ~from:(-1) ~shift:0 ~fills:true
+  let commit s j = commit s j ~from:(-1) ~shift:0
   let start s = s.cur_start
   let issue s j v = s.a.h_issue.(base s j + v)
   let finish s j v = s.a.h_finish.(base s j + v)
@@ -1628,7 +1550,6 @@ module Stage = struct
   let stall_breakdown = stall_breakdown
   let l1 s c = s.a.l1.(c)
   let l2 s = s.a.l2
-  let line_sets s = Lazy.force s.line_sets
   let coin_iters s = Array.sub s.a.coin_iters 0 s.n_coin
 end
 

@@ -112,10 +112,7 @@ val run :
     replayed (the address sequence is timing-independent), and any
     deviation — a latency mismatch, a probabilistic-dependence coin, a
     squash — drops back to exact execution, so the returned stats are
-    identical to a [fast:false] run. When the signature is pure L1 hits
-    and every line the load streams can touch probes resident in the L1
-    of each core that will run them, even the cache replay is elided. It
-    serves every core mix and {!Config.placement}: a window is a multiple
+    identical to a [fast:false] run. It serves every core mix and {!Config.placement}: a window is a multiple
     of the placement period, so a window offset keeps its core from
     window to window. The fast path quietly disables itself under
     [trace]/[observe] (which need every thread) and for always-realised
@@ -182,10 +179,6 @@ module Stage : sig
   val stall_breakdown : t -> ((int * int) * int) list
   val l1 : t -> int -> Cache.t
   val l2 : t -> Cache.t
-
-  val line_sets : t -> int list array
-  (** Per core, one address of every L1 line the loads' streams can touch
-      on it: what the fast path probes before eliding the cache replay. *)
 
   val coin_iters : t -> int array
   (** Under [fast], the iterations in [\[0, warmup + trip)] where some

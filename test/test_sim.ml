@@ -377,46 +377,48 @@ let test_sim_arena_across_core_counts () =
         machines)
     [ Fixtures.spec_loop (); Fixtures.motivating (); Fixtures.generated () ]
 
-(* Under round-robin the per-core line sets are the old residue classes
-   ([Ref_line_sets]); under a placement that leaves cores idle, those
-   cores have none. *)
-let test_sim_line_sets () =
-  let sorted l = List.sort compare l in
+(* Load -> fmul -> store, the store at time 6 of [ii] (stage 1 at II 4,
+   stage 0 at II 8), and a register recurrence of distance [dist] from
+   the fmul back to the load. *)
+let deep_recurrence_kernel ~ii ~dist =
+  let b = Ts_ddg.Ddg.Builder.create ~name:"deep" Ts_isa.Machine.spmt_core in
+  let ld = Ts_ddg.Ddg.Builder.add b ~latency:2 Ts_isa.Opcode.Load in
+  let f = Ts_ddg.Ddg.Builder.add b ~latency:4 Ts_isa.Opcode.Fmul in
+  let sto = Ts_ddg.Ddg.Builder.add b Ts_isa.Opcode.Store in
+  Ts_ddg.Ddg.Builder.dep b ld f;
+  Ts_ddg.Ddg.Builder.dep b f sto;
+  Ts_ddg.Ddg.Builder.dep b ~dist f ld;
+  K.of_times (Ts_ddg.Ddg.Builder.build b) ~ii [| 0; 2; 6 |]
+
+(* The fast path's analytic MDT model against the exact engine's pooled
+   MDT: [~check] compares every stats field, [mdt_peak] included. A
+   recurrence of distance 63, 127 or 600 puts the history horizon at or
+   above the store stream's period [P_v] (64 to 512 threads). In stage
+   1 the store's prologue thread 0 writes below the stream's base, so
+   thread [P_v] does not overwrite that entry, and it lives until a
+   retire passes it; in stage 0 there is no such thread. *)
+let test_sim_analytic_mdt_deep_lookback () =
+  let periods = ref [] in
   List.iter
-    (fun g ->
-      let k = kernel_of g in
-      let plan = Ts_spmt.Address_plan.create g in
-      let loads =
-        List.filter
-          (fun v -> (Ts_ddg.Ddg.node g v).op = Ts_isa.Opcode.Load)
-          (List.init (Ts_ddg.Ddg.n_nodes g) Fun.id)
-      in
-      let sets mcfg =
-        Ts_spmt.Sim.Stage.line_sets (Ts_spmt.Sim.Stage.create ~plan mcfg k ~trip:1)
-      in
+    (fun ii ->
       List.iter
-        (fun ncore ->
-          let got = sets (Ts_spmt.Config.with_ncore cfg ncore) in
-          let want =
-            Ref_line_sets.per_core k plan ~line:cfg.line ~ncore ~loads
-          in
-          check_int "one set per core" ncore (Array.length got);
-          Array.iteri
-            (fun c w ->
-              check_bool
-                (Printf.sprintf "%s, %d cores: core %d" g.Ts_ddg.Ddg.name
-                   ncore c)
-                true
-                (sorted got.(c) = sorted w))
-            want)
-        [ 1; 2; 3; 4; 8 ];
-      let sync = sets (hetero_cfg "2fast+2slow" Ts_isa.Placement.Sync_aware) in
-      check_bool
-        (g.Ts_ddg.Ddg.name ^ ": sync-aware leaves the slow cores' sets empty")
-        true
-        (sync.(2) = [] && sync.(3) = []
-        && (loads = [] || (sync.(0) <> [] && sync.(1) <> []))))
-    (hetero_loops ())
+        (fun dist ->
+          let k = deep_recurrence_kernel ~ii ~dist in
+          for seed = 0 to 19 do
+            let plan =
+              Ts_spmt.Address_plan.create ~seed:(string_of_int seed) k.K.g
+            in
+            (* the store is node 2; a stride divides its working set *)
+            let st = Ts_spmt.Address_plan.streams plan in
+            periods := ((st.(8) + 1) / st.(7)) :: !periods;
+            ignore
+              (Ts_spmt.Sim.run ~plan ~fast:true ~check:true cfg k ~trip:1000
+                : Ts_spmt.Sim.stats)
+          done)
+        [ 63; 127; 600 ])
+    [ 4; 8 ];
+  check_bool "store periods 64 and 128 both covered" true
+    (List.mem 64 !periods && List.mem 128 !periods)
 
 (* --- Allocation --- *)
 
@@ -866,7 +868,6 @@ let suite =
       test_sim_fast_engages_every_placement;
     Alcotest.test_case "sim: arena reuse across core counts" `Quick
       test_sim_arena_across_core_counts;
-    Alcotest.test_case "sim: per-core line sets" `Quick test_sim_line_sets;
     Alcotest.test_case "sim: allocation-free per thread" `Quick
       test_sim_allocation_free;
     Alcotest.test_case "stage: spawn" `Quick test_stage_spawn;
@@ -878,6 +879,8 @@ let suite =
       (test_stage_execute (hetero_cfg "2fast+2slow" Ts_isa.Placement.Locality));
     Alcotest.test_case "stage: verify" `Quick test_stage_verify;
     Alcotest.test_case "stage: commit" `Quick test_stage_commit;
+    Alcotest.test_case "sim: analytic MDT under a deep lookback" `Quick
+      test_sim_analytic_mdt_deep_lookback;
     Alcotest.test_case "sim: mdt_peak gauge keeps the maximum" `Quick
       test_mdt_peak_gauge_keeps_max;
     Alcotest.test_case "single: basic" `Quick test_single_basic;
