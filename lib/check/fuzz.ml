@@ -430,7 +430,7 @@ let sim_band cfg sim_cfg (params : Ts_isa.Spmt_params.t) (k : K.t) =
    say) shows nowhere else in this sweep; an intended one re-pins these
    and [test/golden/paper_metrics.json]. A change to the fuzz generator or
    to SMS changes the canary kernels, and re-pins them too. *)
-let fast_path_pins = [| 434; 154; 42479 |]
+let fast_path_pins = [| 434; 154; 42527 |]
 
 let check_fast_path_live () =
   let names =

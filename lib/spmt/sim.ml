@@ -1364,7 +1364,7 @@ let copy_slot s ~src ~dst =
 let disengage s ~j =
   s.engaged <- false;
   s.prev_clean <- false;
-  s.clean_from <- j + 1
+  s.clean_from <- j
 
 (* At a window boundary, before thread [next]: engage when the previous
    and current windows are clean and the current one repeats the previous

@@ -160,6 +160,27 @@ let test_pool_nested () =
   Alcotest.(check bool) "no domain explosion" true
     (Ts_base.Parallel.size_now () <= bound)
 
+(* The pool is resident: after one warm-up batch has spawned its worker,
+   flat fine-grained maps reuse it, so no call spawns a domain. Domain
+   ids are never reused, so a domain spawned before and one spawned after
+   the maps get consecutive ids only when nothing spawned in between:
+   that also catches a spawn-and-join per call, which leaves the pool's
+   size alone. *)
+let test_pool_resident () =
+  let items = List.init 16 Fun.id in
+  let expected = List.map spin items in
+  let fresh_id () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  ignore (Ts_base.Parallel.map ~jobs:2 spin items);
+  let resident = Ts_base.Parallel.size_now () in
+  Alcotest.(check bool) "the warm-up batch left a worker" true (resident >= 1);
+  let before = fresh_id () in
+  for _ = 1 to 200 do
+    Alcotest.(check bool) "results" true
+      (Ts_base.Parallel.map ~jobs:2 spin items = expected)
+  done;
+  check_int "no domain spawned by the maps" (before + 1) (fresh_id ());
+  check_int "resident workers unchanged" resident (Ts_base.Parallel.size_now ())
+
 (* Whatever order the workers finish tasks in, results come back in input
    order with input-indexed values. *)
 let test_pool_completion_determinism () =
@@ -270,6 +291,8 @@ let suite =
     Alcotest.test_case "tablefmt: cell formatters" `Quick test_cells;
     Alcotest.test_case "pool: nested maps, no domain explosion" `Quick
       test_pool_nested;
+    Alcotest.test_case "pool: resident across flat maps" `Quick
+      test_pool_resident;
     Alcotest.test_case "pool: completion order vs result order" `Quick
       test_pool_completion_determinism;
     Alcotest.test_case "pool: Map_errors index fidelity" `Quick

@@ -458,6 +458,51 @@ let test_sim_allocation_free () =
         ])
     [ Fixtures.spec_loop (); Fixtures.motivating (); Fixtures.generated () ]
 
+(* Whole-run allocation, per-run setup included: minor words per
+   simulated thread (warmup included) of the SMS and TMS runs of a few
+   Fig. 4 and Fig. 5 loops at the drivers' trip and warmup. The per-thread
+   path allocates nothing (above), so this bounds the setup spread over
+   the threads: about 1.5 words on either engine. The first run of each
+   kernel grows the domain's scratch arena and is not counted. *)
+let test_sim_run_words () =
+  let params = Ts_isa.Spmt_params.default in
+  let warmup = Ts_harness.Defaults.warmup in
+  let loops =
+    List.concat_map
+      (fun (b : Ts_workload.Spec_suite.bench) ->
+        List.map (fun g -> (g, b.trip)) (Ts_workload.Spec_suite.loops ~limit:1 b))
+      (List.filteri (fun i _ -> i < 3) Ts_workload.Spec_suite.benchmarks)
+    @ List.map
+        (fun (sel : Ts_workload.Doacross.selected) -> (List.hd sel.loops, sel.trip))
+        (List.filteri (fun i _ -> i < 2) Ts_workload.Doacross.all)
+  in
+  let runs =
+    List.concat_map
+      (fun (g, trip) ->
+        let plan = Ts_spmt.Address_plan.create g in
+        let tms = (Ts_tms.Tms.schedule_sweep ~params g).Ts_tms.Tms.kernel in
+        [ (plan, kernel_of g, trip); (plan, tms, trip) ])
+      loops
+  in
+  List.iter
+    (fun (fast, bound) ->
+      let words = ref 0.0 and threads = ref 0 in
+      List.iter
+        (fun (plan, k, trip) ->
+          let run () = ignore (Ts_spmt.Sim.run ~plan ~warmup ~fast cfg k ~trip) in
+          run ();
+          let w0 = Gc.minor_words () in
+          run ();
+          words := !words +. (Gc.minor_words () -. w0);
+          threads := !threads + warmup + trip)
+        runs;
+      let w = !words /. float_of_int !threads in
+      check_bool
+        (Printf.sprintf "%s: %.2f words per thread, bound %g"
+           (if fast then "fast path" else "exact") w bound)
+        true (w < bound))
+    [ (true, 4.0); (false, 25.0) ]
+
 (* --- Single-threaded baseline --- *)
 
 let test_single_basic () =
@@ -870,6 +915,8 @@ let suite =
       test_sim_arena_across_core_counts;
     Alcotest.test_case "sim: allocation-free per thread" `Quick
       test_sim_allocation_free;
+    Alcotest.test_case "sim: whole-run words per thread" `Quick
+      test_sim_run_words;
     Alcotest.test_case "stage: spawn" `Quick test_stage_spawn;
     Alcotest.test_case "stage: fast address path" `Quick test_stage_fast_addr;
     Alcotest.test_case "stage: coin marks" `Quick test_stage_coin_marks;

@@ -1,12 +1,11 @@
 (* The deep-profiling layer: bucketed histogram quantiles and merging,
-   the Prometheus exposition, the Prof span profiler, the Progress
-   heartbeat, and the bench regression gate. *)
+   the Prometheus exposition, the Prof span profiler and the Progress
+   heartbeat. *)
 
 module J = Ts_obs.Json
 module Metrics = Ts_obs.Metrics
 module Prof = Ts_obs.Prof
 module Progress = Ts_obs.Progress
-module Regress = Ts_harness.Regress
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -433,106 +432,6 @@ let test_progress_disabled_silent () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-(* --- Regress --- *)
-
-let bench_doc ~search_wall ~exact_wall =
-  J.Obj
-    [
-      ("bench", J.Str "search");
-      ("jobs", J.Int 4);
-      ( "workloads",
-        J.Obj
-          [
-            ( "equake",
-              J.Obj
-                [
-                  ("wall_s", J.Float search_wall);
-                  ("attempts", J.Int 5000);
-                  ("attempts_per_sec", J.Float (5000.0 /. search_wall));
-                ] );
-            ("applu", J.Obj [ ("exact_wall_s", J.Float exact_wall) ]);
-          ] );
-      ("total_wall_s", J.Float (search_wall +. exact_wall));
-    ]
-
-let test_regress_pass_and_fail () =
-  let baseline = bench_doc ~search_wall:1.0 ~exact_wall:2.0 in
-  (* 20% slower passes at 1.5x; being faster is never a failure. *)
-  let ok_fresh = bench_doc ~search_wall:1.2 ~exact_wall:1.0 in
-  let o =
-    Regress.compare_json ~what:"search" ~tolerance:1.5 ~baseline
-      ~fresh:ok_fresh
-  in
-  check_bool "passes" true (Regress.ok o);
-  check_int "three time leaves" 3 (List.length o.Regress.verdicts);
-  (* attempts / attempts_per_sec / jobs are not compared. *)
-  check_bool "no derived leaves" true
-    (List.for_all
-       (fun (v : Regress.verdict) -> not (contains v.Regress.path "attempts"))
-       o.Regress.verdicts);
-  (* A 4x slowdown on one leg fails, and worst names that leg. *)
-  let bad_fresh = bench_doc ~search_wall:4.0 ~exact_wall:2.0 in
-  let o =
-    Regress.compare_json ~what:"search" ~tolerance:1.5 ~baseline
-      ~fresh:bad_fresh
-  in
-  check_bool "fails" false (Regress.ok o);
-  (match Regress.worst o with
-  | Some w ->
-      check_bool "worst is the slow leg" true
-        (contains w.Regress.path "equake");
-      check_bool "worst ratio" true (Float.abs (w.Regress.ratio -. 4.0) < 1e-9)
-  | None -> Alcotest.fail "no worst verdict");
-  let table = Regress.render o in
-  check_bool "renders REGRESSION" true (contains table "REGRESSION");
-  check_bool "renders FAIL" true (contains table "FAIL")
-
-let test_regress_missing_leaf () =
-  let baseline = bench_doc ~search_wall:1.0 ~exact_wall:2.0 in
-  let fresh =
-    J.Obj [ ("workloads", J.Obj [ ("applu", J.Obj [ ("exact_wall_s", J.Float 2.0) ]) ]) ]
-  in
-  let o = Regress.compare_json ~what:"search" ~tolerance:1.5 ~baseline ~fresh in
-  check_bool "missing leaf fails the gate" false (Regress.ok o);
-  check_bool "missing names the path" true
-    (List.exists (fun p -> contains p "equake") o.Regress.missing);
-  check_bool "present leaf still compared" true
-    (List.length o.Regress.verdicts >= 1);
-  check_bool "tolerance < 1 rejected" true
-    (match
-       Regress.compare_json ~what:"x" ~tolerance:0.5 ~baseline ~fresh
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-(* The sim bench's cache block: a faster cold pass raises the warm/cold
-   ratio, which must not fail the gate; only a slower warm pass may. *)
-let cache_doc ~cold ~warm =
-  J.Obj
-    [
-      ( "cache",
-        J.Obj
-          [
-            ("cold_wall_s", J.Float cold);
-            ("warm_wall_s", J.Float warm);
-            ("warm_over_cold", J.Float (warm /. cold));
-          ] );
-    ]
-
-let test_regress_cache_ratio () =
-  let baseline = cache_doc ~cold:2.0 ~warm:0.01 in
-  let compare fresh =
-    Regress.compare_json ~what:"sim" ~tolerance:1.5 ~baseline ~fresh
-  in
-  let faster_cold = compare (cache_doc ~cold:0.5 ~warm:0.01) in
-  check_bool "faster cold, same warm passes" true (Regress.ok faster_cold);
-  check_bool "the ratio is not compared" true
-    (List.for_all
-       (fun (v : Regress.verdict) -> not (contains v.Regress.path "warm_over_cold"))
-       faster_cold.Regress.verdicts);
-  check_bool "slower warm fails" false
-    (Regress.ok (compare (cache_doc ~cold:2.0 ~warm:0.02)))
-
 let suite =
   [
     Alcotest.test_case "hist quantiles uniform" `Quick test_hist_quantiles;
@@ -556,8 +455,4 @@ let suite =
       test_progress_open_ended_total;
     Alcotest.test_case "progress overshoot clamps" `Quick
       test_progress_overshoot_clamps;
-    Alcotest.test_case "regress pass/fail" `Quick test_regress_pass_and_fail;
-    Alcotest.test_case "regress missing leaf" `Quick test_regress_missing_leaf;
-    Alcotest.test_case "regress cache ratio one-sided" `Quick
-      test_regress_cache_ratio;
   ]
