@@ -80,7 +80,6 @@ let policy t = t.policy
 let period t = t.period
 let seq t = Array.copy t.seq
 let core t j = t.seq.(j mod t.period)
-let legacy_comm t = t.policy = Round_robin
 
 let hops t ~src_core ~dst_core =
   (dst_core - src_core + t.ncore) mod t.ncore

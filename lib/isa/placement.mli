@@ -54,10 +54,6 @@ val core : t -> int -> int
 val seq : t -> int array
 (** One period of the map (a copy). *)
 
-val legacy_comm : t -> bool
-(** [true] iff the map uses the paper's thread-forwarding communication
-    model ([dk * c_reg_com]) — exactly the round-robin policy. *)
-
 val comm_cycles : t -> dk:int -> dst:int -> int
 (** Cycles for a synchronised register value to travel a kernel distance
     of [dk] into consumer thread [dst]. Round-robin: [dk * c_reg_com]

@@ -1,13 +1,13 @@
 (** Throttled stderr heartbeat for long-running sweeps.
 
-    {!Ts_resil.Supervise.sweep_map} creates a handle per sweep and calls
-    {!step} as each task completes (from whatever pool domain ran it);
-    when enabled — the CLI's [--progress] flag — at most one line per
-    second reports done/total, elapsed time, an ETA extrapolated from
-    the completion rate, and this sweep's cache hit-rate, retry and
-    failure counts read from the default metrics registry. Disabled
-    (the default), a step costs two atomic operations, so the harness
-    can call into it unconditionally. *)
+    {!Ts_resil.Supervise.sweep_groups} creates a handle per sweep, and
+    the pool worker that ran a task calls {!step} as soon as the task
+    ends, retries included; when enabled — the CLI's [--progress] flag —
+    at most one line per second reports done/total, elapsed time, an ETA
+    extrapolated from the completion rate, and this sweep's cache
+    hit-rate, retry and failure counts read from the default metrics
+    registry. Disabled (the default), a step costs two atomic
+    operations, so the harness can call into it unconditionally. *)
 
 type t
 

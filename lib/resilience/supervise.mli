@@ -9,6 +9,10 @@
     the sweep finish the surviving tasks and report the casualties at the
     end.
 
+    One retry loop, {!attempt_task}, serves both the server (per
+    request) and {!sweep_groups} (per item, on the pool worker that took
+    the item, which steps the sweep's {!Ts_obs.Progress} heartbeat).
+
     Determinism: retries re-run the same pure task, and backoff delays
     are a fixed function of the policy ([backoff_ms * 2^(attempt-1)]), so
     an injected-fault run whose retries all eventually succeed returns
@@ -41,9 +45,6 @@ type failure = {
 exception Failures of failure list
 (** Every failed task of a sweep, aggregated, in input order. *)
 
-val backoff_delays_ms : policy -> int list
-(** The deterministic backoff sequence: the delay before each retry. *)
-
 val attempt_task :
   policy:policy ->
   point:string ->
@@ -54,56 +55,26 @@ val attempt_task :
   ('b, failure) result
 (** One supervised task, inline on the calling domain: up to
     [1 + max_retries] attempts with the deterministic backoff, the
-    report-only deadline, and the [(index, attempt)] {!Fault} task keys —
-    the single-item building block the server uses to give every request
-    its own retry/deadline policy without a sweep. Domain-safe: the
+    report-only deadline, and the [(index, attempt)] {!Fault} task keys.
+    The only retry loop: {!sweep_groups} runs it once per item and the
+    server once per request, with that request's policy. Domain-safe: the
     retry/failure/deadline counters are atomic and the warn-once table is
     locked, so concurrent pool workers can each run their own. *)
-
-val map :
-  ?jobs:int ->
-  ?policy:policy ->
-  ?point:string ->
-  ?label:(int -> string) ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, failure) result list
-(** [map f xs] runs every task under the policy (default
-    {!default_policy}) on the {!Ts_base.Parallel} pool and returns
-    per-task outcomes in input order — no exception short-circuits the
-    sweep. [point] (default ["worker"]) is the {!Fault} task point
-    checked before each attempt; [label] names tasks in failures and
-    warnings (default: the index). *)
 
 (** {2 Run context}
 
     Process-wide sweep configuration, set once by the CLI front ends
     ([--keep-going], [--max-retries], [--task-timeout]) and consulted by
-    every driver's {!sweep_map}. *)
+    every {!sweep_groups}; the server starts each request's policy from
+    {!policy}. *)
 
 val set_keep_going : bool -> unit
 val keep_going : unit -> bool
 
 val set_policy : policy -> unit
-(** The policy {!sweep_map} uses. *)
+(** The policy {!sweep_groups} uses. *)
 
 val policy : unit -> policy
-
-val sweep_map :
-  ?jobs:int ->
-  what:string ->
-  label:(int -> 'a -> string) ->
-  ('a -> 'b) ->
-  'a list ->
-  'b option list
-(** The drivers' entry point. Like {!map} with the run-context policy and
-    labels prefixed ["what/"], then:
-
-    - keep-going off (default): if any task failed, raises {!Failures}
-      with {e all} of them (every task still ran or was retried first);
-    - keep-going on: failed tasks come back as [None], their failures are
-      recorded in the run context for the end-of-run {!summary}, and the
-      sweep completes. *)
 
 val sweep_groups :
   what:string ->
@@ -112,10 +83,18 @@ val sweep_groups :
   ('g -> 'a -> 'b) ->
   ('g * 'a list) list ->
   ('g * 'b list) list
-(** {!sweep_map} over grouped items (a benchmark's loops, say), one task
-    per item in group order, regrouped in order; under keep-going a
-    failed item is left out of its group. Task [i] (the index {!Fault}
-    plans name) is the [i]-th item overall, labelled ["what:group/item"]. *)
+(** The harness's sweep: one {!Ts_base.Parallel.map} over grouped
+    items (a benchmark's loops, say), one task per item in group order,
+    regrouped in order. Task [i] (the index {!Fault} plans name) is the
+    [i]-th item overall, labelled ["what:group/item"], and runs
+    {!attempt_task} under the run-context {!policy} at {!Fault} point
+    ["worker"]. Then:
+
+    - keep-going off (default): if any task failed, raises {!Failures}
+      with {e all} of them (every task still ran or was retried first);
+    - keep-going on: a failed item is left out of its group, its failure
+      is recorded in the run context for the end-of-run {!summary}, and
+      the sweep completes. *)
 
 val failures : unit -> failure list
 (** Failures recorded by keep-going sweeps since the last

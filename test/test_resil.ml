@@ -73,6 +73,21 @@ let capture_sleeps () =
   F.set_sleep (Some (fun s -> slept := s :: !slept));
   fun () -> List.rev !slept
 
+(* Run [f] with the pool's default parallelism set to [n]. *)
+let with_jobs n f =
+  let saved = Ts_base.Parallel.get_jobs () in
+  Ts_base.Parallel.set_jobs n;
+  Fun.protect ~finally:(fun () -> Ts_base.Parallel.set_jobs saved) f
+
+(* A flat supervised sweep: item [i] is its own group of [S.sweep_groups],
+   so it is task [i], its label reads ["what:i/x"], and a keep-going
+   casualty comes back as [None] in its place. *)
+let sweep ~what f xs =
+  S.sweep_groups ~what ~group:string_of_int ~label:string_of_int
+    (fun _ x -> f x)
+    (List.mapi (fun i x -> (i, [ x ])) xs)
+  |> List.map (fun (_, vs) -> match vs with [ v ] -> Some v | _ -> None)
+
 let arm_ok s =
   match F.parse s with
   | Ok plan -> F.arm plan
@@ -193,39 +208,54 @@ let test_warn_once () =
 let test_retry_converges () =
   let sleeps = capture_sleeps () in
   arm_ok "worker@*#1";
-  let policy = { S.max_retries = 2; backoff_ms = 40; deadline_ms = None } in
+  S.set_policy { S.max_retries = 2; backoff_ms = 40; deadline_ms = None };
   let r0 = cval "supervise.retries" in
-  let results = S.map ~jobs:1 ~policy (fun x -> 2 * x) [ 10; 20; 30 ] in
+  let results =
+    with_jobs 1 (fun () -> sweep ~what:"t" (fun x -> 2 * x) [ 10; 20; 30 ])
+  in
   check_bool "all tasks converge on retry" true
-    (results = [ Ok 20; Ok 40; Ok 60 ]);
+    (results = [ Some 20; Some 40; Some 60 ]);
   check_int "one retry per task" 3 (cval "supervise.retries" - r0);
   check_bool "deterministic first backoff" true
     (sleeps () = [ 0.04; 0.04; 0.04 ])
 
 let test_backoff_sequence () =
-  check_bool "delays" true
-    (S.backoff_delays_ms { S.max_retries = 3; backoff_ms = 50; deadline_ms = None }
-    = [ 50; 100; 200 ]);
   let sleeps = capture_sleeps () in
   arm_ok "worker@0";
-  let policy = { S.max_retries = 3; backoff_ms = 10; deadline_ms = None } in
+  let attempt backoff_ms =
+    S.attempt_task
+      ~policy:{ S.max_retries = 3; backoff_ms; deadline_ms = None }
+      ~point:"worker" ~label:"t0" ~index:0 Fun.id 1
+  in
   let f0 = cval "supervise.failures" in
-  (match S.map ~jobs:1 ~policy ~label:(fun i -> Printf.sprintf "t%d" i) Fun.id [ 1 ] with
-  | [ Error f ] ->
+  (match attempt 10 with
+  | Error f ->
       check_int "attempts = 1 + retries" 4 f.S.attempts;
       check_string "label" "t0" f.S.label;
       check_int "index" 0 f.S.index
-  | _ -> Alcotest.fail "expected one failure");
+  | Ok _ -> Alcotest.fail "expected one failure");
   check_int "one failure counted" 1 (cval "supervise.failures" - f0);
-  check_bool "exponential backoff recorded" true (sleeps () = [ 0.01; 0.02; 0.04 ])
+  check_bool "exponential backoff recorded" true
+    (sleeps () = [ 0.01; 0.02; 0.04 ]);
+  ignore (attempt 50);
+  check_bool "delays scale with backoff_ms" true
+    (sleeps () = [ 0.01; 0.02; 0.04; 0.05; 0.1; 0.2 ])
 
 let test_aggregates_all_failures () =
   arm_ok "worker@1,worker@3";
+  S.set_keep_going true;
   let run jobs =
-    S.map ~jobs (fun x -> x * x) [ 0; 1; 2; 3; 4; 5 ]
-    |> List.map (function Ok v -> `Ok v | Error (f : S.failure) -> `Fail f.index)
+    S.reset_failures ();
+    let out =
+      with_jobs jobs (fun () ->
+          sweep ~what:"t" (fun x -> x * x) [ 0; 1; 2; 3; 4; 5 ])
+    in
+    (out, List.map (fun (f : S.failure) -> (f.index, f.label)) (S.failures ()))
   in
-  let want = [ `Ok 0; `Fail 1; `Ok 4; `Fail 3; `Ok 16; `Ok 25 ] in
+  let want =
+    ( [ Some 0; None; Some 4; None; Some 16; Some 25 ],
+      [ (1, "t:1/1"); (3, "t:3/3") ] )
+  in
   check_bool "sequential: every failure, every survivor" true (run 1 = want);
   check_bool "pooled: identical outcomes" true (run 4 = want)
 
@@ -260,33 +290,28 @@ let test_failures_of_exn () =
 
 let test_sweep_raises_all () =
   arm_ok "worker@1,worker@4";
-  match
-    S.sweep_map ~what:"t" ~label:(fun _ x -> string_of_int x) Fun.id [ 5; 6; 7; 8; 9 ]
-  with
+  match sweep ~what:"t" Fun.id [ 5; 6; 7; 8; 9 ] with
   | _ -> Alcotest.fail "expected Failures"
   | exception S.Failures fs ->
       check_int "both failures aggregated" 2 (List.length fs);
-      check_bool "labels carry what/" true
-        (List.map (fun (f : S.failure) -> f.label) fs = [ "t/6"; "t/9" ])
+      check_bool "labels carry what:" true
+        (List.map (fun (f : S.failure) -> f.label) fs = [ "t:1/6"; "t:4/9" ])
 
 let test_sweep_keep_going () =
   S.set_keep_going true;
   arm_ok "worker@2";
-  let out =
-    S.sweep_map ~what:"t" ~label:(fun _ x -> string_of_int x) (fun x -> 10 * x)
-      [ 1; 2; 3; 4 ]
-  in
+  let out = sweep ~what:"t" (fun x -> 10 * x) [ 1; 2; 3; 4 ] in
   check_bool "survivors kept, casualty None" true
     (out = [ Some 10; Some 20; None; Some 40 ]);
   (match S.failures () with
   | [ f ] ->
-      check_string "recorded label" "t/3" f.S.label;
+      check_string "recorded label" "t:2/3" f.S.label;
       check_int "recorded index" 2 f.S.index
   | fs -> Alcotest.failf "expected 1 recorded failure, got %d" (List.length fs));
   (match S.summary () with
   | Some s ->
       check_bool "summary names the task" true
-        (has_sub ~sub:"t/3" s)
+        (has_sub ~sub:"t:2/3" s)
   | None -> Alcotest.fail "expected a summary");
   S.reset_failures ();
   check_bool "reset clears the summary" true (S.summary () = None)
@@ -456,14 +481,14 @@ let test_deadline_report_only () =
   let got = capture_warnings () in
   let policy = { S.max_retries = 0; backoff_ms = 1; deadline_ms = Some 1 } in
   let d0 = cval "supervise.deadline_exceeded" in
-  let results =
-    S.map ~jobs:1 ~policy ~label:(fun i -> Printf.sprintf "slow%d" i)
+  let result =
+    S.attempt_task ~policy ~point:"worker" ~label:"slow0" ~index:0
       (fun x ->
         Unix.sleepf 0.005;
         x + 1)
-      [ 41 ]
+      41
   in
-  check_bool "overrunning result is kept" true (results = [ Ok 42 ]);
+  check_bool "overrunning result is kept" true (result = Ok 42);
   check_int "deadline overrun counted" 1 (cval "supervise.deadline_exceeded" - d0);
   match got () with
   | [ msg ] ->
@@ -477,11 +502,11 @@ let test_deadline_report_only () =
 let test_retry_run_bit_identical () =
   let xs = List.init 8 (fun i -> i) in
   let f x = (x * x) + (3 * x) in
-  let clean = S.sweep_map ~what:"c" ~label:(fun i _ -> string_of_int i) f xs in
+  let clean = sweep ~what:"c" f xs in
   let (_ : unit -> float list) = capture_sleeps () in
   arm_ok "worker@*#1";
   S.set_policy { S.max_retries = 1; backoff_ms = 10; deadline_ms = None };
-  let faulty = S.sweep_map ~what:"c" ~label:(fun i _ -> string_of_int i) f xs in
+  let faulty = sweep ~what:"c" f xs in
   check_bool "every-first-attempt faults + one retry = fault-free" true
     (faulty = clean);
   check_bool "no failures recorded" true (S.failures () = [])
@@ -489,10 +514,10 @@ let test_retry_run_bit_identical () =
 let test_keep_going_survivors_identical () =
   let xs = List.init 6 (fun i -> 100 + i) in
   let f x = x * 7 in
-  let clean = S.sweep_map ~what:"k" ~label:(fun i _ -> string_of_int i) f xs in
+  let clean = sweep ~what:"k" f xs in
   arm_ok "worker@2,worker@5";
   S.set_keep_going true;
-  let faulty = S.sweep_map ~what:"k" ~label:(fun i _ -> string_of_int i) f xs in
+  let faulty = sweep ~what:"k" f xs in
   List.iteri
     (fun i (c, fv) ->
       if i = 2 || i = 5 then check_bool "casualty is None" true (fv = None)
@@ -517,6 +542,29 @@ let test_sweep_groups_regroup () =
     (run () = [ ("a", [ "a1" ]); ("b", []); ("c", [ "c3"; "c5" ]) ]);
   check_bool "labels name the group and the item" true
     (List.map (fun f -> f.S.label) (S.failures ()) = [ "g:a/2"; "g:c/4" ])
+
+(* A sweep's heartbeat advances while its tasks run: the worker that ran
+   a task steps it as the task ends, so on one worker task [k] starts
+   after exactly [k] heartbeat lines. *)
+let test_sweep_heartbeat_live () =
+  let lines = Atomic.make 0 in
+  Ts_obs.Progress.set_sink (Some (fun _ -> Atomic.incr lines));
+  Ts_obs.Progress.set_min_interval 0.0;
+  Ts_obs.Progress.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Ts_obs.Progress.set_enabled false;
+      Ts_obs.Progress.set_min_interval 1.0;
+      Ts_obs.Progress.set_sink None)
+  @@ fun () ->
+  let seen =
+    with_jobs 1 (fun () ->
+        S.sweep_groups ~what:"hb" ~group:Fun.id ~label:string_of_int
+          (fun _ _ -> Atomic.get lines)
+          [ ("g", [ 0; 1; 2; 3; 4 ]) ])
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "task k saw k heartbeats" [ ("g", [ 0; 1; 2; 3; 4 ]) ] seen
 
 (* The harness-level version of the same property: a keep-going suite
    pass with a persistent per-index fault drops exactly that loop and
@@ -612,16 +660,14 @@ let test_attempt_task_hammer () =
   (* The keep-going failure log aggregates from all domains too. *)
   S.reset_failures ();
   S.set_keep_going true;
-  let doms =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            ignore
-              (S.sweep_map ~what:"hammer" ~jobs:1
-                 ~label:(fun i _ -> string_of_int i)
-                 (fun i -> if i = 1 then failwith "boom" else i)
-                 [ 0; 1; 2 ])))
-  in
-  List.iter Domain.join doms;
+  with_jobs 1 (fun () ->
+      List.init 4 (fun _ ->
+          Domain.spawn (fun () ->
+              ignore
+                (sweep ~what:"hammer"
+                   (fun i -> if i = 1 then failwith "boom" else i)
+                   [ 0; 1; 2 ])))
+      |> List.iter Domain.join);
   check_int "all concurrent sweep failures recorded" 4
     (List.length (S.failures ()))
 
@@ -679,6 +725,8 @@ let suite =
       (scrub test_keep_going_survivors_identical);
     Alcotest.test_case "supervise: grouped sweep regroups in order" `Quick
       (scrub test_sweep_groups_regroup);
+    Alcotest.test_case "sweep: heartbeat advances while its tasks run" `Quick
+      (scrub test_sweep_heartbeat_live);
     Alcotest.test_case "harness: keep-going drops exactly the faulted loop"
       `Quick (scrub test_harness_keep_going);
   ]
